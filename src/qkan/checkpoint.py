@@ -65,13 +65,37 @@ def network_to_dict(net: QkanNetwork, provenance: dict | None = None,
     return doc
 
 
+def _widths(doc: dict, key: str, count: int | None = None):
+    """A list of positive integers (of `count` entries when given)."""
+    value = doc.get(key)
+    if not (isinstance(value, list) and value
+            and all(type(v) is int and v >= 1 for v in value)
+            and (count is None or len(value) == count)):
+        length = f"{count} " if count is not None else ""
+        raise DataError(f"checkpoint field {key!r} must be a list of {length}"
+                        f"positive integers, got {value!r}")
+    return value
+
+
+def _linear(doc: dict, key: str) -> LinearLayer | None:
+    if doc.get(key) is None:
+        return None
+    n_in, n_out = _widths(doc, key, 2)
+    return LinearLayer(np.zeros((n_out, n_in)), np.zeros(n_out))
+
+
 def network_from_dict(doc: dict) -> QkanNetwork:
+    """Rebuild a network; every malformed field raises DataError."""
+    if not isinstance(doc, dict):
+        raise DataError("checkpoint must be a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise DataError(f"unsupported checkpoint format_version {version!r}; "
                         f"this build reads version {FORMAT_VERSION}")
-    shape = doc["shape"]
-    rs = doc["r"]
+    shape = _widths(doc, "shape")
+    if len(shape) < 2:
+        raise DataError(f"checkpoint shape {shape} needs at least two widths")
+    rs = _widths(doc, "r", len(shape) - 1)
     layers = []
     for i, r in enumerate(rs):
         n_in, n_out = shape[i], shape[i + 1]
@@ -83,15 +107,16 @@ def network_from_dict(doc: dict) -> QkanNetwork:
             w_quant=np.zeros((n_out, n_in)),
             out_bias=np.zeros((n_out, n_in)),
         ))
-    net = QkanNetwork(layers=layers)
-    if doc.get("encoder"):
-        n_in, n_out = doc["encoder"]
-        net.encoder = LinearLayer(np.zeros((n_out, n_in)), np.zeros(n_out))
-    if doc.get("decoder"):
-        n_in, n_out = doc["decoder"]
-        net.decoder = LinearLayer(np.zeros((n_out, n_in)), np.zeros(n_out))
-    params = np.array(doc["params"], dtype=np.float64)
+    params = doc.get("params")
+    if not (isinstance(params, list)
+            and all(type(v) in (int, float) for v in params)):
+        raise DataError("checkpoint field 'params' must be a list of numbers")
+    params = np.array(params, dtype=np.float64)
+    if not np.all(np.isfinite(params)):
+        raise DataError("checkpoint parameters contain non-finite values")
     try:
+        net = QkanNetwork(layers=layers, encoder=_linear(doc, "encoder"),
+                          decoder=_linear(doc, "decoder"))
         net.set_param_vector(params)
     except ValueError as exc:
         raise DataError(f"checkpoint parameter block: {exc}") from None

@@ -10,9 +10,24 @@ identity. The edge output is
 
     phi(x) = w_base * silu(x) + w_quant * <Z> + out_bias.
 
-Gradients are computed exactly by an adjoint sweep over the flat gate
-sequence; every gate is a rotation whose generator has eigenvalues
-+-1/2, which also makes the parameter-shift rule exact.
+Every edge keeps all 5r+6 of these parameters, but the kernel runs the
+equivalent merged form: the z-rotations rz(gamma_l) S(u_l) rz(alpha_{l+1})
+are adjacent, so they act as one rotation by
+
+    theta_l = w_l x + b_l + gamma_l + alpha_{l+1},
+
+and the edge is ry(beta_r) rz(theta_{r-1}) ... rz(theta_0) ry(beta_0)
+applied to rz(alpha_0)|+>, simulated as a real Bloch vector. The final
+rz(gamma_r) cannot change <Z>.
+
+Gradients are exact. One forward pass records cos and sin of every
+theta_l plus the final Bloch vector; the adjoint sweep then undoes each
+rotation instead of storing the intermediate states. It yields
+derivatives with respect to theta_l, beta_l and alpha_0, which scatter
+back to the parameters: gamma_l, alpha_{l+1} and b_l each get
+d/dtheta_l, w_l gets x * d/dtheta_l, the input gets sum_l w_l d/dtheta_l
+and gamma_r gets exactly 0. Every parameter still enters one rotation
+with unit coefficient, so the parameter-shift rule stays exact.
 
 Batched routines operate on stacked edge parameters with shape
 (N, M, ...) and inputs (B, M), producing (B, N, M) outputs; the scalar
@@ -22,10 +37,9 @@ API wraps them with B = N = M = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-
-from .statevector import state_batch
 
 
 def silu(x):
@@ -120,60 +134,92 @@ def init_daruan(r: int, rng: np.random.Generator, angle_scale: float = 0.1,
 
 # --- batched circuit core ---------------------------------------------------
 #
-# Flat gate sequence (4r + 3 gates): for each block l = 0..r-1 the three
-# Euler rotations rz(alpha_l), ry(beta_l), rz(gamma_l) followed by the
-# encoding gate rz(u_l); then the final Euler triple.
+# On the Bloch vector v = (<X>, <Y>, <Z>), rz(t) and ry(t) are rotations
+# by t about the z and y axes, |+> is (1, 0, 0) and the readout is v_z, so
+# rz(alpha_0)|+> = (cos alpha_0, sin alpha_0, 0) is computed once per edge.
 
 
-def _apply_rz_half(states, half):
-    """In-place diagonal rotation by phase exp(-+ i*half) on (..., 2)."""
-    states[..., 0] *= np.exp(-1j * half)
-    states[..., 1] *= np.exp(1j * half)
+class CircuitTape(NamedTuple):
+    """What the adjoint sweep needs from one forward pass."""
+
+    cos_theta: np.ndarray   # (r, B, N, M)
+    sin_theta: np.ndarray   # (r, B, N, M)
+    final: tuple            # Bloch vector (v_x, v_y, v_z) after the last gate
 
 
-def _apply_ry_half(states, c, s):
-    a0 = states[..., 0].copy()
-    states[..., 0] = c * a0 - s * states[..., 1]
-    states[..., 1] = s * a0 + c * states[..., 1]
+def _rotate(a, b, c, s, work):
+    """In place (a, b) <- (a c - b s, a s + b c): a plane rotation of the
+    vector components a, b by the angle whose cosine and sine are c, s.
+    `work` holds two buffers shaped like a."""
+    bs, as_ = work
+    np.multiply(b, s, out=bs)
+    np.multiply(a, s, out=as_)
+    a *= c
+    a -= bs
+    b *= c
+    b += as_
 
 
 def circuit_forward(enc_w, enc_b, angles, x, keep_states=False):
     """Run the batched circuit.
 
     enc_w, enc_b: (N, M, r); angles: (N, M, r+1, 3); x: (B, M).
-    Returns (expectations (B, N, M), states or None). When keep_states
-    is set, states is the list of (B, N, M, 2) arrays after every gate,
-    as needed by the adjoint sweep.
+    Returns (expectations (B, N, M), tape or None). When keep_states is
+    set, the CircuitTape of this pass is returned for circuit_adjoint.
     """
-    n, m, r = enc_w.shape
-    b = x.shape[0]
-    u = enc_w[None, :, :, :] * x[:, None, :, None] + enc_b[None, :, :, :]  # (B,N,M,r)
-    ha = 0.5 * angles[..., 0]          # (N, M, r+1)
-    hbc = np.cos(0.5 * angles[..., 1])
-    hbs = np.sin(0.5 * angles[..., 1])
-    hg = 0.5 * angles[..., 2]
+    r = enc_w.shape[2]
+    alpha, beta = angles[..., 0], angles[..., 1]
+    offset = np.moveaxis(enc_b + angles[..., :r, 2] + alpha[..., 1:], -1, 0)
+    w = np.ascontiguousarray(np.moveaxis(enc_w, -1, 0))   # (r, N, M)
+    theta = np.multiply(w[:, None], x[None, :, None, :])  # (r, B, N, M)
+    theta += offset[:, None]
+    cos_t = np.cos(theta)
+    sin_t = np.sin(theta, out=theta)
+    cb, sb = np.cos(beta), np.sin(beta)                   # (N, M, r+1)
 
-    s = state_batch(b, n, m)
-    states = []
+    shape = cos_t.shape[1:]
+    ca0 = np.cos(alpha[..., 0])
+    vx, vy, vz = np.empty(shape), np.empty(shape), np.empty(shape)
+    vx[...] = ca0 * cb[..., 0]
+    vy[...] = np.sin(alpha[..., 0])
+    vz[...] = -ca0 * sb[..., 0]
+    work = (np.empty(shape), np.empty(shape))
+    for l in range(r):
+        _rotate(vx, vy, cos_t[l], sin_t[l], work)              # rz(theta_l)
+        _rotate(vz, vx, cb[..., l + 1], sb[..., l + 1], work)  # ry(beta_l+1)
+    tape = CircuitTape(cos_t, sin_t, (vx, vy, vz)) if keep_states else None
+    return vz, tape
 
-    def record():
-        if keep_states:
-            states.append(s.copy())
 
-    for l in range(r + 1):
-        _apply_rz_half(s, ha[None, :, :, l])
-        record()
-        _apply_ry_half(s, hbc[None, :, :, l], hbs[None, :, :, l])
-        record()
-        _apply_rz_half(s, hg[None, :, :, l])
-        record()
-        if l < r:
-            _apply_rz_half(s, 0.5 * u[..., l])
-            record()
+def circuit_adjoint(angles, tape: CircuitTape, weights=None):
+    """Adjoint sweep over a forward tape, with no second forward pass.
 
-    p0 = s[..., 0].real ** 2 + s[..., 0].imag ** 2
-    p1 = s[..., 1].real ** 2 + s[..., 1].imag ** 2
-    return p0 - p1, (states if keep_states else None)
+    Returns per-sample derivatives of weights * <Z>: g_theta (r, B, N, M)
+    for the merged angles, g_beta (r+1, B, N, M) and g_alpha0 (B, N, M).
+    weights (B, N, M) defaults to 1.
+
+    For a rotation by t about axis n, d<Z>/dt = n . (v x lam), where v
+    is the state and lam the back-propagated readout (weights * e_z),
+    both taken right after the gate. Rotations preserve cross products,
+    so the sweep carries only c = v x lam and undoes each rotation on
+    it: the derivative of rz(theta_l) is c_z, that of ry(beta_l) is c_y.
+    """
+    cos_t, sin_t, (vx, vy, _) = tape
+    r = cos_t.shape[0]
+    beta = angles[..., 1]
+    cb, sb = np.cos(beta), np.sin(beta)
+    w = 1.0 if weights is None else weights
+    cx, cy, cz = w * vy, -w * vx, np.zeros(vx.shape)
+    work = (np.empty(vx.shape), np.empty(vx.shape))
+    g_theta = np.empty(cos_t.shape)
+    g_beta = np.empty((r + 1,) + vx.shape)
+    for l in range(r, -1, -1):
+        g_beta[l] = cy
+        _rotate(cx, cz, cb[..., l], sb[..., l], work)       # undo ry(beta_l)
+        if l > 0:
+            g_theta[l - 1] = cz
+            _rotate(cy, cx, cos_t[l - 1], sin_t[l - 1], work)  # undo rz(theta)
+    return g_theta, g_beta, cz
 
 
 def circuit_expectation(enc_w, enc_b, angles, x):
@@ -183,67 +229,23 @@ def circuit_expectation(enc_w, enc_b, angles, x):
 
 
 def circuit_gradients(enc_w, enc_b, angles, x):
-    """Adjoint sweep: exact per-sample derivatives of <Z>.
+    """Exact per-sample derivatives of <Z> for every circuit parameter.
 
     Returns (f, g_enc, g_ang) with f (B, N, M), g_enc (B, N, M, r) the
     derivative with respect to each encoding gate's total rotation
-    angle u_l, and g_ang (B, N, M, r+1, 3) the Euler-angle derivatives.
+    angle u_l = w_l x + b_l, and g_ang (B, N, M, r+1, 3) the Euler-angle
+    derivatives. gamma_l and alpha_{l+1} enter only through theta_l, so
+    both equal g_enc[..., l]; gamma_r's derivative is exactly 0.
     """
-    n, m, r = enc_w.shape
-    b = x.shape[0]
-    f, states = circuit_forward(enc_w, enc_b, angles, x, keep_states=True)
-
-    u = enc_w[None, :, :, :] * x[:, None, :, None] + enc_b[None, :, :, :]
-    ha = 0.5 * angles[..., 0]
-    hbc = np.cos(0.5 * angles[..., 1])
-    hbs = np.sin(0.5 * angles[..., 1])
-    hg = 0.5 * angles[..., 2]
-
-    final = states[-1]
-    lam = final.copy()
-    lam[..., 1] = -lam[..., 1]          # Z |psi>
-
-    g_enc = np.empty((b, n, m, r))
-    g_ang = np.empty((b, n, m, r + 1, 3))
-
-    def grad_z(sk):
-        return (np.imag(np.conj(lam[..., 0]) * sk[..., 0])
-                - np.imag(np.conj(lam[..., 1]) * sk[..., 1]))
-
-    def grad_y(sk):
-        return (np.real(np.conj(lam[..., 1]) * sk[..., 0])
-                - np.real(np.conj(lam[..., 0]) * sk[..., 1]))
-
-    def pull_rz(half):
-        lam[..., 0] *= np.exp(1j * half)
-        lam[..., 1] *= np.exp(-1j * half)
-
-    def pull_ry(c, s):
-        l0 = lam[..., 0].copy()
-        lam[..., 0] = c * l0 + s * lam[..., 1]
-        lam[..., 1] = -s * l0 + c * lam[..., 1]
-
-    # Walk the gate list backwards; states[k] is the post-state of gate k.
-    k = len(states) - 1
-    for l in range(r, -1, -1):
-        if l < r:
-            sk = states[k]
-            g_enc[..., l] = grad_z(sk)
-            pull_rz(0.5 * u[..., l])
-            k -= 1
-        sk = states[k]
-        g_ang[..., l, 2] = grad_z(sk)
-        pull_rz(hg[None, :, :, l])
-        k -= 1
-        sk = states[k]
-        g_ang[..., l, 1] = grad_y(sk)
-        pull_ry(hbc[None, :, :, l], hbs[None, :, :, l])
-        k -= 1
-        sk = states[k]
-        g_ang[..., l, 0] = grad_z(sk)
-        pull_rz(ha[None, :, :, l])
-        k -= 1
-
+    r = enc_w.shape[2]
+    f, tape = circuit_forward(enc_w, enc_b, angles, x, keep_states=True)
+    g_theta, g_beta, g_alpha0 = circuit_adjoint(angles, tape)
+    g_enc = np.moveaxis(g_theta, 0, -1)
+    g_ang = np.zeros(f.shape + (r + 1, 3))
+    g_ang[..., 0, 0] = g_alpha0
+    g_ang[..., 1:, 0] = g_enc
+    g_ang[..., :, 1] = np.moveaxis(g_beta, 0, -1)
+    g_ang[..., :r, 2] = g_enc
     return f, g_enc, g_ang
 
 

@@ -11,12 +11,14 @@ noisy.
 from __future__ import annotations
 
 import csv
-import json
+import io
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import atomic_write_text
 from .errors import DataError
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -149,15 +151,17 @@ def sinc20(x):
 
 
 def write_csv(dataset: Dataset, path) -> None:
-    """Header x1..xn,y1..ym; values at 17 significant digits."""
+    """Header x1..xn,y1..ym; values at 17 significant digits. Written
+    atomically: a failed write leaves no partial file."""
     n_x = dataset.inputs.shape[1]
     n_y = dataset.targets.shape[1]
     header = [f"x{i + 1}" for i in range(n_x)] + [f"y{i + 1}" for i in range(n_y)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for xi, yi in zip(dataset.inputs, dataset.targets):
-            writer.writerow([f"{v:.17g}" for v in xi] + [f"{v:.17g}" for v in yi])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for xi, yi in zip(dataset.inputs, dataset.targets):
+        writer.writerow([f"{v:.17g}" for v in xi] + [f"{v:.17g}" for v in yi])
+    atomic_write_text(path, buf.getvalue())
 
 
 def read_csv(path) -> Dataset:
@@ -178,19 +182,16 @@ def read_csv(path) -> Dataset:
                 raise DataError(f"{path}:{lineno}: expected {n_x + n_y} "
                                 f"columns, got {len(row)}")
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
+            if not all(math.isfinite(v) for v in values):
+                raise DataError(f"{path}:{lineno}: non-finite value in {row}")
+            rows.append(values)
     if not rows:
         raise DataError(f"{path}: no data rows")
     arr = np.array(rows)
     return Dataset(arr[:, :n_x], arr[:, n_x:])
-
-
-def write_meta(meta: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
 
 
 # --- MNIST IDX format -------------------------------------------------------

@@ -146,10 +146,6 @@ def fit_spline(xs, ys, grid_size: int, degree: int = 3,
                        fit_rms_err=float(np.sqrt(np.mean(resid ** 2))))
 
 
-def eval_spline(model: SplineModel, x):
-    return model.eval(x)
-
-
 def distill_edge(p: DaruanParams, lo: float, hi: float, grid_size: int = 20,
                  degree: int = 3, samples: int = 256) -> SplineModel:
     xs, ys = sample_activation(p, lo, hi, samples)

@@ -94,37 +94,56 @@ class QkanLayer:
         self.w_quant[j, i] = p.w_quant
         self.out_bias[j, i] = p.out_bias
 
-    def forward(self, x) -> np.ndarray:
-        """y_j = sum_i phi_{j,i}(x_i); x (B, n_in) -> (B, n_out)."""
+    def forward(self, x, tape: list | None = None) -> np.ndarray:
+        """y_j = sum_i phi_{j,i}(x_i); x (B, n_in) -> (B, n_out).
+
+        When `tape` is a list, (x, circuit tape) is appended to it for
+        backward.
+        """
         x, squeeze = _as_batch(x, self.n_in, "layer input")
-        f = daruan.circuit_expectation(self.enc_w, self.enc_b, self.angles, x)
+        f, circuit_tape = daruan.circuit_forward(
+            self.enc_w, self.enc_b, self.angles, x, tape is not None)
+        if tape is not None:
+            tape.append((x, circuit_tape))
         phi = (self.w_base[None] * silu(x)[:, None, :]
                + self.w_quant[None] * f
                + self.out_bias[None])
         y = phi.sum(axis=2)
         return y[0] if squeeze else y
 
-    def backward(self, x: np.ndarray, upstream: np.ndarray):
+    def backward(self, x: np.ndarray, upstream: np.ndarray,
+                 circuit_tape: daruan.CircuitTape | None = None):
         """Gradients of sum_b upstream[b] . forward(x[b]).
 
+        `circuit_tape` is the one that forward recorded for this x;
+        without it the circuit forward runs again here.
         Returns (grads: LayerGrads, d_x: (B, n_in)).
         """
-        f, g_enc, g_ang = daruan.circuit_gradients(
-            self.enc_w, self.enc_b, self.angles, x)
-        up = upstream[:, :, None]                      # (B, n_out, 1)
-        upq = up * self.w_quant[None]                  # (B, n_out, n_in)
+        if circuit_tape is None:
+            _, circuit_tape = daruan.circuit_forward(
+                self.enc_w, self.enc_b, self.angles, x, True)
+        upq = upstream[:, :, None] * self.w_quant[None]   # (B, n_out, n_in)
+        g_theta, g_beta, g_alpha0 = daruan.circuit_adjoint(
+            self.angles, circuit_tape, upq)
+        # theta_l = w_l x + b_l + gamma_l + alpha_{l+1}; gamma_r has no effect
+        g_b = np.moveaxis(g_theta.sum(axis=1), 0, -1)      # (n_out, n_in, r)
+        g_ang = np.zeros_like(self.angles)
+        g_ang[:, :, 0, 0] = g_alpha0.sum(axis=0)
+        g_ang[:, :, 1:, 0] = g_b
+        g_ang[:, :, :, 1] = np.moveaxis(g_beta.sum(axis=1), 0, -1)
+        g_ang[:, :, :-1, 2] = g_b
         grads = LayerGrads(
-            enc_w=np.einsum("bnm,bnmr,bm->nmr", upq, g_enc, x),
-            enc_b=np.einsum("bnm,bnmr->nmr", upq, g_enc),
-            angles=np.einsum("bnm,bnmrk->nmrk", upq, g_ang),
-            w_base=np.einsum("bnm,bm->nm", up * np.ones_like(f), silu(x)),
-            w_quant=(up * f).sum(axis=0),
-            out_bias=(up * np.ones_like(f)).sum(axis=0),
+            enc_w=np.einsum("lbnm,bm->nml", g_theta, x),
+            enc_b=g_b,
+            angles=g_ang,
+            w_base=upstream.T @ silu(x),
+            w_quant=np.einsum("bn,bnm->nm", upstream, circuit_tape.final[2]),
+            out_bias=np.repeat(upstream.sum(axis=0)[:, None], self.n_in,
+                               axis=1),
         )
-        d_quant = np.einsum("bnm,nmr,bnmr->bm", upq, self.enc_w, g_enc)
-        d_base = np.einsum("bnm,nm->bm", up * np.ones_like(f), self.w_base) \
-            * silu_grad(x)
-        return grads, d_quant + d_base
+        d_x = (np.einsum("lbnm,nml->bm", g_theta, self.enc_w)
+               + (upstream @ self.w_base) * silu_grad(x))
+        return grads, d_x
 
     def extend(self, new_r: int) -> None:
         """In-place layer extension with identity-initialized blocks."""
@@ -242,45 +261,51 @@ class QkanNetwork:
                   for i in range(len(shape) - 1)]
         return cls(layers=layers)
 
-    def forward(self, x) -> np.ndarray:
+    def forward(self, x, tape: list | None = None) -> np.ndarray:
+        """Network outputs. When `tape` is a list, it receives each
+        stage's input and each QKAN layer's circuit tape, so that
+        backward(x, upstream, tape) needs no second forward pass."""
         x, squeeze = _as_batch(x, self.in_dim, "network input")
         if self.encoder is not None:
+            if tape is not None:
+                tape.append(x)
             x = self.encoder.forward(x)
         for layer in self.layers:
-            x = layer.forward(x)
+            x = layer.forward(x, tape)
         if self.decoder is not None:
+            if tape is not None:
+                tape.append(x)
             x = self.decoder.forward(x)
         return x[0] if squeeze else x
 
-    def backward(self, x, upstream) -> NetworkGrads:
+    def backward(self, x, upstream, tape: list | None = None) -> NetworkGrads:
         """Gradients of sum_b upstream[b] . forward(x[b]) for every
-        trainable scalar, plus the input derivative."""
+        trainable scalar, plus the input derivative.
+
+        `tape` is the list filled by forward(x, tape); backward empties
+        it, releasing each layer's tape once used. When it is missing or
+        empty, the forward pass runs here first.
+        """
         x, _ = _as_batch(x, self.in_dim, "network input")
         upstream, _ = _as_batch(upstream, self.out_dim, "upstream")
         if upstream.shape[0] != x.shape[0]:
             raise ValueError("upstream batch size must match the input")
-
-        inputs = []
-        h = x
-        if self.encoder is not None:
-            inputs.append(h)
-            h = self.encoder.forward(h)
-        layer_inputs = []
-        for layer in self.layers:
-            layer_inputs.append(h)
-            h = layer.forward(h)
-        dec_input = h
+        if not tape:
+            tape = []
+            self.forward(x, tape)
 
         up = upstream
         dec_grads = None
         if self.decoder is not None:
-            dec_grads, up = self.decoder.backward(dec_input, up)
+            dec_grads, up = self.decoder.backward(tape.pop(), up)
         layer_grads = [None] * len(self.layers)
         for idx in range(len(self.layers) - 1, -1, -1):
-            layer_grads[idx], up = self.layers[idx].backward(layer_inputs[idx], up)
+            layer_x, circuit_tape = tape.pop()
+            layer_grads[idx], up = self.layers[idx].backward(
+                layer_x, up, circuit_tape)
         enc_grads = None
         if self.encoder is not None:
-            enc_grads, up = self.encoder.backward(inputs[0], up)
+            enc_grads, up = self.encoder.backward(tape.pop(), up)
         return NetworkGrads(layers=layer_grads, encoder=enc_grads,
                             decoder=dec_grads, d_input=up)
 

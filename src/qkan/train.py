@@ -68,9 +68,12 @@ def adam_step(state: AdamState, params: np.ndarray,
 def _wolfe_search(fg, x, d, f0, g0, events: list | None = None):
     """Strong-Wolfe line search along d (Nocedal-style bracket + zoom).
 
-    Returns (alpha, f_new, g_new). On failure after
-    MAX_LINE_SEARCH_TRIALS evaluations, records the event, halves the
-    last trial step and accepts it.
+    Returns (alpha, f_new, g_new). A trial with a non-finite loss or
+    slope counts as a step that is too long. After
+    MAX_LINE_SEARCH_TRIALS evaluations without a Wolfe point, the
+    search records an event and tries half the last trial step; it
+    accepts that step only if its loss is finite and below f0, and
+    otherwise returns the zero step (0, f0, g0).
     """
     dg0 = float(d @ g0)
     evals = 0
@@ -79,7 +82,10 @@ def _wolfe_search(fg, x, d, f0, g0, events: list | None = None):
         nonlocal evals
         evals += 1
         f, g = fg(x + alpha * d)
-        return f, g, float(d @ g)
+        dg = float(d @ g)
+        if not (np.isfinite(f) and np.isfinite(dg)):
+            f = np.inf   # fails every sufficient-decrease test below
+        return f, g, dg
 
     def zoom(a_lo, a_hi, f_lo, dg_lo):
         for _ in range(MAX_LINE_SEARCH_TRIALS):
@@ -99,7 +105,6 @@ def _wolfe_search(fg, x, d, f0, g0, events: list | None = None):
 
     a_prev, f_prev, dg_prev = 0.0, f0, dg0
     a = 1.0
-    g_prev = g0
     for _ in range(MAX_LINE_SEARCH_TRIALS):
         f, g, dg = phi(a)
         if f > f0 + WOLFE_C1 * a * dg0 or (evals > 1 and f >= f_prev):
@@ -114,22 +119,32 @@ def _wolfe_search(fg, x, d, f0, g0, events: list | None = None):
             if res is not None:
                 return res
             break
-        a_prev, f_prev, dg_prev, g_prev = a, f, dg, g
+        a_prev, f_prev, dg_prev = a, f, dg
         a = 2.0 * a
         if evals >= MAX_LINE_SEARCH_TRIALS:
             break
 
-    if events is not None:
-        events.append(f"line-search failure after {evals} trials; "
-                      f"halving step to {0.5 * a:.3e}")
+    trials = evals
     a = 0.5 * a
     f, g, _ = phi(a)
-    return a, f, g
+    accepted = f < f0    # False for the inf that phi makes of a NaN
+    if events is not None:
+        events.append(f"line-search failure after {trials} trials; "
+                      + (f"accepted halved step {a:.3e}" if accepted else
+                         f"halved step {a:.3e} did not lower the loss, "
+                         f"taking a zero step"))
+    if accepted:
+        return a, f, g
+    return 0.0, f0, g0
 
 
 def lbfgs_minimize(fg, x0: np.ndarray, max_iter: int, history: int = 10,
                    grad_tol: float = 1e-12, callback=None):
     """Two-loop-recursion L-BFGS. fg(x) -> (loss, grad).
+
+    A zero step from the line search clears the curvature history, so
+    the next iteration searches along steepest descent; when the failed
+    search already was along steepest descent, the run stops.
 
     Returns (x, trace of per-iteration losses, events).
     """
@@ -163,7 +178,14 @@ def lbfgs_minimize(fg, x0: np.ndarray, max_iter: int, history: int = 10,
         alpha, f_new, g_new = _wolfe_search(fg, x, d, f, g, events)
         s = alpha * d
         y = g_new - g
-        if float(s @ y) > CURVATURE_MIN:
+        restart = alpha == 0.0 and bool(s_hist)
+        if alpha == 0.0:
+            events.append("L-BFGS history cleared; restarting from steepest "
+                          "descent" if restart else
+                          "no lower point along steepest descent; stopping")
+            s_hist.clear()
+            y_hist.clear()
+        elif float(s @ y) > CURVATURE_MIN:
             s_hist.append(s)
             y_hist.append(y)
         x = x + s
@@ -171,7 +193,8 @@ def lbfgs_minimize(fg, x0: np.ndarray, max_iter: int, history: int = 10,
         losses.append(f)
         if callback is not None:
             callback(it, x, f)
-        if float(np.linalg.norm(s)) <= 1e-15 * max(1.0, float(np.linalg.norm(x))):
+        if not restart and \
+                float(np.linalg.norm(s)) <= 1e-15 * max(1.0, float(np.linalg.norm(x))):
             break
     return x, losses, events
 
@@ -206,9 +229,10 @@ def _loss_closure(net: QkanNetwork, dataset: Dataset):
 
     def fg(params: np.ndarray):
         net.set_param_vector(params)
-        pred = net.forward(x)
+        tape: list = []
+        pred = net.forward(x, tape)
         loss = float(np.mean((pred - y) ** 2))
-        grads = net.backward(x, scale * (pred - y))
+        grads = net.backward(x, scale * (pred - y), tape)
         return loss, net.grad_vector(grads)
 
     return fg

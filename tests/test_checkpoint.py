@@ -62,6 +62,45 @@ class TestValidation:
         with pytest.raises(DataError):
             ck.load_checkpoint(path)
 
+    @pytest.mark.parametrize("mutate", [
+        lambda doc: doc.pop("format_version"),
+        lambda doc: doc.pop("shape"),
+        lambda doc: doc.pop("r"),
+        lambda doc: doc.pop("params"),
+        lambda doc: doc.update(shape="2,3,1"),
+        lambda doc: doc.update(shape=[2]),
+        lambda doc: doc.update(shape=[2, 0, 1]),
+        lambda doc: doc.update(r=[2.5, 2]),
+        lambda doc: doc.update(r=[2]),
+        lambda doc: doc.update(r=3),
+        lambda doc: doc.update(params="0.1"),
+        lambda doc: doc.update(params=[None] * len(doc["params"])),
+        lambda doc: doc["params"].__setitem__(0, [0.1]),
+        lambda doc: doc["params"].__setitem__(3, float("nan")),
+        lambda doc: doc["params"].__setitem__(3, float("-inf")),
+        lambda doc: doc.update(encoder=[4]),
+        lambda doc: doc.update(encoder=[4, 3]),   # core input width is 2
+    ], ids=["no-format_version", "no-shape", "no-r", "no-params",
+            "shape-string", "shape-short", "shape-zero", "r-float",
+            "r-count", "r-scalar", "params-string", "params-null",
+            "params-nested", "params-nan", "params-inf", "encoder-short",
+            "encoder-mismatch"])
+    def test_malformed_document_is_data_error(self, tmp_path, mutate):
+        net = QkanNetwork.init([2, 3, 1], 2, np.random.default_rng(306))
+        path = tmp_path / "ckpt.json"
+        ck.save_checkpoint(net, path)
+        doc = json.loads(path.read_text())
+        mutate(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError):
+            ck.load_checkpoint(path)
+
+    def test_non_object_document_is_data_error(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        path.write_text("[1, 2, 3]")
+        with pytest.raises(DataError):
+            ck.load_checkpoint(path)
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{not json")

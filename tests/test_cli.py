@@ -108,6 +108,26 @@ class TestEval:
         assert run("eval", "--checkpoint", str(workspace / "nope.json"),
                    "--data", str(workspace / "data" / "test.csv")) == 3
 
+    @pytest.mark.parametrize("damage", ["nan-cell", "inf-cell", "no-shape",
+                                        "no-params"])
+    def test_malformed_input_is_data_error(self, workspace, tmp_path, damage,
+                                           capsys):
+        ckpt = tmp_path / "best.json"
+        csv_path = tmp_path / "test.csv"
+        doc = json.loads((workspace / "run" / "best.json").read_text())
+        lines = (workspace / "data" / "test.csv").read_text().split("\n")
+        if damage.endswith("-cell"):
+            cells = lines[5].split(",")
+            cells[1] = damage[:3]
+            lines[5] = ",".join(cells)
+        else:
+            doc.pop(damage[3:])
+        ckpt.write_text(json.dumps(doc))
+        csv_path.write_text("\n".join(lines))
+        assert run("eval", "--checkpoint", str(ckpt),
+                   "--data", str(csv_path)) == 3
+        assert "data error" in capsys.readouterr().err
+
 
 class TestSpectrum:
     def test_random_circuit_report(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ vectorized implementation is a real cross-check rather than a identity.
 import numpy as np
 import pytest
 
+import statevector_oracle as complex_kernel
 from qkan import daruan
 from qkan.daruan import DaruanParams, init_daruan
 
@@ -248,6 +249,49 @@ class TestBatchedConsistency:
                                                atol=1e-12)
                     np.testing.assert_allclose(g_ang[bi, ni, mi], g.angles,
                                                atol=1e-12)
+
+
+class TestFusedKernelOracle:
+    """The fused Bloch-vector kernel against the complex 2-amplitude
+    kernel that applies every one of the 4r+3 gates separately."""
+
+    @staticmethod
+    def random_circuits(r, seed):
+        rng = np.random.default_rng(seed)
+        n, m, b = 3, 2, 5
+        return (rng.uniform(-2.0, 2.0, size=(n, m, r)),
+                rng.uniform(-np.pi, np.pi, size=(n, m, r)),
+                rng.uniform(-np.pi, np.pi, size=(n, m, r + 1, 3)),
+                rng.uniform(-np.pi, np.pi, size=(b, m)))
+
+    @pytest.mark.parametrize("r", range(1, 11))
+    def test_forward_matches(self, r):
+        args = self.random_circuits(r, 40 + r)
+        want, _ = complex_kernel.circuit_forward(*args)
+        got = daruan.circuit_expectation(*args)
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    @pytest.mark.parametrize("r", range(1, 11))
+    def test_per_sample_gradients_match(self, r):
+        args = self.random_circuits(r, 50 + r)
+        f_want, enc_want, ang_want = complex_kernel.circuit_gradients(*args)
+        f, g_enc, g_ang = daruan.circuit_gradients(*args)
+        assert g_enc.shape == enc_want.shape
+        assert g_ang.shape == ang_want.shape
+        assert np.max(np.abs(f - f_want)) <= 1e-13
+        assert np.max(np.abs(g_enc - enc_want)) <= 1e-12
+        assert np.max(np.abs(g_ang - ang_want)) <= 1e-12
+        # rz(gamma_r) follows the last ry and commutes with the readout
+        assert np.all(g_ang[..., r, 2] == 0.0)
+
+    def test_weighted_adjoint_scales_readout(self):
+        args = self.random_circuits(4, 60)
+        _, tape = daruan.circuit_forward(*args, keep_states=True)
+        weights = np.random.default_rng(61).normal(size=tape.final[2].shape)
+        plain = daruan.circuit_adjoint(args[2], tape)
+        weighted = daruan.circuit_adjoint(args[2], tape, weights)
+        for g, gw in zip(plain, weighted):
+            np.testing.assert_allclose(gw, weights * g, rtol=0, atol=1e-14)
 
 
 class TestExtension:

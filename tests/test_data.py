@@ -1,5 +1,6 @@
 """Tests for dataset generation, CSV round trips and the IDX reader."""
 
+import os
 import struct
 
 import numpy as np
@@ -119,6 +120,24 @@ class TestCsv:
         path.write_text("x1,y1\n0.5,1.0\n0.25\n")
         with pytest.raises(DataError, match="3"):
             dm.read_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_reported_with_line(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x1,y1\n0.5,1.0\n{cell},2.0\n")
+        with pytest.raises(DataError, match=":3:"):
+            dm.read_csv(path)
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path):
+        path = tmp_path / "train.csv"
+        path.write_text("original")
+        ds = dm.Dataset(np.zeros((5, 1)), np.zeros((5, 1)))
+        # the fifth row cannot be formatted, after four rows were
+        ds.targets = np.array([[0.0]] * 4 + [["oops"]], dtype=object)
+        with pytest.raises(ValueError):
+            dm.write_csv(ds, path)
+        assert path.read_text() == "original"
+        assert os.listdir(tmp_path) == ["train.csv"]
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

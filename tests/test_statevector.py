@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qkan import statevector as sv
+import statevector_oracle as sv
 
 I2 = np.eye(2, dtype=np.complex128)
 PAULI_Z = np.diag([1.0, -1.0]).astype(np.complex128)

@@ -5,9 +5,10 @@ import importlib
 import numpy as np
 import pytest
 
+from qkan import daruan
 from qkan.data import Dataset
 from qkan.errors import NumericalError
-from qkan.network import QkanNetwork
+from qkan.network import QkanNetwork, make_hqkan
 
 # the package re-exports a train() function under the same name
 tr = importlib.import_module("qkan.train")
@@ -157,7 +158,7 @@ class TestTrainLoop:
             def __getattr__(self, name):
                 return getattr(self.inner, name)
 
-            def forward(self, x):
+            def forward(self, x, tape=None):
                 return np.full((x.shape[0], 1), np.nan)
 
         with pytest.raises(NumericalError):
@@ -169,6 +170,91 @@ class TestTrainLoop:
             tr.TrainConfig(optimizer="sgd")
         with pytest.raises(ValueError):
             tr.TrainConfig(epochs=-1)
+
+
+class TestLossClosure:
+    @pytest.mark.parametrize("make", [
+        lambda rng: QkanNetwork.init([3, 4, 2, 1], 2, rng),
+        lambda rng: make_hqkan(5, 1, r=3, hidden_shape=(2,), rng=rng),
+    ], ids=["plain", "hqkan"])
+    def test_one_circuit_forward_per_layer(self, make, monkeypatch):
+        rng = np.random.default_rng(71)
+        net = make(rng)
+        ds = Dataset(rng.normal(size=(16, net.in_dim)),
+                     rng.normal(size=(16, 1)))
+        fg = tr._loss_closure(net, ds)
+        params = net.param_vector()
+        calls = []
+        kernel = daruan.circuit_forward
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(daruan, "circuit_forward", counting)
+        loss, grad = fg(params)
+        assert len(calls) == len(net.layers)
+        monkeypatch.undo()
+        # the taped gradient equals a backward that runs its own forward
+        pred = net.forward(ds.inputs)
+        up = 2.0 / ds.targets.size * (pred - ds.targets)
+        np.testing.assert_array_equal(
+            grad, net.grad_vector(net.backward(ds.inputs, up)))
+        assert loss == np.mean((pred - ds.targets) ** 2)
+
+
+class TestLineSearchSafeguards:
+    X0 = np.zeros(2)
+    G0 = np.array([1.0, 0.0])
+
+    @staticmethod
+    def nan_away_from_start(x):
+        if np.any(x != 0.0):
+            return np.nan, np.full(2, np.nan)
+        return 1.0, np.array([1.0, 0.0])
+
+    @staticmethod
+    def rising(x):
+        # the reported gradient points the wrong way: every step along
+        # -gradient raises the loss
+        return 1.0 + float(x @ x), 2.0 * x + np.array([1.0, 0.0])
+
+    @pytest.mark.parametrize("fg", ["nan_away_from_start", "rising"])
+    def test_failed_search_takes_zero_step(self, fg):
+        events = []
+        alpha, f, g = tr._wolfe_search(getattr(self, fg), self.X0, -self.G0,
+                                       1.0, self.G0, events)
+        assert alpha == 0.0
+        assert f == 1.0
+        np.testing.assert_array_equal(g, self.G0)
+        assert len(events) == 1
+        assert events[0].startswith("line-search failure")
+
+    @pytest.mark.parametrize("fg", ["nan_away_from_start", "rising"])
+    def test_lbfgs_never_accepts_a_worse_step(self, fg):
+        x, losses, events = tr.lbfgs_minimize(getattr(self, fg), self.X0,
+                                              max_iter=5)
+        np.testing.assert_array_equal(x, self.X0)
+        assert losses == [1.0]
+        assert events[0].startswith("line-search failure")
+        assert events[-1].endswith("stopping")
+
+    def test_failure_with_history_restarts_from_steepest_descent(self):
+        a = np.diag([1.0, 10.0])
+        calls = []
+
+        def fg(x):
+            calls.append(1)
+            if len(calls) > 8:     # the loss turns NaN after a few steps
+                return np.nan, np.full(2, np.nan)
+            return 0.5 * float(x @ a @ x), a @ x
+
+        x, losses, events = tr.lbfgs_minimize(fg, np.array([1.0, 1.0]),
+                                              max_iter=10)
+        assert np.all(np.isfinite(x))
+        assert all(b <= a_ for a_, b in zip(losses, losses[1:]))
+        assert any("restarting from steepest descent" in e for e in events)
+        assert events[-1].endswith("stopping")
 
 
 class TestTraceCsv:
