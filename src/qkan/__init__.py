@@ -20,7 +20,7 @@ from .network import (LinearLayer, QkanLayer, QkanNetwork, latent_dim,
 from .spectrum import (SpectrumReport, empirical_spectrum,
                        enumerate_frequencies, verify_spectrum)
 from .train import (AdamState, TrainConfig, TrainResult, adam_step,
-                    lbfgs_fit, lbfgs_minimize, mse_loss, rmse, train)
+                    lbfgs_minimize, mse_loss, rmse, train)
 from .checkpoint import load_checkpoint, save_checkpoint
 
 __version__ = "0.1.0"
@@ -34,7 +34,7 @@ __all__ = [
     "distill_edge", "distill_network", "empirical_spectrum",
     "enumerate_frequencies", "extend", "fit_spline", "forward",
     "gen_regression", "gen_sinc", "get_spec", "init_daruan", "latent_dim",
-    "lbfgs_fit", "lbfgs_minimize", "load_checkpoint", "make_hqkan",
+    "lbfgs_minimize", "load_checkpoint", "make_hqkan",
     "mse_loss", "param_count", "parameter_shift_grad", "raw_expectation",
     "read_csv", "read_idx", "rmse", "save_checkpoint", "silu", "sinc20",
     "train", "verify_spectrum", "write_csv",

@@ -125,8 +125,14 @@ def network_from_dict(doc: dict) -> QkanNetwork:
 
 def save_checkpoint(net: QkanNetwork, path, provenance: dict | None = None,
                     optimizer_state: dict | None = None) -> None:
+    """Write a checkpoint; a non-finite parameter raises DataError before
+    anything is written, since JSON has no token for it."""
     doc = network_to_dict(net, provenance, optimizer_state)
-    atomic_write_text(path, json.dumps(doc) + "\n")
+    bad = np.flatnonzero(~np.isfinite(doc["params"]))
+    if bad.size:
+        raise DataError(f"cannot save a checkpoint with {bad.size} non-finite "
+                        f"parameters (first at flat index {bad[0]})")
+    atomic_write_text(path, json.dumps(doc, allow_nan=False) + "\n")
 
 
 def load_checkpoint(path):

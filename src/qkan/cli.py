@@ -188,9 +188,13 @@ def run_training(cfg: dict):
         atomic_write_text(os.path.join(out, f"metrics_seed{seed}.csv"),
                           trace_to_csv(result.trace))
         net.set_param_vector(result.best_params)
+        # no epoch ran when epochs is 0: the NaN RMSE is written as null,
+        # since checkpoints are strict JSON
         provenance = {"seed": seed, "config_hash": chash,
                       "epoch": result.best_epoch,
-                      "best_test_rmse": result.best_test_rmse}
+                      "best_test_rmse": (result.best_test_rmse
+                                         if np.isfinite(result.best_test_rmse)
+                                         else None)}
         save_checkpoint(net, os.path.join(out, f"checkpoint_seed{seed}.json"),
                         provenance=provenance)
         summary["seeds"][str(seed)] = {"best_epoch": result.best_epoch,
@@ -290,7 +294,7 @@ def cmd_distill(args) -> int:
     spline_net, fit_report = distillmod.distill_network(
         net, domains, grid_size=args.grid_size, degree=args.degree)
     source = net.forward(dataset.inputs)
-    distilled = spline_net.forward(dataset.inputs)
+    distilled, clamped = spline_net.evaluate(dataset.inputs)
     out = _ensure_out_dir(args.out or _default_out("distill"))
     atomic_write_text(os.path.join(out, "spline.json"),
                       spline_net.to_json() + "\n")
@@ -298,7 +302,7 @@ def cmd_distill(args) -> int:
         "grid_size": args.grid_size,
         "degree": args.degree,
         "source_vs_distilled_rmse": rmse(distilled, source),
-        "clamp_count": spline_net.clamp_count(dataset.inputs),
+        "clamp_count": clamped,
         "edges": {f"{li}.{j}.{i}": errs
                   for (li, j, i), errs in sorted(fit_report.items())},
     }

@@ -6,12 +6,19 @@ coefficients on a clamped uniform knot vector. The silu residual path
 is carried over symbolically, so the spline only has to fit the smooth
 bounded circuit output. Out-of-domain evaluation clamps to the nearest
 boundary.
+
+Cox-de Boor evaluation (`bspline_basis`) builds the least-squares
+design matrix only. For evaluation, each layer of edges is converted
+once to piecewise-polynomial tables (per-edge breakpoints and Taylor
+coefficients of every piece, stacked over the layer), so a layer is a
+bisection, a gather and a Horner sweep over the whole
+(batch, n_out, n_in) grid.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,11 +85,11 @@ class SplineModel:
 
     def eval(self, x):
         """w_base * silu(x) + spline(clamp(x)); only the spline part is
-        clamped since silu is defined everywhere."""
+        clamped since silu is defined everywhere. Runs the layer kernel
+        on a 1x1 layer."""
         x = np.asarray(x, dtype=np.float64)
-        xc = np.clip(x, self.domain[0], self.domain[1])
-        basis = bspline_basis(self.knots, self.degree, xc)
-        return self.w_base * silu(x) + basis @ self.coefficients
+        y, _ = _PiecewiseLayer([[self]]).evaluate(x.reshape(-1, 1))
+        return y.reshape(x.shape)[()]
 
     def to_dict(self) -> dict:
         return {
@@ -155,48 +162,189 @@ def distill_edge(p: DaruanParams, lo: float, hi: float, grid_size: int = 20,
     return model
 
 
+def _ratio(num, den):
+    """num / den, and 0 where den is 0 (repeated knots)."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
+def _power_form(knots, coefs, degree: int):
+    """Piecewise-polynomial form of E clamped B-splines of one degree.
+
+    knots (E, n) and coefs (E, n - degree - 1). Returns the breakpoints
+    knots[:, degree:n - degree], shape (E, G + 1), and for each of the G
+    pieces its Taylor coefficients about the left breakpoint, shape
+    (E, G, degree + 1), lowest power first. The m-th one is the m-th
+    derivative of the piece over m!: differencing the B-spline
+    coefficients gives the derivative spline, and de Boor's recursion
+    evaluates it at every left breakpoint at once.
+    """
+    n = knots.shape[1]
+    n_pieces = n - 2 * degree - 1
+    breaks = knots[:, degree:n - degree]
+    at = breaks[:, :-1]
+    taylor = np.empty((knots.shape[0], n_pieces, degree + 1))
+    factorial = 1.0
+    for m in range(degree + 1):
+        p = degree - m
+        t = knots[:, m:n - m]                  # knots of the m-th derivative
+        d = [coefs[:, j:j + n_pieces] for j in range(p + 1)]
+        for r in range(1, p + 1):
+            for j in range(p, r - 1, -1):
+                left = t[:, j:j + n_pieces]
+                right = t[:, j + 1 + p - r:j + 1 + p - r + n_pieces]
+                alpha = _ratio(at - left, right - left)
+                d[j] = (1.0 - alpha) * d[j - 1] + alpha * d[j]
+        taylor[:, :, m] = d[p] / factorial
+        factorial *= m + 1
+        if p:
+            coefs = p * _ratio(np.diff(coefs, axis=1),
+                               t[:, p + 1:-1] - t[:, 1:-p - 1])
+    return breaks, taylor
+
+
+class _PiecewiseLayer:
+    """An n_out x n_in grid of spline edges as stacked tables.
+
+    breaks (N, M, W + 1): each edge's breakpoints, padded with +inf.
+    coefs (N, M, W, D + 1): each piece's power-basis coefficients in
+    x - breaks[..., k], lowest power first, padded with zeros. D is the
+    largest degree in the layer and W the smallest power of two that
+    holds the largest piece count, so that the interval search is a
+    bisection of log2(W) fixed steps.
+    lo, hi, w_base (N, M): spline domain and silu weight of each edge.
+    """
+
+    def __init__(self, grid):
+        n_out, n_in = len(grid), (len(grid[0]) if grid else 0)
+        if n_in == 0 or any(len(row) != n_in for row in grid):
+            raise ValueError("a spline layer must be a nonempty rectangular "
+                             "grid of edges")
+        self.n_out, self.n_in = n_out, n_in
+        edges = [edge for row in grid for edge in row]
+        domain = np.array([edge.domain for edge in edges], dtype=np.float64)
+        self.lo = domain[:, 0].reshape(n_out, n_in)
+        self.hi = domain[:, 1].reshape(n_out, n_in)
+        self.w_base = np.array([edge.w_base for edge in edges],
+                               dtype=np.float64).reshape(n_out, n_in)
+        groups: dict = {}
+        for k, edge in enumerate(edges):
+            key = (int(edge.degree), len(edge.knots), len(edge.coefficients))
+            groups.setdefault(key, []).append(k)
+        degree_max = max(d for d, _, _ in groups)
+        steps = max(n - 2 * d - 2 for d, n, _ in groups).bit_length()
+        width = 1 << steps
+        breaks = np.full((len(edges), width + 1), np.inf)
+        ends = np.full((len(edges), width), np.inf)
+        coefs = np.zeros((len(edges), width, degree_max + 1))
+        for (degree, n, n_coef), rows in groups.items():
+            knots = np.array([edges[k].knots for k in rows], dtype=np.float64)
+            _check_knots(knots, degree, n_coef, domain[rows])
+            b, taylor = _power_form(
+                knots, np.array([edges[k].coefficients for k in rows],
+                                dtype=np.float64), degree)
+            breaks[rows, :b.shape[1]] = b
+            coefs[rows, :taylor.shape[1], :degree + 1] = taylor
+            # right end of each piece for the search; the pieces that end
+            # at the last knot get +inf so x == last knot stays in the
+            # first of them, as Cox-de Boor's closed last interval does
+            ends[rows, :b.shape[1] - 1] = np.where(b[:, 1:] < b[:, -1:],
+                                                   b[:, 1:], np.inf)
+        self.breaks = breaks.reshape(n_out, n_in, width + 1)
+        self.coefs = coefs.reshape(n_out, n_in, width, degree_max + 1)
+        self._ends = ends.ravel()
+        self._left = breaks[:, :-1].ravel()
+        self._powers = coefs.reshape(-1, degree_max + 1).T.copy()
+        self._base = (np.arange(len(edges)) * width).reshape(n_out, n_in)
+        self._steps = [1 << s for s in reversed(range(steps))]
+
+    def evaluate(self, x):
+        """x (B, n_in) -> (outputs (B, n_out), number of inputs outside
+        their edge's domain)."""
+        x = x[:, None, :]
+        clamped = int(np.count_nonzero((x < self.lo) | (x > self.hi)))
+        xc = np.clip(x, self.lo, self.hi)
+        # flat index of each sample's piece: bisection over the piece ends
+        pos = np.broadcast_to(self._base, xc.shape).copy()
+        for step in self._steps:
+            pos += step * (self._ends.take(pos + (step - 1)) <= xc)
+        t = xc - self._left.take(pos)
+        y = self._powers[-1].take(pos)
+        for c in self._powers[-2::-1]:
+            y *= t
+            y += c.take(pos)
+        y += self.w_base * silu(x)
+        return y.sum(axis=2), clamped
+
+
+def _check_knots(knots, degree: int, n_coef: int, domain) -> None:
+    """Reject what the piecewise form cannot represent exactly: knot
+    vectors that are not clamped and nondecreasing, and domains outside
+    the knot span."""
+    n = knots.shape[1]
+    if degree < 0 or n_coef != n - degree - 1 or n < 2 * degree + 2:
+        raise ValueError(f"a degree-{degree} spline with {n} knots cannot "
+                         f"have {n_coef} coefficients")
+    ok = (np.all(np.diff(knots, axis=1) >= 0, axis=1)
+          & (knots[:, degree] == knots[:, 0])
+          & (knots[:, -degree - 1] == knots[:, -1])
+          & (knots[:, 0] < knots[:, -1])
+          & (knots[:, 0] <= domain[:, 0]) & (domain[:, 0] <= domain[:, 1])
+          & (domain[:, 1] <= knots[:, -1]))
+    if not np.all(ok):
+        raise ValueError("spline edges need clamped nondecreasing knots and "
+                         "a domain inside the knot span")
+
+
 @dataclass
 class SplineNetwork:
-    """Structure-matched classical replacement for a QKAN network."""
+    """Structure-matched classical replacement for a QKAN network.
+
+    Each layer is converted to piecewise-polynomial tables when the
+    network is built; edges changed afterwards are not seen.
+    """
 
     edges: list                       # per layer: [n_out][n_in] SplineModel
     encoder: LinearLayer | None = None
     decoder: LinearLayer | None = None
+    _layers: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.edges:
+            raise ValueError("a spline network needs at least one layer")
+        self._layers = [_PiecewiseLayer(grid) for grid in self.edges]
+        width = self.encoder.n_out if self.encoder else self._layers[0].n_in
+        for layer in self._layers:
+            if layer.n_in != width:
+                raise ValueError(f"spline layer takes {layer.n_in} inputs, "
+                                 f"the previous stage gives {width}")
+            width = layer.n_out
+        if self.decoder is not None and self.decoder.n_in != width:
+            raise ValueError(f"decoder takes {self.decoder.n_in} inputs, "
+                             f"the last spline layer gives {width}")
 
     @property
     def in_dim(self) -> int:
-        return self.encoder.n_in if self.encoder else len(self.edges[0][0])
+        return self.encoder.n_in if self.encoder else self._layers[0].n_in
 
-    def forward(self, x) -> np.ndarray:
+    def evaluate(self, x):
+        """(outputs, number of edge evaluations clamped into their domain)."""
         x, squeeze = _as_batch(x, self.in_dim, "spline network input")
         if self.encoder is not None:
             x = self.encoder.forward(x)
-        for grid in self.edges:
-            y = np.zeros((x.shape[0], len(grid)))
-            for j, row in enumerate(grid):
-                for i, edge in enumerate(row):
-                    y[:, j] += edge.eval(x[:, i])
-            x = y
+        clamped = 0
+        for layer in self._layers:
+            x, count = layer.evaluate(x)
+            clamped += count
         if self.decoder is not None:
             x = self.decoder.forward(x)
-        return x[0] if squeeze else x
+        return (x[0] if squeeze else x), clamped
+
+    def forward(self, x) -> np.ndarray:
+        return self.evaluate(x)[0]
 
     def clamp_count(self, x) -> int:
         """Number of edge evaluations that fall outside their domain."""
-        x, _ = _as_batch(x, self.in_dim, "spline network input")
-        if self.encoder is not None:
-            x = self.encoder.forward(x)
-        count = 0
-        for grid in self.edges:
-            y = np.zeros((x.shape[0], len(grid)))
-            for j, row in enumerate(grid):
-                for i, edge in enumerate(row):
-                    xi = x[:, i]
-                    count += int(np.sum((xi < edge.domain[0])
-                                        | (xi > edge.domain[1])))
-                    y[:, j] += edge.eval(xi)
-            x = y
-        return count
+        return self.evaluate(x)[1]
 
     def to_json(self) -> str:
         doc = {
@@ -207,7 +355,7 @@ class SplineNetwork:
             "layers": [[[edge.to_dict() for edge in row] for row in grid]
                        for grid in self.edges],
         }
-        return json.dumps(doc, indent=2)
+        return json.dumps(doc, indent=2, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "SplineNetwork":

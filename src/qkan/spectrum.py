@@ -10,7 +10,6 @@ of an FFT so non-integer (non-periodic) weights are handled uniformly.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -60,22 +59,22 @@ class SpectrumReport:
 def enumerate_frequencies(weights) -> np.ndarray:
     """All 3^r signed sums of the weights, deduplicated within DEDUP_TOL.
 
-    The result is sorted, contains 0 and is closed under negation.
+    The set grows one weight at a time: the sums S of the first l
+    weights become S - w, S and S + w, sorted, and a value is dropped
+    when it lies within DEDUP_TOL of the value below it. The cost is
+    O(r |F|) for a final set F rather than 3^r. The result is sorted,
+    contains 0 and is closed under negation.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 1 or weights.size < 1:
         raise ValueError("weights must be a nonempty 1-D array")
     if not np.all(np.isfinite(weights)):
         raise ValueError("weights must be finite")
-    sums = sorted(
-        sum(m * w for m, w in zip(signs, weights))
-        for signs in itertools.product((-1, 0, 1), repeat=weights.size)
-    )
-    merged = [sums[0]]
-    for v in sums[1:]:
-        if v - merged[-1] > DEDUP_TOL:
-            merged.append(v)
-    return np.array(merged)
+    freqs = np.zeros(1)
+    for w in weights:
+        sums = np.sort(np.concatenate([freqs - w, freqs, freqs + w]))
+        freqs = sums[np.concatenate([[True], np.diff(sums) > DEDUP_TOL])]
+    return freqs
 
 
 def _sample_grid(freqs: np.ndarray, count: int) -> np.ndarray:

@@ -71,20 +71,23 @@ def _wolfe_search(fg, x, d, f0, g0, events: list | None = None):
     Returns (alpha, f_new, g_new). A trial with a non-finite loss or
     slope counts as a step that is too long. After
     MAX_LINE_SEARCH_TRIALS evaluations without a Wolfe point, the
-    search records an event and tries half the last trial step; it
-    accepts that step only if its loss is finite and below f0, and
-    otherwise returns the zero step (0, f0, g0).
+    search records an event and returns the trial with the lowest
+    finite loss below f0, without evaluating fg again, or the zero step
+    (0, f0, g0) when no trial lowered the loss.
     """
     dg0 = float(d @ g0)
     evals = 0
+    best = (0.0, f0, g0)
 
     def phi(alpha):
-        nonlocal evals
+        nonlocal evals, best
         evals += 1
         f, g = fg(x + alpha * d)
         dg = float(d @ g)
         if not (np.isfinite(f) and np.isfinite(dg)):
             f = np.inf   # fails every sufficient-decrease test below
+        elif f < best[1]:
+            best = (alpha, f, g)
         return f, g, dg
 
     def zoom(a_lo, a_hi, f_lo, dg_lo):
@@ -124,18 +127,12 @@ def _wolfe_search(fg, x, d, f0, g0, events: list | None = None):
         if evals >= MAX_LINE_SEARCH_TRIALS:
             break
 
-    trials = evals
-    a = 0.5 * a
-    f, g, _ = phi(a)
-    accepted = f < f0    # False for the inf that phi makes of a NaN
     if events is not None:
-        events.append(f"line-search failure after {trials} trials; "
-                      + (f"accepted halved step {a:.3e}" if accepted else
-                         f"halved step {a:.3e} did not lower the loss, "
-                         f"taking a zero step"))
-    if accepted:
-        return a, f, g
-    return 0.0, f0, g0
+        events.append(f"line-search failure after {evals} trials; "
+                      + (f"accepted the best trial step {best[0]:.3e}"
+                         if best[0] else
+                         "no trial lowered the loss, taking a zero step"))
+    return best
 
 
 def lbfgs_minimize(fg, x0: np.ndarray, max_iter: int, history: int = 10,
@@ -285,13 +282,6 @@ def train(net: QkanNetwork, train_ds: Dataset, test_ds: Dataset,
     return TrainResult(trace=trace, best_params=best["params"],
                        best_epoch=best["epoch"], best_test_rmse=best["rmse"],
                        events=events)
-
-
-def lbfgs_fit(net: QkanNetwork, train_ds: Dataset, test_ds: Dataset,
-              epochs: int, history: int = 10) -> TrainResult:
-    """Convenience wrapper: L-BFGS training with the default settings."""
-    return train(net, train_ds, test_ds,
-                 TrainConfig(optimizer="lbfgs", epochs=epochs, history=history))
 
 
 def trace_to_csv(trace: list) -> str:

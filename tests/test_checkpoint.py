@@ -107,6 +107,17 @@ class TestValidation:
         with pytest.raises(DataError):
             ck.load_checkpoint(path)
 
+    def test_non_finite_parameter_not_saved(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        net = QkanNetwork.init([2, 1], 1, np.random.default_rng(305))
+        ck.save_checkpoint(net, path)
+        before = path.read_bytes()
+        net.layers[0].w_base[0, 0] = np.nan
+        with pytest.raises(DataError, match="non-finite"):
+            ck.save_checkpoint(net, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["ckpt.json"]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             ck.load_checkpoint(tmp_path / "nope.json")

@@ -70,6 +70,20 @@ class TestTrain:
         assert (out / "best.json").read_bytes() \
             == (workspace / "run" / "best.json").read_bytes()
 
+    def test_zero_epochs_writes_strict_json(self, tmp_path):
+        out = tmp_path / "zero"
+        assert run("train", "--equation", "I.12.11", "--shape", "2,2,1",
+                   "--r", "2", "--epochs", "0", "--seeds", "0",
+                   "--n-train", "50", "--n-test", "20",
+                   "--out", str(out)) == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        doc = json.loads((out / "best.json").read_text(),
+                         parse_constant=reject)
+        assert doc["provenance"]["best_test_rmse"] is None
+
     def test_config_file_with_flag_override(self, workspace, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"equation": "I.12.11", "shape": [2, 2, 1],

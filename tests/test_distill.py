@@ -1,7 +1,8 @@
 """Tests for B-spline fitting and network distillation.
 
 scipy.interpolate.BSpline serves as the independent oracle for the
-Cox-de Boor basis evaluation.
+Cox-de Boor basis evaluation; the per-edge loop in `spline_oracle`
+is the oracle for the stacked piecewise-polynomial network kernel.
 """
 
 import numpy as np
@@ -10,7 +11,9 @@ import pytest
 from qkan import daruan, distill
 from qkan.daruan import init_daruan
 from qkan.errors import FitError
-from qkan.network import QkanNetwork
+from qkan.network import QkanNetwork, make_hqkan
+
+import spline_oracle
 
 scipy_interp = pytest.importorskip("scipy.interpolate")
 
@@ -163,3 +166,108 @@ class TestNetworkDistillation:
             net, distill.calibrate_domains(net, calib))
         assert snet.clamp_count(calib) == 0
         assert snet.clamp_count(calib + 10.0) > 0
+
+
+def assert_matches_oracle(snet, x):
+    ref, ref_count = spline_oracle.evaluate(snet, x)
+    out, count = snet.evaluate(x)
+    assert out.shape == ref.shape
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert count == ref_count
+    assert type(count) is int
+
+
+class TestStackedKernel:
+    """The stacked tables against one Cox-de Boor evaluation per edge."""
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("hqkan", [False, True])
+    def test_network_matches_per_edge_loop(self, degree, hqkan):
+        rng = np.random.default_rng(210 + degree)
+        net = (make_hqkan(5, 2, r=2, hidden_shape=(3,), rng=rng,
+                          angle_scale=1.0) if hqkan
+               else QkanNetwork.init([3, 4, 2], 2, rng, angle_scale=1.0))
+        calib = rng.uniform(-1.0, 1.0, size=(200, net.in_dim))
+        snet, _ = distill.distill_network(
+            net, distill.calibrate_domains(net, calib), grid_size=7,
+            degree=degree)
+        assert (snet.encoder is not None) == hqkan
+        # inside, at the calibration extremes, and well outside the domains
+        probe = np.vstack([calib, 3.0 * calib, calib[:1] + 50.0])
+        assert_matches_oracle(snet, probe)
+        assert snet.clamp_count(probe) > 0
+        assert_matches_oracle(snet, probe[0])          # single sample
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_inputs_on_knots_and_domain_ends(self, degree):
+        # one layer: every edge of input i shares its domain, hence knots
+        rng = np.random.default_rng(220 + degree)
+        net = QkanNetwork.init([2, 3], 3, rng, angle_scale=1.0)
+        calib = rng.uniform(-2.0, 1.0, size=(100, 2))
+        snet, _ = distill.distill_network(
+            net, distill.calibrate_domains(net, calib), grid_size=6,
+            degree=degree)
+        knots = np.stack([snet.edges[0][0][i].knots for i in range(2)], axis=1)
+        lo, hi = knots[0], knots[-1]
+        probe = np.vstack([knots, hi + 1e-12, lo - 1.0,
+                           np.nextafter(hi, np.inf), np.nextafter(lo, -np.inf)])
+        assert_matches_oracle(snet, probe)
+        assert snet.clamp_count(knots) == 0
+        edge = snet.edges[0][1][0]
+        np.testing.assert_allclose(edge.eval(knots[:, 0]),
+                                   spline_oracle.edge_eval(edge, knots[:, 0]),
+                                   rtol=1e-12, atol=1e-14)
+
+    def test_edges_of_mixed_grid_size_and_degree(self):
+        # a hand-made spline.json whose edges differ in grid and degree
+        xs = np.linspace(-1.0, 2.0, 90)
+        grid = [[distill.fit_spline(xs, np.sin((j + 1) * xs + i), grid_size=g,
+                                    degree=d)
+                 for i, (g, d) in enumerate([(3, 1), (17, 3), (8, 2)])]
+                for j in range(2)]
+        for j, row in enumerate(grid):
+            for i, edge in enumerate(row):
+                edge.w_base = 0.3 * i - 0.2 * j
+        snet = distill.SplineNetwork.from_json(
+            distill.SplineNetwork(edges=[grid]).to_json())
+        layer = snet._layers[0]
+        assert layer.breaks.shape[:2] == (2, 3)
+        assert np.isinf(layer.breaks[0, 0, 4:]).all()
+        assert not layer.coefs[0, 0, :, 2:].any()
+        probe = np.concatenate([xs, [-3.0, 5.0, -1.0, 2.0]])
+        assert_matches_oracle(snet, np.stack([probe, probe[::-1], probe + 0.1],
+                                             axis=1))
+
+    def test_scalar_and_array_edge_eval(self):
+        xs = np.linspace(0.0, 1.0, 40)
+        model = distill.fit_spline(xs, np.exp(xs), grid_size=5)
+        model.w_base = 0.7
+        assert np.ndim(model.eval(0.5)) == 0
+        grid = xs.reshape(5, 8) * 1.4 - 0.2
+        np.testing.assert_allclose(model.eval(grid),
+                                   spline_oracle.edge_eval(model, grid),
+                                   rtol=1e-12, atol=1e-14)
+
+    def test_malformed_edges_rejected(self):
+        xs = np.linspace(0.0, 1.0, 40)
+        good = distill.fit_spline(xs, xs ** 2, grid_size=4)
+        unclamped = distill.SplineModel.from_dict(
+            dict(good.to_dict(), knots=list(np.linspace(0.0, 1.0, 11))))
+        wide = distill.SplineModel.from_dict(
+            dict(good.to_dict(), domain=[-1.0, 1.0]))
+        short = distill.SplineModel.from_dict(
+            dict(good.to_dict(), coefficients=[1.0, 2.0]))
+        for bad in (unclamped, wide, short):
+            with pytest.raises(ValueError):
+                distill.SplineNetwork(edges=[[[good], [bad]]])
+        with pytest.raises(ValueError):      # layer widths do not chain
+            distill.SplineNetwork(edges=[[[good, good]], [[good, good]]])
+        with pytest.raises(ValueError):
+            distill.SplineNetwork(edges=[[[good], [good, good]]])
+
+    def test_non_finite_coefficient_not_serialized(self):
+        xs = np.linspace(0.0, 1.0, 40)
+        model = distill.fit_spline(xs, xs, grid_size=4)
+        model.coefficients[2] = np.nan
+        with pytest.raises(ValueError):
+            distill.SplineNetwork(edges=[[[model]]]).to_json()

@@ -1,5 +1,7 @@
 """Tests for frequency-set enumeration and the basis-fit verifier."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,38 @@ from qkan.daruan import DaruanParams, init_daruan
 from qkan.errors import DegenerateSpectrumError
 
 
+def enumerate_sign_patterns(weights):
+    """Reference enumeration: every one of the 3^r signed sums, sorted,
+    keeping a value when it lies more than DEDUP_TOL above the last kept
+    one."""
+    sums = sorted(
+        sum(m * w for m, w in zip(signs, weights))
+        for signs in itertools.product((-1, 0, 1), repeat=len(weights))
+    )
+    merged = [sums[0]]
+    for v in sums[1:]:
+        if v - merged[-1] > spectrum.DEDUP_TOL:
+            merged.append(v)
+    return np.array(merged)
+
+
 class TestEnumeration:
+    @pytest.mark.parametrize("family", ["unit", "geometric", "integer",
+                                        "normal", "near-unit"])
+    @pytest.mark.parametrize("r", range(1, 10))
+    def test_matches_sign_pattern_enumeration(self, family, r):
+        rng = np.random.default_rng(1000 + r)
+        weights = {"unit": np.ones(r),
+                   "geometric": 2.0 ** np.arange(r),
+                   "integer": rng.integers(-4, 5, size=r).astype(float),
+                   "normal": rng.normal(size=r),
+                   # sums that differ by < DEDUP_TOL must merge
+                   "near-unit": 1.0 + 1e-12 * np.arange(r)}[family]
+        ref = enumerate_sign_patterns(weights)
+        freqs = spectrum.enumerate_frequencies(weights)
+        assert freqs.size == ref.size
+        np.testing.assert_allclose(freqs, ref, rtol=0.0, atol=1e-12)
+
     def test_unit_weights(self):
         freqs = spectrum.enumerate_frequencies([1.0, 1.0, 1.0])
         np.testing.assert_array_equal(freqs, [-3, -2, -1, 0, 1, 2, 3])

@@ -230,6 +230,27 @@ class TestLineSearchSafeguards:
         assert len(events) == 1
         assert events[0].startswith("line-search failure")
 
+    def test_failed_search_returns_best_trial(self):
+        # along -G0 the loss dips near step 0.71, but the reported slope
+        # stays -1, so no trial meets the curvature condition; the zoom
+        # after the too-long first step bisects [0, 1]
+        trials = []
+
+        def fg(x):
+            a = -float(x[0])
+            trials.append((a, 1.0 - 0.5 * np.sin(np.pi * a * a)))
+            return trials[-1][1], self.G0.copy()
+
+        events = []
+        alpha, f, g = tr._wolfe_search(fg, self.X0, -self.G0, 1.0, self.G0,
+                                       events)
+        assert len(trials) == tr.MAX_LINE_SEARCH_TRIALS   # no extra fg call
+        assert (alpha, f) == min(trials, key=lambda t: t[1])
+        assert alpha == 0.75
+        np.testing.assert_array_equal(g, self.G0)
+        assert events == ["line-search failure after 25 trials; "
+                          "accepted the best trial step 7.500e-01"]
+
     @pytest.mark.parametrize("fg", ["nan_away_from_start", "rising"])
     def test_lbfgs_never_accepts_a_worse_step(self, fg):
         x, losses, events = tr.lbfgs_minimize(getattr(self, fg), self.X0,
