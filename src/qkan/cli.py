@@ -188,34 +188,39 @@ def run_training(cfg: dict):
         atomic_write_text(os.path.join(out, f"metrics_seed{seed}.csv"),
                           trace_to_csv(result.trace))
         net.set_param_vector(result.best_params)
-        # no epoch ran when epochs is 0: the NaN RMSE is written as null,
-        # since checkpoints are strict JSON
         provenance = {"seed": seed, "config_hash": chash,
                       "epoch": result.best_epoch,
-                      "best_test_rmse": (result.best_test_rmse
-                                         if np.isfinite(result.best_test_rmse)
-                                         else None)}
+                      "best_test_rmse": _json_number(result.best_test_rmse)}
         save_checkpoint(net, os.path.join(out, f"checkpoint_seed{seed}.json"),
                         provenance=provenance)
-        summary["seeds"][str(seed)] = {"best_epoch": result.best_epoch,
-                                       "best_test_rmse": result.best_test_rmse,
-                                       "events": result.events}
+        summary["seeds"][str(seed)] = {
+            "best_epoch": result.best_epoch,
+            "best_test_rmse": _json_number(result.best_test_rmse),
+            "events": result.events}
         if best is None or result.best_test_rmse < best[1]:
             best = (seed, result.best_test_rmse, net.copy(), provenance)
     summary["best_seed"] = best[0]
-    summary["best_test_rmse"] = best[1]
+    summary["best_test_rmse"] = _json_number(best[1])
     save_checkpoint(best[2], os.path.join(out, "best.json"),
                     provenance=best[3])
     atomic_write_text(os.path.join(out, "summary.json"),
-                      json.dumps(summary, indent=2) + "\n")
+                      json.dumps(summary, indent=2, allow_nan=False) + "\n")
     return summary, best[2]
+
+
+def _json_number(value: float):
+    """value, or None when it is not finite: no epoch ran when epochs is
+    0, and the NaN RMSE is written as null, since outputs are strict
+    JSON."""
+    return value if np.isfinite(value) else None
 
 
 def cmd_train(args) -> int:
     cfg = _merged(_load_config(args.config), args, _TRAIN_FIELDS)
     summary, _ = run_training(cfg)
+    best_rmse = summary["best_test_rmse"]
     print(f"best seed {summary['best_seed']}: "
-          f"test RMSE {summary['best_test_rmse']:.6g} "
+          f"test RMSE {'n/a' if best_rmse is None else f'{best_rmse:.6g}'} "
           f"(outputs in {cfg['out'] or _default_out('train')})")
     return 0
 
@@ -307,7 +312,7 @@ def cmd_distill(args) -> int:
                   for (li, j, i), errs in sorted(fit_report.items())},
     }
     atomic_write_text(os.path.join(out, "distill_report.json"),
-                      json.dumps(report, indent=2) + "\n")
+                      json.dumps(report, indent=2, allow_nan=False) + "\n")
     print(f"distilled network RMSE vs source: "
           f"{report['source_vs_distilled_rmse']:.6g}; wrote {out}/spline.json")
     return 0

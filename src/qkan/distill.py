@@ -5,7 +5,9 @@ Each edge is sampled on a grid, and the quantum part of its output
 coefficients on a clamped uniform knot vector. The silu residual path
 is carried over symbolically, so the spline only has to fit the smooth
 bounded circuit output. Out-of-domain evaluation clamps to the nearest
-boundary.
+boundary. A layer is distilled as a whole: one circuit call samples all
+of its edges, and the edges that share a domain share one design matrix
+and one least-squares solve.
 
 Cox-de Boor evaluation (`bspline_basis`) builds the least-squares
 design matrix only. For evaluation, each layer of edges is converted
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,23 +121,75 @@ class SplineModel:
 def sample_activation(p: DaruanParams, lo: float, hi: float, count: int):
     """Uniform samples of the edge output minus the silu residual term,
     i.e. the part the spline will replace."""
-    if count < 2:
-        raise ValueError("count must be >= 2")
-    if not lo < hi:
-        raise ValueError("lo must be below hi")
-    xs = np.linspace(lo, hi, count)
-    raw = daruan.circuit_expectation(p.enc_w[None, None, :],
-                                     p.enc_b[None, None, :],
-                                     p.angles[None, None, :, :],
-                                     xs[:, None])[:, 0, 0]
-    return xs, p.w_quant * raw + p.out_bias
+    xs, ys = _sample_edges(_EdgeRow.of_edge(p),
+                           np.array([lo], dtype=np.float64),
+                           np.array([hi], dtype=np.float64), count)
+    return xs[:, 0], ys[:, 0]
 
 
 def fit_spline(xs, ys, grid_size: int, degree: int = 3,
                domain: tuple | None = None) -> SplineModel:
     """Least-squares B-spline fit of (xs, ys)."""
-    xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
+    return _fit_columns(xs, ys[:, None], grid_size, degree, domain)[0]
+
+
+def distill_edge(p: DaruanParams, lo: float, hi: float, grid_size: int = 20,
+                 degree: int = 3, samples: int = 256) -> SplineModel:
+    return _distill_edges(_EdgeRow.of_edge(p),
+                          np.array([[lo, hi]], dtype=np.float64),
+                          grid_size, degree, samples)[0]
+
+
+class _EdgeRow(NamedTuple):
+    """K activation edges as one row: every parameter array has the
+    edge index as its leading axis."""
+
+    enc_w: np.ndarray      # (K, r)
+    enc_b: np.ndarray      # (K, r)
+    angles: np.ndarray     # (K, r+1, 3)
+    w_base: np.ndarray     # (K,)
+    w_quant: np.ndarray    # (K,)
+    out_bias: np.ndarray   # (K,)
+
+    @classmethod
+    def of_edge(cls, p: DaruanParams) -> "_EdgeRow":
+        return cls(p.enc_w[None], p.enc_b[None], p.angles[None],
+                   np.array([p.w_base]), np.array([p.w_quant]),
+                   np.array([p.out_bias]))
+
+    @classmethod
+    def of_layer(cls, layer) -> "_EdgeRow":
+        """The layer's edges in row-major order: its (n_out, n_in, ...)
+        arrays reshaped to (n_out * n_in, ...)."""
+        k = layer.n_out * layer.n_in
+        return cls(*(a.reshape((k,) + a.shape[2:])
+                     for a in (layer.enc_w, layer.enc_b, layer.angles,
+                               layer.w_base, layer.w_quant, layer.out_bias)))
+
+
+def _sample_edges(edges: _EdgeRow, lo, hi, count: int):
+    """Samples of w_quant * <Z> + out_bias for a row of K edges, edge k
+    at `count` uniform points of [lo[k], hi[k]], from one circuit call.
+
+    Returns xs and ys, both (count, K).
+    """
+    if count < 2:
+        raise ValueError("count must be >= 2")
+    if not np.all(lo < hi):
+        raise ValueError("lo must be below hi")
+    xs = np.linspace(lo, hi, count)
+    raw = daruan.circuit_expectation(edges.enc_w[None], edges.enc_b[None],
+                                     edges.angles[None], xs)[:, 0]
+    return xs, edges.w_quant * raw + edges.out_bias
+
+
+def _fit_columns(xs, ys, grid_size: int, degree: int,
+                 domain: tuple | None = None) -> list:
+    """Least-squares B-spline fit of every column of ys (S, K) at the
+    common sample points xs (S,): one design matrix and one solve.
+    Returns K SplineModels."""
+    xs = np.asarray(xs, dtype=np.float64)
     n_coef = grid_size + degree
     if xs.size < n_coef:
         raise FitError(f"need at least {n_coef} samples, got {xs.size}")
@@ -146,20 +201,50 @@ def fit_spline(xs, ys, grid_size: int, degree: int = 3,
     if rank < n_coef:
         raise FitError(f"rank-deficient spline design matrix "
                        f"(rank {rank} < {n_coef})")
-    resid = design @ coef - ys
-    return SplineModel(degree=degree, knots=knots, coefficients=coef,
-                       domain=domain,
-                       fit_max_err=float(np.max(np.abs(resid))),
-                       fit_rms_err=float(np.sqrt(np.mean(resid ** 2))))
+    resid = (design @ coef - ys).T
+    max_err = np.max(np.abs(resid), axis=1).tolist()
+    rms_err = np.sqrt(np.mean(resid ** 2, axis=1)).tolist()
+    return [SplineModel(degree=degree, knots=knots.copy(), coefficients=c,
+                        domain=domain, fit_max_err=e_max, fit_rms_err=e_rms)
+            for c, e_max, e_rms in zip(coef.T.copy(), max_err, rms_err)]
 
 
-def distill_edge(p: DaruanParams, lo: float, hi: float, grid_size: int = 20,
-                 degree: int = 3, samples: int = 256) -> SplineModel:
-    xs, ys = sample_activation(p, lo, hi, samples)
-    model = fit_spline(xs, ys, grid_size, degree, domain=(lo, hi))
-    model.w_base = p.w_base
-    model.out_bias = p.out_bias
-    return model
+def _distill_edges(edges: _EdgeRow, bounds, grid_size: int, degree: int,
+                   samples: int, edge_name=None) -> list:
+    """Distill a row of K edges with domains bounds (K, 2).
+
+    One circuit call samples every edge, and the edges whose domains
+    are bitwise equal share one design matrix and one least-squares
+    solve. Errors are those of fitting the edges one at a time in
+    order: only the edges before the first domain without lo < hi are
+    fitted, the groups are solved in the order of their first edge, and
+    a FitError names that edge through `edge_name(k)`.
+    """
+    valid = bounds[:, 0] < bounds[:, 1]
+    n = len(bounds) if valid.all() else int(np.argmin(valid))
+    xs, ys = _sample_edges(_EdgeRow(*(a[:n] for a in edges)),
+                           bounds[:n, 0], bounds[:n, 1], samples)
+    # keyed by bit pattern, so that -0.0 and 0.0 give their own knots
+    groups: dict = {}
+    for k, key in enumerate(map(tuple, bounds[:n].view(np.int64).tolist())):
+        groups.setdefault(key, []).append(k)
+    models = [None] * n
+    for cols in groups.values():
+        lo, hi = bounds[cols[0]].tolist()
+        try:
+            fitted = _fit_columns(xs[:, cols[0]], ys[:, cols], grid_size,
+                                  degree, (lo, hi))
+        except FitError as exc:
+            if edge_name is None:
+                raise
+            raise FitError(f"{edge_name(cols[0])}: {exc}") from exc
+        for k, model in zip(cols, fitted):
+            model.w_base = float(edges.w_base[k])
+            model.out_bias = float(edges.out_bias[k])
+            models[k] = model
+    if n < len(bounds):
+        raise ValueError("lo must be below hi")
+    return models
 
 
 def _ratio(num, den):
@@ -384,7 +469,8 @@ def calibrate_domains(net: QkanNetwork, inputs, widen: float = 0.1) -> dict:
     """Observed per-edge input ranges over a calibration set, widened by
     `widen` (split evenly between the two ends).
 
-    Keys are (layer_index, out_node, in_node).
+    Keys are (layer_index, out_node, in_node); every edge fed by one
+    input gets that input's range.
     """
     x, _ = _as_batch(np.asarray(inputs, dtype=np.float64), net.in_dim,
                      "calibration inputs")
@@ -392,38 +478,41 @@ def calibrate_domains(net: QkanNetwork, inputs, widen: float = 0.1) -> dict:
         x = net.encoder.forward(x)
     domains = {}
     for li, layer in enumerate(net.layers):
+        lo, hi = x.min(axis=0), x.max(axis=0)
+        span = hi - lo
+        pad = np.where(span > 0, 0.5 * widen * span, 0.5)
+        lo, hi = (lo - pad).tolist(), (hi + pad).tolist()
         for i in range(layer.n_in):
-            lo, hi = float(x[:, i].min()), float(x[:, i].max())
-            span = hi - lo
-            pad = 0.5 * widen * span if span > 0 else 0.5
             for j in range(layer.n_out):
-                domains[(li, j, i)] = (lo - pad, hi + pad)
-        x = layer.forward(x)
+                domains[(li, j, i)] = (lo[i], hi[i])
+        if li + 1 < len(net.layers):
+            x = layer.forward(x)
     return domains
 
 
 def distill_network(net: QkanNetwork, domains: dict, grid_size: int = 20,
                     degree: int = 3, samples: int = 256):
-    """Distill every edge; returns (SplineNetwork, per-edge fit report)."""
+    """Distill every edge; returns (SplineNetwork, per-edge fit report).
+
+    Each layer is sampled by one circuit call, and its edges that share
+    a domain are fitted by one least-squares solve.
+    """
     grids = []
     report = {}
     for li, layer in enumerate(net.layers):
-        grid = []
-        for j in range(layer.n_out):
-            row = []
-            for i in range(layer.n_in):
-                lo, hi = domains[(li, j, i)]
-                try:
-                    model = distill_edge(layer.get_edge(j, i), lo, hi,
-                                         grid_size, degree, samples)
-                except FitError as exc:
-                    raise FitError(f"edge (layer {li}, out {j}, in {i}): "
-                                   f"{exc}") from exc
-                row.append(model)
-                report[(li, j, i)] = {"max_err": model.fit_max_err,
-                                      "rms_err": model.fit_rms_err}
-            grid.append(row)
-        grids.append(grid)
+        n_out, n_in = layer.n_out, layer.n_in
+        bounds = np.array([domains[(li, j, i)] for j in range(n_out)
+                           for i in range(n_in)], dtype=np.float64)
+        if bounds.shape != (n_out * n_in, 2):
+            raise ValueError("each domain must be a (lo, hi) pair")
+        models = _distill_edges(
+            _EdgeRow.of_layer(layer), bounds, grid_size, degree, samples,
+            edge_name=lambda k: f"edge (layer {li}, out {k // n_in}, "
+                                f"in {k % n_in})")
+        grids.append([models[j * n_in:(j + 1) * n_in] for j in range(n_out)])
+        for k, model in enumerate(models):
+            report[(li, k // n_in, k % n_in)] = {"max_err": model.fit_max_err,
+                                                 "rms_err": model.fit_rms_err}
     spline_net = SplineNetwork(
         edges=grids,
         encoder=net.encoder.copy() if net.encoder else None,

@@ -83,6 +83,10 @@ class TestTrain:
         doc = json.loads((out / "best.json").read_text(),
                          parse_constant=reject)
         assert doc["provenance"]["best_test_rmse"] is None
+        summary = json.loads((out / "summary.json").read_text(),
+                             parse_constant=reject)
+        assert summary["best_test_rmse"] is None
+        assert summary["seeds"]["0"]["best_test_rmse"] is None
 
     def test_config_file_with_flag_override(self, workspace, tmp_path):
         cfg = tmp_path / "cfg.json"

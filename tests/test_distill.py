@@ -2,7 +2,9 @@
 
 scipy.interpolate.BSpline serves as the independent oracle for the
 Cox-de Boor basis evaluation; the per-edge loop in `spline_oracle`
-is the oracle for the stacked piecewise-polynomial network kernel.
+is the oracle for the stacked piecewise-polynomial network kernel, and
+the edge-by-edge loop in `distill_oracle` the oracle for the
+layer-batched distillation.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ from qkan.daruan import init_daruan
 from qkan.errors import FitError
 from qkan.network import QkanNetwork, make_hqkan
 
+import distill_oracle
 import spline_oracle
 
 scipy_interp = pytest.importorskip("scipy.interpolate")
@@ -271,3 +274,158 @@ class TestStackedKernel:
         model.coefficients[2] = np.nan
         with pytest.raises(ValueError):
             distill.SplineNetwork(edges=[[[model]]]).to_json()
+
+
+def assert_distilled_like_oracle(net, domains, probe, **kw):
+    ref, ref_report = distill_oracle.distill_network(net, domains, **kw)
+    snet, report = distill.distill_network(net, domains, **kw)
+    assert list(report) == list(ref_report)
+    for key, errs in report.items():
+        for name in ("max_err", "rms_err"):
+            want = ref_report[key][name]
+            assert type(errs[name]) is float
+            assert abs(errs[name] - want) <= max(1e-12 * abs(want), 1e-15)
+    for grid, ref_grid in zip(snet.edges, ref.edges, strict=True):
+        for row, ref_row in zip(grid, ref_grid, strict=True):
+            for edge, want in zip(row, ref_row, strict=True):
+                assert edge.degree == want.degree
+                assert np.array_equal(edge.knots, want.knots)
+                assert edge.domain == want.domain
+                assert edge.w_base == want.w_base
+                assert edge.out_bias == want.out_bias
+                scale = np.max(np.abs(want.coefficients))
+                assert (np.max(np.abs(edge.coefficients - want.coefficients))
+                        <= 1e-12 * scale)
+    assert snet.clamp_count(probe) == ref.clamp_count(probe)
+    assert snet.clamp_count(probe) > 0
+    return snet
+
+
+def hand_built_domains(net, rng):
+    """Every (layer, out, in) its own range, except that the edges of
+    each layer's output 0 share one range and, where there are three
+    outputs or more, output 1 repeats the ranges of output 2 shifted by
+    one input."""
+    domains = {}
+    for li, layer in enumerate(net.layers):
+        for j in range(layer.n_out):
+            for i in range(layer.n_in):
+                lo = float(rng.uniform(-2.0, 0.0))
+                domains[(li, j, i)] = (lo, lo + float(rng.uniform(0.5, 3.0)))
+        for i in range(layer.n_in):
+            domains[(li, 0, i)] = domains[(li, 0, 0)]
+            if layer.n_out > 2:
+                domains[(li, 1, i)] = domains[(li, 2, (i + 1) % layer.n_in)]
+    return domains
+
+
+class TestBatchedDistillation:
+    """Layer-batched sampling and shared solves against one circuit call
+    and one least-squares fit per edge."""
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["calibrated", "hand-built", "hqkan"])
+    def test_network_matches_per_edge_loop(self, case, degree):
+        rng = np.random.default_rng(230 + degree)
+        net = (make_hqkan(5, 2, r=2, hidden_shape=(3,), rng=rng,
+                          angle_scale=1.0) if case == "hqkan"
+               else QkanNetwork.init([3, 4, 2], 2, rng, angle_scale=1.0))
+        for layer in net.layers:
+            layer.w_base[:] = rng.uniform(-1.0, 1.0, size=layer.w_base.shape)
+            layer.w_quant[:] = rng.uniform(0.5, 2.0, size=layer.w_quant.shape)
+            layer.out_bias[:] = rng.normal(0.0, 0.3,
+                                           size=layer.out_bias.shape)
+        calib = rng.uniform(-1.0, 1.0, size=(150, net.in_dim))
+        domains = (hand_built_domains(net, rng) if case == "hand-built"
+                   else distill.calibrate_domains(net, calib))
+        snet = assert_distilled_like_oracle(net, domains, 3.0 * calib,
+                                            grid_size=7, degree=degree)
+        assert (snet.encoder is not None) == (case == "hqkan")
+
+    @pytest.mark.parametrize("r", [1, 10])
+    def test_repetition_counts(self, r):
+        rng = np.random.default_rng(240 + r)
+        net = QkanNetwork.init([2, 3, 2], r, rng, angle_scale=1.0)
+        calib = rng.uniform(-1.0, 1.0, size=(120, 2))
+        domains = distill.calibrate_domains(net, calib)
+        assert_distilled_like_oracle(net, domains, 3.0 * calib, grid_size=12,
+                                     samples=97)
+
+    def test_one_edge_api_matches_per_edge_loop(self):
+        rng = np.random.default_rng(250)
+        p = init_daruan(4, rng, angle_scale=1.0)
+        p.enc_b = rng.normal(size=4)
+        p.w_base, p.w_quant, p.out_bias = -0.3, 1.7, 0.2
+        xs, ys = distill.sample_activation(p, -1.5, 0.5, 64)
+        want_xs, want_ys = distill_oracle.sample_activation(p, -1.5, 0.5, 64)
+        assert np.array_equal(xs, want_xs) and np.array_equal(ys, want_ys)
+        for got, want in (
+                (distill.fit_spline(xs, ys, 9, degree=2),
+                 distill_oracle.fit_spline(xs, ys, 9, degree=2)),
+                (distill.distill_edge(p, -1.5, 0.5, grid_size=11, samples=64),
+                 distill_oracle.distill_edge(p, -1.5, 0.5, grid_size=11,
+                                             samples=64))):
+            assert np.array_equal(got.knots, want.knots)
+            assert got.domain == want.domain
+            assert (got.w_base, got.out_bias) == (want.w_base, want.out_bias)
+            np.testing.assert_allclose(got.coefficients, want.coefficients,
+                                       rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(got.fit_rms_err, want.fit_rms_err,
+                                       rtol=1e-12, atol=1e-15)
+        with pytest.raises(FitError, match="^need at least 23 samples"):
+            distill.distill_edge(p, -1.5, 0.5, samples=22)
+
+    def errors_of(self, net, domains, **kw):
+        raised = []
+        for distil in (distill_oracle.distill_network,
+                       distill.distill_network):
+            with pytest.raises((FitError, ValueError)) as info:
+                distil(net, domains, **kw)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
+        return raised[1]
+
+    def test_error_paths_match_per_edge_loop(self):
+        rng = np.random.default_rng(260)
+        net = QkanNetwork.init([2, 3, 2], 2, rng)
+        domains = distill.calibrate_domains(net, rng.uniform(size=(50, 2)))
+        too_few = dict(grid_size=10, degree=3, samples=12)
+        kind, msg = self.errors_of(net, domains, **too_few)
+        assert kind is FitError
+        assert msg.startswith("edge (layer 0, out 0, in 0): need at least 13")
+        assert self.errors_of(net, domains, samples=1)[0] is ValueError
+
+        empty = dict(domains)
+        empty[(1, 0, 2)] = (0.5, 0.5)          # layer 0 fits, layer 1 fails
+        assert self.errors_of(net, empty) == (ValueError,
+                                              "lo must be below hi")
+        empty[(0, 2, 1)] = (1.0, -1.0)
+        assert self.errors_of(net, empty)[0] is ValueError
+        # an earlier edge's fit failure is raised before the empty domain
+        kind, msg = self.errors_of(net, empty, **too_few)
+        assert kind is FitError
+        assert msg.startswith("edge (layer 0, out 0, in 0)")
+        empty[(0, 0, 0)] = (np.nan, 1.0)
+        assert self.errors_of(net, empty, **too_few)[0] is ValueError
+
+    @pytest.mark.parametrize("shape", [[3], [2, 3], [2, 3, 4, 1]])
+    def test_calibration_matches_oracle(self, shape, monkeypatch):
+        rng = np.random.default_rng(270 + len(shape))
+        net = (QkanNetwork.init(shape + [2], 2, rng, angle_scale=1.0)
+               if len(shape) > 1
+               else make_hqkan(4, 1, r=2, hidden_shape=(3,), rng=rng))
+        calib = rng.uniform(-1.0, 1.0, size=(80, net.in_dim))
+        calib[:, -1] = 0.25                     # one constant input
+        want = distill_oracle.calibrate_domains(net, calib, widen=0.3)
+        calls = []
+        forward = daruan.circuit_forward
+
+        def counted(*args, **kwargs):
+            calls.append(args[3].shape)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(daruan, "circuit_forward", counted)
+        got = distill.calibrate_domains(net, calib, widen=0.3)
+        assert got == want and list(got) == list(want)
+        assert all(type(v) is float for pair in got.values() for v in pair)
+        assert len(calls) == len(net.layers) - 1
