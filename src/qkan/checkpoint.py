@@ -1,12 +1,11 @@
 """Checkpoint persistence.
 
-Checkpoints are JSON documents holding the network topology and a flat
-parameter list in the order defined by QkanNetwork.param_vector:
-encoder (weight row-major, then bias), then per layer enc_w, enc_b,
-angles, w_base, w_quant, out_bias (each raveled row-major over
-(out, in)), then decoder. Floats are serialized with shortest
-round-trip precision, so load(save(net)) reproduces forward passes
-bitwise. A format_version mismatch is rejected, never migrated.
+Checkpoints are JSON documents holding the network topology and the
+flat parameter list of QkanNetwork.param_vector, whose layout
+QkanNetwork.stages() and each stage's PARAMS (QkanLayer.PARAMS for a
+QKAN layer) define. Floats are serialized with shortest round-trip
+precision, so load(save(net)) reproduces forward passes bitwise. A
+format_version mismatch is rejected, never migrated.
 """
 
 from __future__ import annotations
@@ -96,17 +95,8 @@ def network_from_dict(doc: dict) -> QkanNetwork:
     if len(shape) < 2:
         raise DataError(f"checkpoint shape {shape} needs at least two widths")
     rs = _widths(doc, "r", len(shape) - 1)
-    layers = []
-    for i, r in enumerate(rs):
-        n_in, n_out = shape[i], shape[i + 1]
-        layers.append(QkanLayer(
-            enc_w=np.zeros((n_out, n_in, r)),
-            enc_b=np.zeros((n_out, n_in, r)),
-            angles=np.zeros((n_out, n_in, r + 1, 3)),
-            w_base=np.zeros((n_out, n_in)),
-            w_quant=np.zeros((n_out, n_in)),
-            out_bias=np.zeros((n_out, n_in)),
-        ))
+    layers = [QkanLayer.zeros(shape[i], shape[i + 1], r)
+              for i, r in enumerate(rs)]
     params = doc.get("params")
     if not (isinstance(params, list)
             and all(type(v) in (int, float) for v in params)):

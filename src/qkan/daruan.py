@@ -44,12 +44,16 @@ import numpy as np
 
 def silu(x):
     """x * sigmoid(x)."""
-    return x / (1.0 + np.exp(-x))
+    # exp(-x) is inf for x < -709, which yields the exact limit -0.0
+    with np.errstate(over="ignore"):
+        return x / (1.0 + np.exp(-x))
 
 
 def silu_grad(x):
     """d/dx silu(x) = sigmoid(x) * (1 + x * (1 - sigmoid(x)))."""
-    s = 1.0 / (1.0 + np.exp(-x))
+    # exp(-x) is inf for x < -709, which yields the exact limit 0
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-x))
     return s * (1.0 + x * (1.0 - s))
 
 
@@ -228,25 +232,38 @@ def circuit_expectation(enc_w, enc_b, angles, x):
     return f
 
 
+def angle_grads(g_theta, g_beta, g_alpha0, out):
+    """Scatter merged-angle derivatives onto the Euler angles.
+
+    g_theta (r, ...), g_beta (r+1, ...) and g_alpha0 (...) are the
+    derivatives circuit_adjoint returns, for any common leading shape
+    (...); they are written into out (..., r+1, 3), which is returned.
+    theta_l = w_l x + b_l + gamma_l + alpha_{l+1}, so gamma_l and
+    alpha_{l+1} both get d/dtheta_l; gamma_r gets exactly 0.
+    """
+    g_t = np.moveaxis(g_theta, 0, -1)
+    out[..., 0, 0] = g_alpha0
+    out[..., 1:, 0] = g_t
+    out[..., :, 1] = np.moveaxis(g_beta, 0, -1)
+    out[..., :-1, 2] = g_t
+    out[..., -1, 2] = 0.0
+    return out
+
+
 def circuit_gradients(enc_w, enc_b, angles, x):
     """Exact per-sample derivatives of <Z> for every circuit parameter.
 
     Returns (f, g_enc, g_ang) with f (B, N, M), g_enc (B, N, M, r) the
     derivative with respect to each encoding gate's total rotation
     angle u_l = w_l x + b_l, and g_ang (B, N, M, r+1, 3) the Euler-angle
-    derivatives. gamma_l and alpha_{l+1} enter only through theta_l, so
-    both equal g_enc[..., l]; gamma_r's derivative is exactly 0.
+    derivatives from angle_grads.
     """
     r = enc_w.shape[2]
     f, tape = circuit_forward(enc_w, enc_b, angles, x, keep_states=True)
     g_theta, g_beta, g_alpha0 = circuit_adjoint(angles, tape)
-    g_enc = np.moveaxis(g_theta, 0, -1)
-    g_ang = np.zeros(f.shape + (r + 1, 3))
-    g_ang[..., 0, 0] = g_alpha0
-    g_ang[..., 1:, 0] = g_enc
-    g_ang[..., :, 1] = np.moveaxis(g_beta, 0, -1)
-    g_ang[..., :r, 2] = g_enc
-    return f, g_enc, g_ang
+    g_ang = angle_grads(g_theta, g_beta, g_alpha0,
+                        np.empty(f.shape + (r + 1, 3)))
+    return f, np.moveaxis(g_theta, 0, -1), g_ang
 
 
 # --- scalar edge API --------------------------------------------------------

@@ -154,18 +154,15 @@ class _EdgeRow(NamedTuple):
 
     @classmethod
     def of_edge(cls, p: DaruanParams) -> "_EdgeRow":
-        return cls(p.enc_w[None], p.enc_b[None], p.angles[None],
-                   np.array([p.w_base]), np.array([p.w_quant]),
-                   np.array([p.out_bias]))
+        return cls(*(np.asarray(getattr(p, name))[None]
+                     for name in cls._fields))
 
     @classmethod
     def of_layer(cls, layer) -> "_EdgeRow":
         """The layer's edges in row-major order: its (n_out, n_in, ...)
         arrays reshaped to (n_out * n_in, ...)."""
         k = layer.n_out * layer.n_in
-        return cls(*(a.reshape((k,) + a.shape[2:])
-                     for a in (layer.enc_w, layer.enc_b, layer.angles,
-                               layer.w_base, layer.w_quant, layer.out_bias)))
+        return cls(*(a.reshape((k,) + a.shape[2:]) for a in layer.arrays()))
 
 
 def _sample_edges(edges: _EdgeRow, lo, hi, count: int):

@@ -31,8 +31,25 @@ def _as_batch(x, dim: int, what: str) -> tuple[np.ndarray, bool]:
     return x, squeeze
 
 
+class _Stage:
+    """Base of the network stages: dataclasses whose fields are exactly
+    the trainable arrays named in PARAMS, in that order, which is also
+    their order in the flat parameter vector."""
+
+    PARAMS: tuple[str, ...]
+
+    def arrays(self) -> list[np.ndarray]:
+        return [getattr(self, name) for name in self.PARAMS]
+
+    def param_count(self) -> int:
+        return sum(a.size for a in self.arrays())
+
+    def copy(self):
+        return type(self)(*(a.copy() for a in self.arrays()))
+
+
 @dataclass
-class QkanLayer:
+class QkanLayer(_Stage):
     """n_out x n_in grid of activation edges sharing one repetition count."""
 
     enc_w: np.ndarray    # (n_out, n_in, r)
@@ -41,6 +58,10 @@ class QkanLayer:
     w_base: np.ndarray   # (n_out, n_in)
     w_quant: np.ndarray  # (n_out, n_in)
     out_bias: np.ndarray # (n_out, n_in)
+
+    # the checkpoint order of a layer's parameters; each array is
+    # raveled row-major over (out, in, ...)
+    PARAMS = ("enc_w", "enc_b", "angles", "w_base", "w_quant", "out_bias")
 
     @property
     def n_out(self) -> int:
@@ -55,44 +76,33 @@ class QkanLayer:
         return self.enc_w.shape[2]
 
     @classmethod
+    def zeros(cls, n_in: int, n_out: int, r: int) -> "QkanLayer":
+        edge_shapes = ((r,), (r,), (r + 1, 3), (), (), ())
+        return cls(*(np.zeros((n_out, n_in) + s) for s in edge_shapes))
+
+    @classmethod
     def init(cls, n_in: int, n_out: int, r: int, rng: np.random.Generator,
              angle_scale: float = 0.1, geometric: bool = True) -> "QkanLayer":
         if n_in < 1 or n_out < 1 or r < 1:
             raise ValueError("n_in, n_out and r must be >= 1")
-        if geometric:
-            enc_w = np.broadcast_to(2.0 ** np.arange(r),
-                                    (n_out, n_in, r)).copy()
-        else:
-            enc_w = np.ones((n_out, n_in, r))
-        return cls(
-            enc_w=enc_w,
-            enc_b=np.zeros((n_out, n_in, r)),
-            angles=rng.uniform(-angle_scale, angle_scale,
-                               size=(n_out, n_in, r + 1, 3)),
-            w_base=np.ones((n_out, n_in)),
-            w_quant=np.ones((n_out, n_in)),
-            out_bias=np.zeros((n_out, n_in)),
-        )
+        layer = cls.zeros(n_in, n_out, r)
+        layer.enc_w[...] = 2.0 ** np.arange(r) if geometric else 1.0
+        layer.angles[...] = rng.uniform(-angle_scale, angle_scale,
+                                        size=layer.angles.shape)
+        layer.w_base[...] = 1.0
+        layer.w_quant[...] = 1.0
+        return layer
 
     def get_edge(self, j: int, i: int) -> DaruanParams:
-        return DaruanParams(
-            enc_w=self.enc_w[j, i].copy(),
-            enc_b=self.enc_b[j, i].copy(),
-            angles=self.angles[j, i].copy(),
-            w_base=float(self.w_base[j, i]),
-            w_quant=float(self.w_quant[j, i]),
-            out_bias=float(self.out_bias[j, i]),
-        )
+        values = (a[j, i] for a in self.arrays())
+        return DaruanParams(*(v.copy() if v.ndim else float(v)
+                              for v in values))
 
     def set_edge(self, j: int, i: int, p: DaruanParams) -> None:
         if p.r != self.r:
             raise ValueError("edge repetition count must match the layer")
-        self.enc_w[j, i] = p.enc_w
-        self.enc_b[j, i] = p.enc_b
-        self.angles[j, i] = p.angles
-        self.w_base[j, i] = p.w_base
-        self.w_quant[j, i] = p.w_quant
-        self.out_bias[j, i] = p.out_bias
+        for name, a in zip(self.PARAMS, self.arrays()):
+            a[j, i] = getattr(p, name)
 
     def forward(self, x, tape: list | None = None) -> np.ndarray:
         """y_j = sum_i phi_{j,i}(x_i); x (B, n_in) -> (B, n_out).
@@ -111,76 +121,52 @@ class QkanLayer:
         y = phi.sum(axis=2)
         return y[0] if squeeze else y
 
-    def backward(self, x: np.ndarray, upstream: np.ndarray,
-                 circuit_tape: daruan.CircuitTape | None = None):
+    def backward(self, tape_entry, upstream: np.ndarray,
+                 out: list[np.ndarray]) -> np.ndarray:
         """Gradients of sum_b upstream[b] . forward(x[b]).
 
-        `circuit_tape` is the one that forward recorded for this x;
-        without it the circuit forward runs again here.
-        Returns (grads: LayerGrads, d_x: (B, n_in)).
+        `tape_entry` is the (x, circuit tape) that forward recorded.
+        The parameter gradients are written into `out`, arrays shaped
+        like arrays(); the input derivative (B, n_in) is returned.
         """
-        if circuit_tape is None:
-            _, circuit_tape = daruan.circuit_forward(
-                self.enc_w, self.enc_b, self.angles, x, True)
+        x, circuit_tape = tape_entry
+        g_enc_w, g_enc_b, g_angles, g_w_base, g_w_quant, g_out_bias = out
         upq = upstream[:, :, None] * self.w_quant[None]   # (B, n_out, n_in)
         g_theta, g_beta, g_alpha0 = daruan.circuit_adjoint(
             self.angles, circuit_tape, upq)
-        # theta_l = w_l x + b_l + gamma_l + alpha_{l+1}; gamma_r has no effect
-        g_b = np.moveaxis(g_theta.sum(axis=1), 0, -1)      # (n_out, n_in, r)
-        g_ang = np.zeros_like(self.angles)
-        g_ang[:, :, 0, 0] = g_alpha0.sum(axis=0)
-        g_ang[:, :, 1:, 0] = g_b
-        g_ang[:, :, :, 1] = np.moveaxis(g_beta.sum(axis=1), 0, -1)
-        g_ang[:, :, :-1, 2] = g_b
-        grads = LayerGrads(
-            enc_w=np.einsum("lbnm,bm->nml", g_theta, x),
-            enc_b=g_b,
-            angles=g_ang,
-            w_base=upstream.T @ silu(x),
-            w_quant=np.einsum("bn,bnm->nm", upstream, circuit_tape.final[2]),
-            out_bias=np.repeat(upstream.sum(axis=0)[:, None], self.n_in,
-                               axis=1),
-        )
-        d_x = (np.einsum("lbnm,nml->bm", g_theta, self.enc_w)
-               + (upstream @ self.w_base) * silu_grad(x))
-        return grads, d_x
+        daruan.angle_grads(g_theta.sum(axis=1), g_beta.sum(axis=1),
+                           g_alpha0.sum(axis=0), g_angles)
+        # b_l enters theta_l with unit coefficient, as gamma_l does
+        g_enc_b[...] = g_angles[:, :, :-1, 2]
+        np.einsum("lbnm,bm->nml", g_theta, x, out=g_enc_w)
+        np.matmul(upstream.T, silu(x), out=g_w_base)
+        np.einsum("bn,bnm->nm", upstream, circuit_tape.final[2],
+                  out=g_w_quant)
+        g_out_bias[...] = upstream.sum(axis=0)[:, None]
+        return (np.einsum("lbnm,nml->bm", g_theta, self.enc_w)
+                + (upstream @ self.w_base) * silu_grad(x))
 
     def extend(self, new_r: int) -> None:
-        """In-place layer extension with identity-initialized blocks."""
+        """In-place layer extension with identity-initialized blocks:
+        each array keeps its values in the leading corner of the grown
+        array and the new entries are zero."""
         if new_r <= self.r:
             raise ValueError(f"new_r must exceed current r={self.r}")
-        extra = new_r - self.r
-        n, m = self.n_out, self.n_in
-        self.enc_w = np.concatenate([self.enc_w, np.zeros((n, m, extra))], axis=2)
-        self.enc_b = np.concatenate([self.enc_b, np.zeros((n, m, extra))], axis=2)
-        self.angles = np.concatenate(
-            [self.angles, np.zeros((n, m, extra, 3))], axis=2)
-
-    def param_count(self) -> int:
-        return self.n_out * self.n_in * (5 * self.r + 6)
-
-    def copy(self) -> "QkanLayer":
-        return QkanLayer(self.enc_w.copy(), self.enc_b.copy(),
-                         self.angles.copy(), self.w_base.copy(),
-                         self.w_quant.copy(), self.out_bias.copy())
+        grown = QkanLayer.zeros(self.n_in, self.n_out, new_r)
+        for name, old in zip(self.PARAMS, self.arrays()):
+            new = getattr(grown, name)
+            new[tuple(slice(k) for k in old.shape)] = old
+            setattr(self, name, new)
 
 
 @dataclass
-class LayerGrads:
-    enc_w: np.ndarray
-    enc_b: np.ndarray
-    angles: np.ndarray
-    w_base: np.ndarray
-    w_quant: np.ndarray
-    out_bias: np.ndarray
-
-
-@dataclass
-class LinearLayer:
+class LinearLayer(_Stage):
     """Plain affine map y = W x + b."""
 
     weight: np.ndarray   # (n_out, n_in)
     bias: np.ndarray     # (n_out,)
+
+    PARAMS = ("weight", "bias")
 
     @property
     def n_in(self) -> int:
@@ -196,27 +182,25 @@ class LinearLayer:
         return cls(weight=rng.uniform(-bound, bound, size=(n_out, n_in)),
                    bias=np.zeros(n_out))
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
+        """When `tape` is a list, x is appended to it for backward."""
+        if tape is not None:
+            tape.append(x)
         return x @ self.weight.T + self.bias
 
-    def backward(self, x: np.ndarray, upstream: np.ndarray):
-        d_w = upstream.T @ x
-        d_b = upstream.sum(axis=0)
-        d_x = upstream @ self.weight
-        return (d_w, d_b), d_x
-
-    def param_count(self) -> int:
-        return self.weight.size + self.bias.size
-
-    def copy(self) -> "LinearLayer":
-        return LinearLayer(self.weight.copy(), self.bias.copy())
+    def backward(self, x: np.ndarray, upstream: np.ndarray,
+                 out: list[np.ndarray]) -> np.ndarray:
+        """Writes the weight and bias gradients into `out`; returns the
+        input derivative."""
+        d_w, d_b = out
+        np.matmul(upstream.T, x, out=d_w)
+        np.sum(upstream, axis=0, out=d_b)
+        return upstream @ self.weight
 
 
 @dataclass
 class NetworkGrads:
-    layers: list
-    encoder: tuple | None
-    decoder: tuple | None
+    flat: np.ndarray      # laid out like QkanNetwork.param_vector()
     d_input: np.ndarray
 
 
@@ -229,15 +213,17 @@ class QkanNetwork:
     decoder: LinearLayer | None = None
 
     def __post_init__(self):
-        for a, b in zip(self.layers, self.layers[1:]):
+        stages = self.stages()
+        for k, (a, b) in enumerate(zip(stages, stages[1:])):
             if a.n_out != b.n_in:
-                raise ValueError("adjacent layer dimensions are inconsistent")
-        if self.encoder is not None and self.layers \
-                and self.encoder.n_out != self.layers[0].n_in:
-            raise ValueError("encoder output must match the first layer input")
-        if self.decoder is not None and self.layers \
-                and self.decoder.n_in != self.layers[-1].n_out:
-            raise ValueError("decoder input must match the last layer output")
+                raise ValueError(f"stage {k} outputs {a.n_out} values but "
+                                 f"stage {k + 1} takes {b.n_in}")
+
+    def stages(self) -> list:
+        """Encoder, QKAN layers and decoder in evaluation order. The flat
+        parameter vector is each stage's arrays() in this order."""
+        stages = [self.encoder, *self.layers, self.decoder]
+        return [stage for stage in stages if stage is not None]
 
     @property
     def shape(self) -> list[int]:
@@ -245,11 +231,11 @@ class QkanNetwork:
 
     @property
     def in_dim(self) -> int:
-        return self.encoder.n_in if self.encoder else self.layers[0].n_in
+        return self.stages()[0].n_in
 
     @property
     def out_dim(self) -> int:
-        return self.decoder.n_out if self.decoder else self.layers[-1].n_out
+        return self.stages()[-1].n_out
 
     @classmethod
     def init(cls, shape: list[int], r: int, rng: np.random.Generator,
@@ -262,20 +248,12 @@ class QkanNetwork:
         return cls(layers=layers)
 
     def forward(self, x, tape: list | None = None) -> np.ndarray:
-        """Network outputs. When `tape` is a list, it receives each
-        stage's input and each QKAN layer's circuit tape, so that
-        backward(x, upstream, tape) needs no second forward pass."""
+        """Network outputs. When `tape` is a list, every stage appends
+        what its backward needs, so that backward(x, upstream, tape)
+        needs no second forward pass."""
         x, squeeze = _as_batch(x, self.in_dim, "network input")
-        if self.encoder is not None:
-            if tape is not None:
-                tape.append(x)
-            x = self.encoder.forward(x)
-        for layer in self.layers:
-            x = layer.forward(x, tape)
-        if self.decoder is not None:
-            if tape is not None:
-                tape.append(x)
-            x = self.decoder.forward(x)
+        for stage in self.stages():
+            x = stage.forward(x, tape)
         return x[0] if squeeze else x
 
     def backward(self, x, upstream, tape: list | None = None) -> NetworkGrads:
@@ -284,7 +262,8 @@ class QkanNetwork:
 
         `tape` is the list filled by forward(x, tape); backward empties
         it, releasing each layer's tape once used. When it is missing or
-        empty, the forward pass runs here first.
+        empty, the forward pass runs here first. Each stage writes its
+        gradients into views of one flat buffer.
         """
         x, _ = _as_batch(x, self.in_dim, "network input")
         upstream, _ = _as_batch(upstream, self.out_dim, "upstream")
@@ -293,33 +272,19 @@ class QkanNetwork:
         if not tape:
             tape = []
             self.forward(x, tape)
-
+        flat = np.empty(self.param_count())
         up = upstream
-        dec_grads = None
-        if self.decoder is not None:
-            dec_grads, up = self.decoder.backward(tape.pop(), up)
-        layer_grads = [None] * len(self.layers)
-        for idx in range(len(self.layers) - 1, -1, -1):
-            layer_x, circuit_tape = tape.pop()
-            layer_grads[idx], up = self.layers[idx].backward(
-                layer_x, up, circuit_tape)
-        enc_grads = None
-        if self.encoder is not None:
-            enc_grads, up = self.encoder.backward(tape.pop(), up)
-        return NetworkGrads(layers=layer_grads, encoder=enc_grads,
-                            decoder=dec_grads, d_input=up)
+        for stage, out in reversed(list(zip(self.stages(),
+                                            self._views(flat)))):
+            up = stage.backward(tape.pop(), up, out)
+        return NetworkGrads(flat=flat, d_input=up)
 
     def extend(self, new_r: int) -> None:
         for layer in self.layers:
             layer.extend(new_r)
 
     def param_count(self) -> int:
-        total = sum(layer.param_count() for layer in self.layers)
-        if self.encoder is not None:
-            total += self.encoder.param_count()
-        if self.decoder is not None:
-            total += self.decoder.param_count()
-        return total
+        return sum(stage.param_count() for stage in self.stages())
 
     def copy(self) -> "QkanNetwork":
         return QkanNetwork(
@@ -328,58 +293,32 @@ class QkanNetwork:
             decoder=self.decoder.copy() if self.decoder else None,
         )
 
-    # Flat parameter vector, ordered: encoder (weight row-major, bias),
-    # then per layer enc_w, enc_b, angles, w_base, w_quant, out_bias
-    # (each raveled row-major over (out, in)), then decoder.
+    def _views(self, flat: np.ndarray) -> list[list[np.ndarray]]:
+        """Per stage, views of `flat` shaped like that stage's arrays()."""
+        views, pos = [], 0
+        for stage in self.stages():
+            views.append([])
+            for a in stage.arrays():
+                views[-1].append(flat[pos:pos + a.size].reshape(a.shape))
+                pos += a.size
+        return views
 
     def param_vector(self) -> np.ndarray:
-        parts = []
-        if self.encoder is not None:
-            parts += [self.encoder.weight.ravel(), self.encoder.bias]
-        for lay in self.layers:
-            parts += [lay.enc_w.ravel(), lay.enc_b.ravel(), lay.angles.ravel(),
-                      lay.w_base.ravel(), lay.w_quant.ravel(),
-                      lay.out_bias.ravel()]
-        if self.decoder is not None:
-            parts += [self.decoder.weight.ravel(), self.decoder.bias]
-        return np.concatenate(parts)
+        return np.concatenate([a.ravel() for stage in self.stages()
+                               for a in stage.arrays()])
 
     def set_param_vector(self, vec: np.ndarray) -> None:
         vec = np.asarray(vec, dtype=np.float64)
         if vec.size != self.param_count():
             raise ValueError(f"expected {self.param_count()} parameters, "
                              f"got {vec.size}")
-        pos = 0
-
-        def take(arr):
-            nonlocal pos
-            arr[...] = vec[pos:pos + arr.size].reshape(arr.shape)
-            pos += arr.size
-
-        if self.encoder is not None:
-            take(self.encoder.weight)
-            take(self.encoder.bias)
-        for lay in self.layers:
-            take(lay.enc_w)
-            take(lay.enc_b)
-            take(lay.angles)
-            take(lay.w_base)
-            take(lay.w_quant)
-            take(lay.out_bias)
-        if self.decoder is not None:
-            take(self.decoder.weight)
-            take(self.decoder.bias)
+        for stage, views in zip(self.stages(), self._views(vec)):
+            for a, v in zip(stage.arrays(), views):
+                a[...] = v
 
     def grad_vector(self, grads: NetworkGrads) -> np.ndarray:
-        parts = []
-        if grads.encoder is not None:
-            parts += [grads.encoder[0].ravel(), grads.encoder[1]]
-        for g in grads.layers:
-            parts += [g.enc_w.ravel(), g.enc_b.ravel(), g.angles.ravel(),
-                      g.w_base.ravel(), g.w_quant.ravel(), g.out_bias.ravel()]
-        if grads.decoder is not None:
-            parts += [grads.decoder[0].ravel(), grads.decoder[1]]
-        return np.concatenate(parts)
+        """The flat gradient, laid out like param_vector() (not a copy)."""
+        return grads.flat
 
 
 def latent_dim(d: int) -> int:

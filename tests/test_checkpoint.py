@@ -41,6 +41,38 @@ class TestRoundTrip:
         assert doc["optimizer_state"] == {"step": 12}
 
 
+class TestLayout:
+    def test_flat_order_is_pinned(self):
+        """The order checkpoints store: encoder weight (row-major) and
+        bias, then per QKAN layer enc_w, enc_b, angles, w_base, w_quant,
+        out_bias (each row-major over (out, in, ...)), then the decoder."""
+        net = make_hqkan(5, 2, r=2, hidden_shape=(3,),
+                         rng=np.random.default_rng(306))
+        arrays = [net.encoder.weight, net.encoder.bias]
+        for lay in net.layers:
+            arrays += [lay.enc_w, lay.enc_b, lay.angles, lay.w_base,
+                       lay.w_quant, lay.out_bias]
+        arrays += [net.decoder.weight, net.decoder.bias]
+        start = 0
+        for a in arrays:
+            a[...] = np.arange(start, start + a.size).reshape(a.shape)
+            start += a.size
+        # 5r+6 = 16 scalars on each of 3*3 + 3*2 edges, plus linear layers
+        assert start == net.param_count() == (5 * 3 + 3) + 15 * 16 + (2 * 2 + 2)
+        expected = np.arange(float(start))
+        np.testing.assert_array_equal(net.param_vector(), expected)
+        doc = json.loads(json.dumps(ck.network_to_dict(net)))
+        assert doc["params"] == expected.tolist()
+        loaded = ck.network_from_dict(doc)
+        loaded_arrays = [loaded.encoder.weight, loaded.encoder.bias]
+        for lay in loaded.layers:
+            loaded_arrays += [lay.enc_w, lay.enc_b, lay.angles, lay.w_base,
+                              lay.w_quant, lay.out_bias]
+        loaded_arrays += [loaded.decoder.weight, loaded.decoder.bias]
+        for got, want in zip(loaded_arrays, arrays):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestValidation:
     def test_version_mismatch_rejected(self, tmp_path):
         net = QkanNetwork.init([2, 1], 1, np.random.default_rng(304))

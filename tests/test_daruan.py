@@ -5,6 +5,8 @@ matrix products with its own gate definitions, so agreement with the
 vectorized implementation is a real cross-check rather than a identity.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,24 @@ class TestForward:
         p = fixed_params()
         with pytest.raises(ValueError):
             daruan.forward(p, np.nan)
+
+
+class TestSilu:
+    def test_large_negative_input_is_silent_and_exact(self):
+        x = np.array([-800.0, -1e4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [daruan.silu(x), daruan.silu_grad(x),
+                      daruan.silu(-800.0), daruan.silu_grad(-1e4)]
+        for v in values:
+            assert np.all(v == 0.0)
+
+    def test_bit_equal_to_plain_formula(self):
+        x = np.linspace(-709.0, 50.0, 20001)
+        s = 1.0 / (1.0 + np.exp(-x))
+        assert daruan.silu(x).tobytes() == (x / (1.0 + np.exp(-x))).tobytes()
+        assert (daruan.silu_grad(x).tobytes()
+                == (s * (1.0 + x * (1.0 - s))).tobytes())
 
 
 class TestParamsValidation:

@@ -95,6 +95,26 @@ class TestNetworkGradients:
         upstream = rng.normal(size=(4, 3))
         self.check_fd(net, x, upstream)
 
+    @pytest.mark.parametrize("case", ["plain", "hqkan"])
+    def test_every_gradient_slot(self, case):
+        # backward fills an uninitialized buffer: probe every coordinate
+        rng = np.random.default_rng(54)
+        if case == "plain":
+            net = QkanNetwork.init([1, 2, 1], 2, rng, angle_scale=0.5)
+        else:
+            net = make_hqkan(3, 1, r=1, rng=rng, angle_scale=0.5)
+        x = rng.normal(size=(4, net.in_dim))
+        upstream = rng.normal(size=(4, net.out_dim))
+        pv = net.param_vector()
+        self.check_fd(net, x, upstream, n_probe=pv.size)
+        # find the gamma_r slots by loading each slot's own index
+        net.set_param_vector(np.arange(float(pv.size)))
+        gamma_r = np.concatenate([lay.angles[:, :, -1, 2].ravel()
+                                  for lay in net.layers]).astype(int)
+        net.set_param_vector(pv)
+        g = net.grad_vector(net.backward(x, upstream))
+        assert np.all(g[gamma_r] == 0.0)
+
     def test_input_derivative(self):
         rng = np.random.default_rng(53)
         net = QkanNetwork.init([3, 2], 2, rng)
@@ -201,7 +221,8 @@ class TestLinearLayer:
         lin = LinearLayer.init(3, 2, rng)
         x = rng.normal(size=(4, 3))
         up = rng.normal(size=(4, 2))
-        (d_w, d_b), d_x = lin.backward(x, up)
+        d_w, d_b = np.empty((2, 3)), np.empty(2)
+        d_x = lin.backward(x, up, [d_w, d_b])
         np.testing.assert_allclose(d_w, up.T @ x, atol=1e-14)
         np.testing.assert_allclose(d_b, up.sum(axis=0), atol=1e-14)
         np.testing.assert_allclose(d_x, up @ lin.weight, atol=1e-14)
