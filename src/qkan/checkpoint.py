@@ -45,8 +45,7 @@ def config_hash(config: dict) -> str:
         json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def network_to_dict(net: QkanNetwork, provenance: dict | None = None,
-                    optimizer_state: dict | None = None) -> dict:
+def network_to_dict(net: QkanNetwork, provenance: dict | None = None) -> dict:
     doc = {
         "format_version": FORMAT_VERSION,
         "shape": net.shape,
@@ -55,12 +54,10 @@ def network_to_dict(net: QkanNetwork, provenance: dict | None = None,
                     if net.encoder else None),
         "decoder": ([net.decoder.n_in, net.decoder.n_out]
                     if net.decoder else None),
-        "params": list(net.param_vector()),
+        "params": net.param_vector().tolist(),
     }
     if provenance:
         doc["provenance"] = provenance
-    if optimizer_state:
-        doc["optimizer_state"] = optimizer_state
     return doc
 
 
@@ -113,11 +110,11 @@ def network_from_dict(doc: dict) -> QkanNetwork:
     return net
 
 
-def save_checkpoint(net: QkanNetwork, path, provenance: dict | None = None,
-                    optimizer_state: dict | None = None) -> None:
+def save_checkpoint(net: QkanNetwork, path,
+                    provenance: dict | None = None) -> None:
     """Write a checkpoint; a non-finite parameter raises DataError before
     anything is written, since JSON has no token for it."""
-    doc = network_to_dict(net, provenance, optimizer_state)
+    doc = network_to_dict(net, provenance)
     bad = np.flatnonzero(~np.isfinite(doc["params"]))
     if bad.size:
         raise DataError(f"cannot save a checkpoint with {bad.size} non-finite "

@@ -1,17 +1,21 @@
 """Command-line entry point.
 
 Subcommands: gen-data, train, eval, spectrum, extend, distill,
-mnist-demo. Every flag mirrors a config-file field; flags win on
-conflict. Output files are written atomically (temp file + rename).
-Exit codes: 0 success, 2 config error, 3 data error, 4 numerical
-failure. The QKAN_OUT environment variable sets the default output
-root.
+mnist-demo. The options of gen-data and train are declared once, in
+their field tables: each field is both a flag and a key of an optional
+--config JSON file, flags win on conflict, and the table's parse
+function converts either. Output files are written atomically (temp
+file + rename). Exit codes: 0 success, 2 config error (including an
+out-of-range option value), 3 data error (including a CSV that does
+not fit the checkpoint), 4 numerical failure. The QKAN_OUT environment
+variable sets the default output root.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -52,7 +56,8 @@ def _load_config(path) -> dict:
 
 
 def _merged(cfg: dict, args: argparse.Namespace, fields: dict) -> dict:
-    """Overlay CLI flags (when given) onto the config; validate types."""
+    """Overlay CLI flags (when given) onto the config, then convert and
+    check every value with its field's parse function."""
     out = {}
     for name, (typ, default, required) in fields.items():
         value = getattr(args, name.replace("-", "_"), None)
@@ -65,7 +70,8 @@ def _merged(cfg: dict, args: argparse.Namespace, fields: dict) -> dict:
             continue
         try:
             out[name] = typ(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError,
+                argparse.ArgumentTypeError) as exc:
             raise ConfigError(f"config field {name!r}: {exc}") from None
     unknown = set(cfg) - set(fields)
     if unknown:
@@ -73,10 +79,51 @@ def _merged(cfg: dict, args: argparse.Namespace, fields: dict) -> dict:
     return out
 
 
+def _checked(convert, ok, expected: str):
+    """A parse function: convert(v), rejected unless ok(result). It
+    serves as a field-table parse and as an argparse type alike."""
+    def parse(v):
+        try:
+            value = convert(v)
+        except (TypeError, ValueError, OverflowError):
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {v!r}")
+        return value
+    return parse
+
+
+_nonnegative_int = _checked(int, lambda n: n >= 0, "an integer >= 0")
+_positive_int = _checked(int, lambda n: n >= 1, "an integer >= 1")
+_nonnegative_float = _checked(float, lambda x: 0.0 <= x < math.inf,
+                              "a finite number >= 0")
+_positive_float = _checked(float, lambda x: x > 0.0, "a number > 0")
+
+
+def _one_of(*choices):
+    return _checked(lambda v: v, lambda v: v in choices,
+                    f"one of {list(choices)}")
+
+
+_weight_list = _checked(lambda v: [float(w) for w in v.split(",")],
+                        lambda ws: all(map(math.isfinite, ws)),
+                        "'geometric', 'unit' or a comma list of finite "
+                        "numbers")
+
+
+def _weights(v):
+    """'geometric', 'unit' or a list of finite encoding weights."""
+    return v if v in ("geometric", "unit") else _weight_list(v)
+
+
 def _int_list(v):
     if isinstance(v, str):
         v = [s for s in v.split(",") if s]
     return [int(s) for s in v]
+
+
+_seeds = _checked(_int_list, lambda seeds: seeds and min(seeds) >= 0,
+                  "a nonempty list of integers >= 0")
 
 
 def _shape(v):
@@ -90,8 +137,8 @@ def _range_pair(v):
     if isinstance(v, str):
         v = v.split(",")
     lo, hi = (float(x) for x in v)
-    if not lo < hi:
-        raise ValueError("range must satisfy lo < hi")
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError("range must be finite with lo < hi")
     return [lo, hi]
 
 
@@ -118,6 +165,24 @@ def _make_dataset(cfg: dict):
                                   input_range=tuple(cfg["range"]))
 
 
+def _width_mismatch(dataset, n_in: int, n_out: int):
+    """Why the dataset's columns do not fit an n_in -> n_out network, or
+    None when they do."""
+    for what, got, want in (("input", dataset.inputs.shape[1], n_in),
+                            ("target", dataset.targets.shape[1], n_out)):
+        if got != want:
+            return f"{got} {what} columns where the network has {want}"
+    return None
+
+
+def _read_data_for(net: QkanNetwork, path):
+    dataset = datamod.read_csv(path)
+    mismatch = _width_mismatch(dataset, net.in_dim, net.out_dim)
+    if mismatch:
+        raise DataError(f"{path}: {mismatch}")
+    return dataset
+
+
 def _init_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, INIT_STREAM]))
 
@@ -125,19 +190,22 @@ def _init_rng(seed: int) -> np.random.Generator:
 # --- subcommands ------------------------------------------------------------
 
 
+_GEN_DATA_FIELDS = {
+    "equation": (str, None, True),
+    "n-train": (_positive_int, 1000, False),
+    "n-test": (_positive_int, 1000, False),
+    "noise-frac": (_nonnegative_float, 0.1, False),
+    "data-seed": (_nonnegative_int, 0, False),
+    "range": (_range_pair, [0.0, 1.0], False),
+    "out": (str, None, False),
+}
+
+
 def cmd_gen_data(args) -> int:
-    cfg = _merged(_load_config(args.config), args, {
-        "equation": (str, None, True),
-        "n-train": (int, 1000, False),
-        "n-test": (int, 1000, False),
-        "noise-frac": (float, 0.1, False),
-        "data-seed": (int, 0, False),
-        "range": (_range_pair, [0.0, 1.0], False),
-        "out": (str, _default_out("data"), False),
-    })
+    cfg = _merged(_load_config(args.config), args, _GEN_DATA_FIELDS)
     train_ds, test_ds = _make_dataset(dict(cfg, **{"train-csv": None,
                                                    "test-csv": None}))
-    out = _ensure_out_dir(cfg["out"])
+    out = _ensure_out_dir(cfg["out"] or _default_out("data"))
     datamod.write_csv(train_ds, os.path.join(out, "train.csv"))
     datamod.write_csv(test_ds, os.path.join(out, "test.csv"))
     atomic_write_text(os.path.join(out, "meta.json"),
@@ -152,18 +220,18 @@ _TRAIN_FIELDS = {
     "train-csv": (str, None, False),
     "test-csv": (str, None, False),
     "shape": (_shape, None, True),
-    "r": (int, 3, False),
-    "optimizer": (str, "lbfgs", False),
-    "epochs": (int, 200, False),
+    "r": (_positive_int, 3, False),
+    "optimizer": (_one_of("lbfgs", "adam"), "lbfgs", False),
+    "epochs": (_nonnegative_int, 200, False),
     "lr": (float, 1e-3, False),
-    "history": (int, 10, False),
-    "seeds": (_int_list, DEFAULT_SEEDS, False),
-    "n-train": (int, 1000, False),
-    "n-test": (int, 1000, False),
-    "noise-frac": (float, 0.1, False),
-    "data-seed": (int, 0, False),
+    "history": (_nonnegative_int, 10, False),
+    "seeds": (_seeds, DEFAULT_SEEDS, False),
+    "n-train": (_positive_int, 1000, False),
+    "n-test": (_positive_int, 1000, False),
+    "noise-frac": (_nonnegative_float, 0.1, False),
+    "data-seed": (_nonnegative_int, 0, False),
     "range": (_range_pair, [0.0, 1.0], False),
-    "angle-scale": (float, 0.1, False),
+    "angle-scale": (_nonnegative_float, 0.1, False),
     "out": (str, None, False),
 }
 
@@ -171,9 +239,12 @@ _TRAIN_FIELDS = {
 def run_training(cfg: dict):
     """Train one network per seed; returns (summary, best network)."""
     train_ds, test_ds = _make_dataset(cfg)
-    if train_ds.inputs.shape[1] != cfg["shape"][0]:
-        raise ConfigError(f"shape[0]={cfg['shape'][0]} does not match the "
-                          f"{train_ds.inputs.shape[1]}-dimensional dataset")
+    shape = cfg["shape"]
+    for name, dataset in (("train", train_ds), ("test", test_ds)):
+        mismatch = _width_mismatch(dataset, shape[0], shape[-1])
+        if mismatch:
+            raise ConfigError(f"shape {shape} does not fit the {name} data: "
+                              f"{mismatch}")
     out = _ensure_out_dir(cfg["out"] or _default_out("train"))
     chash = config_hash({k: v for k, v in cfg.items() if k != "out"})
     summary = {"config_hash": chash, "seeds": {}}
@@ -184,7 +255,7 @@ def run_training(cfg: dict):
         result = train(net, train_ds, test_ds,
                        TrainConfig(optimizer=cfg["optimizer"],
                                    epochs=cfg["epochs"], lr=cfg["lr"],
-                                   history=cfg["history"], seed=seed))
+                                   history=cfg["history"]))
         atomic_write_text(os.path.join(out, f"metrics_seed{seed}.csv"),
                           trace_to_csv(result.trace))
         net.set_param_vector(result.best_params)
@@ -227,7 +298,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     net, _ = load_checkpoint(args.checkpoint)
-    dataset = datamod.read_csv(args.data)
+    dataset = _read_data_for(net, args.data)
     value = rmse(net.forward(dataset.inputs), dataset.targets)
     report = json.dumps({"checkpoint": args.checkpoint, "data": args.data,
                          "n_samples": len(dataset), "rmse": value}, indent=2)
@@ -249,16 +320,11 @@ def _spectrum_params(args) -> DaruanParams:
                               f"in this checkpoint") from None
     p = init_daruan(args.r, _init_rng(args.seed),
                     geometric=(args.weights == "geometric"))
-    if args.weights not in ("geometric", "unit"):
-        try:
-            weights = np.array([float(v) for v in args.weights.split(",")])
-        except ValueError:
-            raise ConfigError(f"--weights must be 'geometric', 'unit' or a "
-                              f"comma list, got {args.weights!r}") from None
-        if weights.size != args.r:
-            raise ConfigError(f"--weights lists {weights.size} values, "
+    if not isinstance(args.weights, str):
+        if len(args.weights) != args.r:
+            raise ConfigError(f"--weights lists {len(args.weights)} values, "
                               f"but r={args.r}")
-        p.enc_w = weights
+        p.enc_w = np.array(args.weights)
     return p
 
 
@@ -277,6 +343,9 @@ def cmd_spectrum(args) -> int:
 
 def cmd_extend(args) -> int:
     net, doc = load_checkpoint(args.checkpoint)
+    if args.new_r <= max(layer.r for layer in net.layers):
+        raise ConfigError(f"--new-r {args.new_r} must exceed the "
+                          f"checkpoint's r={doc['r']}")
     reference = net.copy()
     net.extend(args.new_r)
     probe = np.random.default_rng(0).uniform(-2.0, 2.0, size=(256, net.in_dim))
@@ -294,7 +363,7 @@ def cmd_extend(args) -> int:
 
 def cmd_distill(args) -> int:
     net, _ = load_checkpoint(args.checkpoint)
-    dataset = datamod.read_csv(args.data)
+    dataset = _read_data_for(net, args.data)
     domains = distillmod.calibrate_domains(net, dataset.inputs)
     spline_net, fit_report = distillmod.distill_network(
         net, domains, grid_size=args.grid_size, degree=args.degree)
@@ -324,10 +393,11 @@ MNIST_FILES = {
     "test_images": "t10k-images-idx3-ubyte",
     "test_labels": "t10k-labels-idx1-ubyte",
 }
+MNIST_R = 3
 
 
 def run_mnist_demo(data_dir: str, n_samples: int = 2000, epochs: int = 50,
-                   lr: float = 1e-3, r: int = 3, seed: int = 0):
+                   lr: float = 1e-3, seed: int = 0):
     """Two-class (digits 0/1) HQKAN demo. Returns the accuracy report,
     or None when the IDX files are absent."""
     paths = {k: os.path.join(data_dir, v) for k, v in MNIST_FILES.items()}
@@ -348,10 +418,10 @@ def run_mnist_demo(data_dir: str, n_samples: int = 2000, epochs: int = 50,
 
     train_ds, _ = subset(images, labels, n_samples)
     test_ds, y_test = subset(t_images, t_labels)
-    net = make_hqkan(train_ds.inputs.shape[1], 2, r=r, rng=_init_rng(seed))
+    net = make_hqkan(train_ds.inputs.shape[1], 2, r=MNIST_R,
+                     rng=_init_rng(seed))
     result = train(net, train_ds, test_ds,
-                   TrainConfig(optimizer="adam", epochs=epochs, lr=lr,
-                               seed=seed))
+                   TrainConfig(optimizer="adam", epochs=epochs, lr=lr))
     net.set_param_vector(result.best_params)
     pred = np.argmax(net.forward(test_ds.inputs), axis=1)
     accuracy = float(np.mean(pred == y_test))
@@ -374,47 +444,33 @@ def cmd_mnist_demo(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ConfigError on a bad command line, so main reports it as
+    every other config error (exit 2, one stderr line) instead of
+    argparse printing usage and exiting."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qkan",
         description="Data re-uploading activations and quantum-inspired "
                     "Kolmogorov-Arnold networks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config(p):
-        p.add_argument("--config", help="JSON config file; flags win on conflict")
-
-    p = sub.add_parser("gen-data", help="generate a benchmark dataset")
-    add_config(p)
-    p.add_argument("--equation")
-    p.add_argument("--n-train", type=int)
-    p.add_argument("--n-test", type=int)
-    p.add_argument("--noise-frac", type=float)
-    p.add_argument("--data-seed", type=int)
-    p.add_argument("--range")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("train", help="train a network, one run per seed")
-    add_config(p)
-    p.add_argument("--equation")
-    p.add_argument("--train-csv")
-    p.add_argument("--test-csv")
-    p.add_argument("--shape")
-    p.add_argument("--r", type=int)
-    p.add_argument("--optimizer", choices=["lbfgs", "adam"])
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--history", type=int)
-    p.add_argument("--seeds")
-    p.add_argument("--n-train", type=int)
-    p.add_argument("--n-test", type=int)
-    p.add_argument("--noise-frac", type=float)
-    p.add_argument("--data-seed", type=int)
-    p.add_argument("--range")
-    p.add_argument("--angle-scale", type=float)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_train)
+    for name, help_text, fields, func in (
+            ("gen-data", "generate a benchmark dataset", _GEN_DATA_FIELDS,
+             cmd_gen_data),
+            ("train", "train a network, one run per seed", _TRAIN_FIELDS,
+             cmd_train)):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config",
+                       help="JSON config file; flags win on conflict")
+        for field in fields:
+            p.add_argument(f"--{field}")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("eval", help="RMSE of a checkpoint on a CSV dataset")
     p.add_argument("--checkpoint", required=True)
@@ -424,14 +480,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="frequency-spectrum report")
     p.add_argument("--checkpoint")
-    p.add_argument("--layer", type=int, default=0)
-    p.add_argument("--edge", type=int, nargs=2, default=[0, 0],
+    p.add_argument("--layer", type=_nonnegative_int, default=0)
+    p.add_argument("--edge", type=_nonnegative_int, nargs=2, default=[0, 0],
                    metavar=("OUT", "IN"))
-    p.add_argument("--r", type=int, default=4)
-    p.add_argument("--weights", default="geometric",
+    p.add_argument("--r", type=_positive_int, default=4)
+    p.add_argument("--weights", type=_weights, default="geometric",
                    help="'geometric', 'unit' or a comma list")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--tol", type=_positive_float, default=1e-8)
     p.add_argument("--out")
     p.set_defaults(func=cmd_spectrum)
 
@@ -445,25 +501,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True,
                    help="CSV used for domain calibration and fidelity check")
-    p.add_argument("--grid-size", type=int, default=20)
-    p.add_argument("--degree", type=int, default=3)
+    p.add_argument("--grid-size", type=_positive_int, default=20)
+    p.add_argument("--degree", type=_positive_int, default=3)
     p.add_argument("--out")
     p.set_defaults(func=cmd_distill)
 
     p = sub.add_parser("mnist-demo", help="two-class HQKAN MNIST demo")
     p.add_argument("--data-dir", required=True)
-    p.add_argument("--n-samples", type=int, default=2000)
-    p.add_argument("--epochs", type=int, default=50)
+    p.add_argument("--n-samples", type=_positive_int, default=2000)
+    p.add_argument("--epochs", type=_nonnegative_int, default=50)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.set_defaults(func=cmd_mnist_demo)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -88,26 +88,20 @@ def _sample_grid(freqs: np.ndarray, count: int) -> np.ndarray:
     return np.linspace(0.0, period, count, endpoint=False)
 
 
-def empirical_spectrum(p: DaruanParams, sample_count: int | None = None,
+def empirical_spectrum(p: DaruanParams,
                        frequencies: np.ndarray | None = None) -> SpectrumReport:
     """Fit sampled raw expectations onto the enumerated frequency basis.
 
     Encoding biases are absorbed into the complex coefficients. The
-    default sample count oversamples the basis 4x to stabilize the fit.
-    An explicit `frequencies` array overrides the enumerated set (used
-    to probe deliberately truncated bases).
+    sample grid oversamples the basis 4x to stabilize the fit. An
+    explicit `frequencies` array overrides the enumerated set (used to
+    probe deliberately truncated bases).
     """
     if frequencies is None:
         freqs = enumerate_frequencies(p.enc_w)
     else:
         freqs = np.asarray(frequencies, dtype=np.float64)
-    min_count = 2 * freqs.size + 1
-    if sample_count is None:
-        sample_count = 4 * min_count
-    if sample_count < min_count:
-        raise ValueError(f"sample_count must be >= {min_count}")
-
-    xs = _sample_grid(freqs, sample_count)
+    xs = _sample_grid(freqs, 4 * (2 * freqs.size + 1))
     ys = circuit_expectation(p.enc_w[None, None, :], p.enc_b[None, None, :],
                              p.angles[None, None, :, :],
                              xs[:, None])[:, 0, 0]
@@ -127,13 +121,12 @@ def empirical_spectrum(p: DaruanParams, sample_count: int | None = None,
     )
 
 
-def verify_spectrum(p: DaruanParams, tol: float,
-                    sample_count: int | None = None):
+def verify_spectrum(p: DaruanParams, tol: float):
     """True iff the basis fit residual stays below tol.
 
     Returns (ok, report) so the claim can be audited.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    report = empirical_spectrum(p, sample_count)
+    report = empirical_spectrum(p)
     return report.residual_l2 < tol, report

@@ -23,6 +23,10 @@ WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
 CURVATURE_MIN = 1e-12
 MAX_LINE_SEARCH_TRIALS = 25
+GRAD_TOL = 1e-12
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def mse_loss(pred, target) -> float:
@@ -43,9 +47,6 @@ class AdamState:
     v: np.ndarray
     step: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def init(cls, n_params: int, lr: float = 1e-3) -> "AdamState":
@@ -58,11 +59,11 @@ def adam_step(state: AdamState, params: np.ndarray,
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ValueError("parameter/gradient/state shapes must match")
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads ** 2
-    m_hat = state.m / (1.0 - state.beta1 ** state.step)
-    v_hat = state.v / (1.0 - state.beta2 ** state.step)
-    return params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads ** 2
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.step)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.step)
+    return params - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _wolfe_search(fg, x, d, f0, g0, events: list | None = None):
@@ -136,7 +137,7 @@ def _wolfe_search(fg, x, d, f0, g0, events: list | None = None):
 
 
 def lbfgs_minimize(fg, x0: np.ndarray, max_iter: int, history: int = 10,
-                   grad_tol: float = 1e-12, callback=None):
+                   callback=None):
     """Two-loop-recursion L-BFGS. fg(x) -> (loss, grad).
 
     A zero step from the line search clears the curvature history, so
@@ -153,7 +154,7 @@ def lbfgs_minimize(fg, x0: np.ndarray, max_iter: int, history: int = 10,
     events: list = []
     for it in range(max_iter):
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= grad_tol:
+        if gnorm <= GRAD_TOL:
             break
         # two-loop recursion
         q = g.copy()
@@ -202,7 +203,6 @@ class TrainConfig:
     epochs: int = 200
     lr: float = 1e-3             # adam only
     history: int = 10            # lbfgs only
-    seed: int = 0                # provenance; initialization happens upstream
 
     def __post_init__(self):
         if self.optimizer not in ("lbfgs", "adam"):

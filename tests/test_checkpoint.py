@@ -31,14 +31,20 @@ class TestRoundTrip:
         ck.save_checkpoint(net, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_provenance_and_optimizer_state_stored(self, tmp_path):
+    def test_provenance_stored(self, tmp_path):
         net = QkanNetwork.init([2, 1], 1, np.random.default_rng(303))
         path = tmp_path / "ckpt.json"
-        ck.save_checkpoint(net, path, provenance={"seed": 4},
-                           optimizer_state={"step": 12})
+        ck.save_checkpoint(net, path, provenance={"seed": 4})
         _, doc = ck.load_checkpoint(path)
         assert doc["provenance"] == {"seed": 4}
-        assert doc["optimizer_state"] == {"step": 12}
+
+    def test_in_process_dict_round_trip(self):
+        """network_to_dict output loads without a JSON pass in between."""
+        net = make_hqkan(6, 3, r=2, hidden_shape=(3,),
+                         rng=np.random.default_rng(307))
+        loaded = ck.network_from_dict(ck.network_to_dict(net))
+        np.testing.assert_array_equal(loaded.param_vector(),
+                                      net.param_vector())
 
 
 class TestLayout:

@@ -1,6 +1,7 @@
 """End-to-end CLI tests; commands run in-process through main()."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from qkan import read_csv
 from qkan.checkpoint import load_checkpoint
-from qkan.cli import main
+from qkan.cli import _GEN_DATA_FIELDS, _TRAIN_FIELDS, main
 
 
 def run(*argv):
@@ -234,3 +235,138 @@ class TestMnistDemo:
                    "--epochs", "40", "--n-samples", "80") == 0
         report = json.loads(capsys.readouterr().out)
         assert report["accuracy"] > 0.9
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", ["gen-data", "train", "eval",
+                                         "spectrum", "extend", "distill",
+                                         "mnist-demo"])
+    def test_help_lists_the_declared_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        tables = {"gen-data": _GEN_DATA_FIELDS, "train": _TRAIN_FIELDS}
+        if command in tables:
+            assert flags == {"--help", "--config"} | {
+                f"--{field}" for field in tables[command]}
+
+
+# gen-data/train options, each run once as flags and once as config
+# keys: (name, command, {field: flag value}, {field: config value})
+_BASE_FIELDS = {
+    "gen-data": {"equation": "I.12.11", "n-train": "20", "n-test": "10",
+                 "out": "{tmp}/out"},
+    "train": {"equation": "I.12.11", "shape": "2,2,1", "epochs": "1",
+              "seeds": "0", "n-train": "20", "n-test": "10",
+              "out": "{tmp}/out"},
+}
+_OPTION_CASES = [
+    ("r-0", "train", {"r": "0"}, {"r": 0}),
+    ("epochs-negative", "train", {"epochs": "-1"}, {"epochs": -1}),
+    ("history-negative", "train", {"history": "-1"}, {"history": -1}),
+    ("seeds-empty", "train", {"seeds": ","}, {"seeds": []}),
+    ("optimizer-sgd", "train", {"optimizer": "sgd"}, {"optimizer": "sgd"}),
+    ("angle-scale-invalid", "train", {"angle-scale": "nan"},
+     {"angle-scale": -1}),
+    *[(f"{field}={value}", command, {field: value},
+       {field: json.loads(value)})
+      for command in ("gen-data", "train")
+      for field, value in (("n-train", "0"), ("n-train", "-5"),
+                           ("noise-frac", "-1"), ("n-test", "0"))],
+    ("test-csv-inputs", "train",
+     {"train-csv": "{csv}/x2y1.csv", "test-csv": "{csv}/x3y1.csv",
+      "shape": "2,1"},
+     {"train-csv": "{csv}/x2y1.csv", "test-csv": "{csv}/x3y1.csv",
+      "shape": [2, 1]}),
+    ("train-csv-targets", "train",
+     {"train-csv": "{csv}/x2y2.csv", "test-csv": "{csv}/x2y1.csv",
+      "shape": "2,1"},
+     {"train-csv": "{csv}/x2y2.csv", "test-csv": "{csv}/x2y1.csv",
+      "shape": [2, 1]}),
+]
+
+# the other subcommands: (name, argv, exit code); the workspace
+# checkpoint is [2, 2, 1] with r=2
+_CKPT = ["--checkpoint", "{ckpt}"]
+_FLAG_CASES = [
+    ("spectrum-r-0", ["spectrum", "--r", "0"], 2),
+    ("spectrum-tol-0", ["spectrum", "--tol", "0"], 2),
+    ("spectrum-weights-inf", ["spectrum", "--r", "1", "--weights", "inf"], 2),
+    ("spectrum-weights-nan", ["spectrum", "--r", "2", "--weights", "nan,1"],
+     2),
+    ("distill-grid-size-0",
+     ["distill", *_CKPT, "--data", "{csv}/x2y1.csv", "--grid-size", "0"], 2),
+    ("distill-degree-0",
+     ["distill", *_CKPT, "--data", "{csv}/x2y1.csv", "--degree", "0"], 2),
+    ("extend-same-r",
+     ["extend", *_CKPT, "--new-r", "2", "--out", "{tmp}/deeper.json"], 2),
+    ("extend-lower-r",
+     ["extend", *_CKPT, "--new-r", "1", "--out", "{tmp}/deeper.json"], 2),
+    ("mnist-epochs-negative",
+     ["mnist-demo", "--data-dir", "{idx}", "--epochs", "-1"], 2),
+    ("mnist-n-samples-0",
+     ["mnist-demo", "--data-dir", "{idx}", "--n-samples", "0"], 2),
+    ("eval-csv-inputs", ["eval", *_CKPT, "--data", "{csv}/x3y1.csv"], 3),
+    ("eval-csv-targets", ["eval", *_CKPT, "--data", "{csv}/x2y2.csv"], 3),
+    ("distill-csv-inputs", ["distill", *_CKPT, "--data", "{csv}/x3y1.csv"], 3),
+    ("distill-csv-targets", ["distill", *_CKPT, "--data", "{csv}/x2y2.csv"],
+     3),
+]
+
+
+def _hostile_cases():
+    for name, command, flags, config in _OPTION_CASES:
+        for form, given in (("flag", flags), ("config", config)):
+            fields = {k: v for k, v in _BASE_FIELDS[command].items()
+                      if k not in given}
+            if form == "flag":
+                fields.update(given)
+            argv = [command] + [a for field, value in fields.items()
+                                for a in (f"--{field}", value)]
+            yield pytest.param(argv, given if form == "config" else None, 2,
+                               id=f"{command}-{form}-{name}")
+    for name, argv, code in _FLAG_CASES:
+        yield pytest.param(argv, None, code, id=name)
+
+
+@pytest.fixture(scope="module")
+def hostile_inputs(workspace):
+    """CSVs of assorted widths and a tiny IDX set next to the workspace."""
+    csv_dir = workspace / "widths"
+    csv_dir.mkdir()
+    for n_x, n_y in ((2, 1), (3, 1), (2, 2)):
+        header = [f"x{k + 1}" for k in range(n_x)] + \
+            [f"y{k + 1}" for k in range(n_y)]
+        rows = [",".join(["0.5"] * (n_x + n_y))] * 4
+        (csv_dir / f"x{n_x}y{n_y}.csv").write_text(
+            "\n".join([",".join(header), *rows]) + "\n")
+    idx_dir = workspace / "idx"
+    idx_dir.mkdir()
+    for split in ("train", "t10k"):
+        with open(idx_dir / f"{split}-images-idx3-ubyte", "wb") as fh:
+            fh.write(struct.pack(">IIII", 0x00000803, 4, 2, 2))
+            fh.write(bytes(range(16)))
+        with open(idx_dir / f"{split}-labels-idx1-ubyte", "wb") as fh:
+            fh.write(struct.pack(">II", 0x00000801, 4) + bytes([0, 1, 0, 1]))
+    return {"csv": csv_dir, "idx": idx_dir,
+            "ckpt": workspace / "run" / "best.json"}
+
+
+@pytest.mark.parametrize("argv, config, code", _hostile_cases())
+def test_hostile_input_exits_with_its_code(hostile_inputs, tmp_path, capsys,
+                                           argv, config, code):
+    """Out-of-range options and CSVs that do not fit the network exit
+    with their documented code and one error line, never a traceback."""
+    def fill(value):
+        return value.format(tmp=tmp_path, **hostile_inputs) \
+            if isinstance(value, str) else value
+
+    argv = [fill(a) for a in argv]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({k: fill(v) for k, v in config.items()}))
+        argv += ["--config", str(path)]
+    assert main(argv) == code
+    prefix = {2: "config error:", 3: "data error:"}[code]
+    assert capsys.readouterr().err.startswith(prefix)

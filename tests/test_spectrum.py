@@ -129,11 +129,6 @@ class TestEmpiricalSpectrum:
         with pytest.raises(DegenerateSpectrumError):
             spectrum.empirical_spectrum(p, frequencies=bad)
 
-    def test_sample_count_floor(self):
-        p = init_daruan(1, np.random.default_rng(106))
-        with pytest.raises(ValueError):
-            spectrum.empirical_spectrum(p, sample_count=3)
-
     def test_report_json(self):
         p = init_daruan(2, np.random.default_rng(107), geometric=False)
         _, report = spectrum.verify_spectrum(p, tol=1e-8)
