@@ -14,10 +14,11 @@ import hashlib
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, QkanError
 from .network import LinearLayer, QkanLayer, QkanNetwork
 
 FORMAT_VERSION = 1
@@ -38,6 +39,18 @@ def atomic_write_text(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+@contextmanager
+def reading(path, error: type[QkanError], what: str):
+    """Context yielding the text file at `path`, opened with newline="".
+    A file that cannot be opened, read or decoded raises `error`, naming
+    the file as `what`."""
+    try:
+        with open(path, newline="") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from None
 
 
 def config_hash(config: dict) -> str:
@@ -125,10 +138,8 @@ def save_checkpoint(net: QkanNetwork, path,
 def load_checkpoint(path):
     """Returns (network, full checkpoint document)."""
     try:
-        with open(path) as fh:
+        with reading(path, DataError, "checkpoint") as fh:
             doc = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid checkpoint JSON: {exc}") from None
     return network_from_dict(doc), doc

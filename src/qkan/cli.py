@@ -6,9 +6,10 @@ their field tables: each field is both a flag and a key of an optional
 --config JSON file, flags win on conflict, and the table's parse
 function converts either. Output files are written atomically (temp
 file + rename). Exit codes: 0 success, 2 config error (including an
-out-of-range option value), 3 data error (including a CSV that does
-not fit the checkpoint), 4 numerical failure. The QKAN_OUT environment
-variable sets the default output root.
+out-of-range option value, an unreadable config file and an output that
+cannot be written), 3 data error (including an unreadable input file
+and a CSV that does not fit the checkpoint), 4 numerical failure. The
+QKAN_OUT environment variable sets the default output root.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from . import data as datamod
 from . import distill as distillmod
 from . import spectrum as spectrummod
 from .checkpoint import (atomic_write_text, config_hash, load_checkpoint,
-                         network_to_dict, save_checkpoint)
+                         reading, save_checkpoint)
 from .daruan import DaruanParams, init_daruan
 from .errors import ConfigError, DataError, NumericalError, QkanError
 from .network import QkanNetwork, make_hqkan
@@ -44,10 +46,8 @@ def _load_config(path) -> dict:
     if path is None:
         return {}
     try:
-        with open(path) as fh:
+        with reading(path, ConfigError, "config") as fh:
             cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid config JSON: {exc}") from None
     if not isinstance(cfg, dict):
@@ -142,8 +142,20 @@ def _range_pair(v):
     return [lo, hi]
 
 
+@contextmanager
+def _writing(path):
+    """Reports a failed write of the output `path` as a config error
+    naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") \
+            from None
+
+
 def _ensure_out_dir(path) -> str:
-    os.makedirs(path, exist_ok=True)
+    with _writing(path):
+        os.makedirs(path, exist_ok=True)
     return path
 
 
@@ -303,7 +315,8 @@ def cmd_eval(args) -> int:
     report = json.dumps({"checkpoint": args.checkpoint, "data": args.data,
                          "n_samples": len(dataset), "rmse": value}, indent=2)
     if args.out:
-        atomic_write_text(args.out, report + "\n")
+        with _writing(args.out):
+            atomic_write_text(args.out, report + "\n")
     print(report)
     return 0
 
@@ -333,7 +346,8 @@ def cmd_spectrum(args) -> int:
     ok, report = spectrummod.verify_spectrum(p, tol=args.tol)
     text = report.to_json()
     if args.out:
-        atomic_write_text(args.out, text + "\n")
+        with _writing(args.out):
+            atomic_write_text(args.out, text + "\n")
     print(text)
     print(f"spectrum residual {report.residual_l2:.3e} "
           f"{'<' if ok else '>='} tol {args.tol:g}: "
@@ -355,7 +369,8 @@ def cmd_extend(args) -> int:
                              f"on the probe grid")
     provenance = dict(doc.get("provenance", {}), extended_from=doc["r"],
                       probe_max_diff=diff)
-    save_checkpoint(net, args.out, provenance=provenance)
+    with _writing(args.out):
+        save_checkpoint(net, args.out, provenance=provenance)
     print(f"extended r {doc['r']} -> {args.new_r}; probe max diff {diff:.3e}; "
           f"wrote {args.out}")
     return 0
@@ -364,10 +379,11 @@ def cmd_extend(args) -> int:
 def cmd_distill(args) -> int:
     net, _ = load_checkpoint(args.checkpoint)
     dataset = _read_data_for(net, args.data)
-    domains = distillmod.calibrate_domains(net, dataset.inputs)
+    calibrated = distillmod._calibrated(net, dataset.inputs)
+    domains = next(calibrated)
     spline_net, fit_report = distillmod.distill_network(
         net, domains, grid_size=args.grid_size, degree=args.degree)
-    source = net.forward(dataset.inputs)
+    source = next(calibrated)
     distilled, clamped = spline_net.evaluate(dataset.inputs)
     out = _ensure_out_dir(args.out or _default_out("distill"))
     atomic_write_text(os.path.join(out, "spline.json"),

@@ -30,8 +30,9 @@ and gamma_r gets exactly 0. Every parameter still enters one rotation
 with unit coefficient, so the parameter-shift rule stays exact.
 
 Batched routines operate on stacked edge parameters with shape
-(N, M, ...) and inputs (B, M), producing (B, N, M) outputs; the scalar
-API wraps them with B = N = M = 1.
+(N, M, ...) and inputs (B, M), producing (B, N, M) outputs. A single
+edge is a 1x1 QkanLayer (QkanLayer.of_edge), so the scalar API below
+runs the layer's forward, backward, extension and initialisation.
 """
 
 from __future__ import annotations
@@ -93,14 +94,7 @@ class DaruanParams:
         return self.enc_w.size
 
     def copy(self) -> "DaruanParams":
-        return DaruanParams(
-            enc_w=self.enc_w.copy(),
-            enc_b=self.enc_b.copy(),
-            angles=self.angles.copy(),
-            w_base=self.w_base,
-            w_quant=self.w_quant,
-            out_bias=self.out_bias,
-        )
+        return _edge_layer(self).get_edge(0, 0)
 
 
 @dataclass
@@ -119,21 +113,10 @@ class DaruanGrad:
 def init_daruan(r: int, rng: np.random.Generator, angle_scale: float = 0.1,
                 geometric: bool = True) -> DaruanParams:
     """Default initialization: small random angles, geometric encoding
-    weights w_l = 2^(l-1) (unit weights when geometric=False)."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if geometric:
-        enc_w = 2.0 ** np.arange(r, dtype=np.float64)
-    else:
-        enc_w = np.ones(r, dtype=np.float64)
-    return DaruanParams(
-        enc_w=enc_w,
-        enc_b=np.zeros(r),
-        angles=rng.uniform(-angle_scale, angle_scale, size=(r + 1, 3)),
-        w_base=1.0,
-        w_quant=1.0,
-        out_bias=0.0,
-    )
+    weights w_l = 2^(l-1) (unit weights when geometric=False): the
+    edge of a 1x1 QkanLayer.init."""
+    from .network import QkanLayer   # here, since network imports this module
+    return QkanLayer.init(1, 1, r, rng, angle_scale, geometric).get_edge(0, 0)
 
 
 # --- batched circuit core ---------------------------------------------------
@@ -269,47 +252,41 @@ def circuit_gradients(enc_w, enc_b, angles, x):
 # --- scalar edge API --------------------------------------------------------
 
 
-def _stacked(p: DaruanParams):
-    return (p.enc_w[None, None, :], p.enc_b[None, None, :],
-            p.angles[None, None, :, :])
+def _edge_layer(p: DaruanParams):
+    """The 1x1 QkanLayer of views of p."""
+    from .network import QkanLayer   # here, since network imports this module
+    return QkanLayer.of_edge(p)
+
+
+def _edge_input(x) -> np.ndarray:
+    if not np.isfinite(x):
+        raise ValueError("x must be finite")
+    return np.array([[x]], dtype=np.float64)
 
 
 def raw_expectation(p: DaruanParams, x: float) -> float:
     """Pauli-Z expectation of the circuit on the Hadamard-initialized
     state; always in [-1, 1]."""
-    if not np.isfinite(x):
-        raise ValueError("x must be finite")
-    ew, eb, ang = _stacked(p)
-    return float(circuit_expectation(ew, eb, ang, np.array([[x]]))[0, 0, 0])
+    layer = _edge_layer(p)
+    return float(circuit_expectation(layer.enc_w, layer.enc_b, layer.angles,
+                                     _edge_input(x))[0, 0, 0])
 
 
 def forward(p: DaruanParams, x: float) -> float:
     """w_base * silu(x) + w_quant * raw_expectation + out_bias."""
-    return p.w_base * float(silu(x)) + p.w_quant * raw_expectation(p, x) + p.out_bias
+    return float(_edge_layer(p).forward(_edge_input(x))[0, 0])
 
 
 def backward(p: DaruanParams, x: float, upstream: float = 1.0) -> DaruanGrad:
     """Exact derivatives of upstream * forward(p, x) for every field of
     p and for x."""
-    if not np.isfinite(x):
-        raise ValueError("x must be finite")
-    ew, eb, ang = _stacked(p)
-    f, g_enc, g_ang = circuit_gradients(ew, eb, ang, np.array([[x]]))
-    f = float(f[0, 0, 0])
-    g_enc = g_enc[0, 0, 0]              # (r,)
-    g_ang = g_ang[0, 0, 0]              # (r+1, 3)
-    wq = p.w_quant * upstream
-    d_input = upstream * (p.w_base * float(silu_grad(x))
-                          + p.w_quant * float(np.dot(p.enc_w, g_enc)))
-    return DaruanGrad(
-        enc_w=wq * x * g_enc,
-        enc_b=wq * g_enc,
-        angles=wq * g_ang,
-        w_base=upstream * float(silu(x)),
-        w_quant=upstream * f,
-        out_bias=upstream,
-        d_input=d_input,
-    )
+    layer, tape = _edge_layer(p), []
+    layer.forward(_edge_input(x), tape)
+    grads = [np.empty(a.shape) for a in layer.arrays()]
+    d_input = layer.backward(tape[0], np.array([[upstream]], dtype=np.float64),
+                             grads)
+    return DaruanGrad(*(g[0, 0] if g.ndim > 2 else float(g[0, 0])
+                        for g in grads), d_input=float(d_input[0, 0]))
 
 
 def parameter_shift_grad(p: DaruanParams, x: float, which) -> float:
@@ -348,14 +325,6 @@ def extend(p: DaruanParams, new_r: int) -> DaruanParams:
     New angles, enc_b and enc_w are all zero, so the appended gates act
     trivially and forward(extend(p), x) == forward(p, x) exactly.
     """
-    if new_r <= p.r:
-        raise ValueError(f"new_r must exceed current r={p.r}, got {new_r}")
-    extra = new_r - p.r
-    return DaruanParams(
-        enc_w=np.concatenate([p.enc_w, np.zeros(extra)]),
-        enc_b=np.concatenate([p.enc_b, np.zeros(extra)]),
-        angles=np.concatenate([p.angles, np.zeros((extra, 3))], axis=0),
-        w_base=p.w_base,
-        w_quant=p.w_quant,
-        out_bias=p.out_bias,
-    )
+    layer = _edge_layer(p)
+    layer.extend(new_r)
+    return layer.get_edge(0, 0)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import atomic_write_text
+from .checkpoint import atomic_write_text, reading
 from .errors import DataError
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -165,7 +165,7 @@ def write_csv(dataset: Dataset, path) -> None:
 
 
 def read_csv(path) -> Dataset:
-    with open(path, newline="") as fh:
+    with reading(path, DataError, "CSV") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

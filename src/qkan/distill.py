@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from . import daruan
 from .daruan import DaruanParams, silu
 from .errors import FitError
-from .network import LinearLayer, QkanNetwork, _as_batch
+from .network import LinearLayer, QkanLayer, QkanNetwork, _as_batch
 
 
 def make_knots(lo: float, hi: float, grid_size: int, degree: int) -> np.ndarray:
@@ -121,7 +120,7 @@ class SplineModel:
 def sample_activation(p: DaruanParams, lo: float, hi: float, count: int):
     """Uniform samples of the edge output minus the silu residual term,
     i.e. the part the spline will replace."""
-    xs, ys = _sample_edges(_EdgeRow.of_edge(p),
+    xs, ys = _sample_edges(QkanLayer.of_edge(p),
                            np.array([lo], dtype=np.float64),
                            np.array([hi], dtype=np.float64), count)
     return xs[:, 0], ys[:, 0]
@@ -136,38 +135,15 @@ def fit_spline(xs, ys, grid_size: int, degree: int = 3,
 
 def distill_edge(p: DaruanParams, lo: float, hi: float, grid_size: int = 20,
                  degree: int = 3, samples: int = 256) -> SplineModel:
-    return _distill_edges(_EdgeRow.of_edge(p),
+    return _distill_edges(QkanLayer.of_edge(p),
                           np.array([[lo, hi]], dtype=np.float64),
                           grid_size, degree, samples)[0]
 
 
-class _EdgeRow(NamedTuple):
-    """K activation edges as one row: every parameter array has the
-    edge index as its leading axis."""
-
-    enc_w: np.ndarray      # (K, r)
-    enc_b: np.ndarray      # (K, r)
-    angles: np.ndarray     # (K, r+1, 3)
-    w_base: np.ndarray     # (K,)
-    w_quant: np.ndarray    # (K,)
-    out_bias: np.ndarray   # (K,)
-
-    @classmethod
-    def of_edge(cls, p: DaruanParams) -> "_EdgeRow":
-        return cls(*(np.asarray(getattr(p, name))[None]
-                     for name in cls._fields))
-
-    @classmethod
-    def of_layer(cls, layer) -> "_EdgeRow":
-        """The layer's edges in row-major order: its (n_out, n_in, ...)
-        arrays reshaped to (n_out * n_in, ...)."""
-        k = layer.n_out * layer.n_in
-        return cls(*(a.reshape((k,) + a.shape[2:]) for a in layer.arrays()))
-
-
-def _sample_edges(edges: _EdgeRow, lo, hi, count: int):
-    """Samples of w_quant * <Z> + out_bias for a row of K edges, edge k
-    at `count` uniform points of [lo[k], hi[k]], from one circuit call.
+def _sample_edges(row: QkanLayer, lo, hi, count: int):
+    """Samples of w_quant * <Z> + out_bias for a 1 x K layer of edges,
+    edge k at `count` uniform points of [lo[k], hi[k]], from one circuit
+    call.
 
     Returns xs and ys, both (count, K).
     """
@@ -176,9 +152,8 @@ def _sample_edges(edges: _EdgeRow, lo, hi, count: int):
     if not np.all(lo < hi):
         raise ValueError("lo must be below hi")
     xs = np.linspace(lo, hi, count)
-    raw = daruan.circuit_expectation(edges.enc_w[None], edges.enc_b[None],
-                                     edges.angles[None], xs)[:, 0]
-    return xs, edges.w_quant * raw + edges.out_bias
+    raw = daruan.circuit_expectation(row.enc_w, row.enc_b, row.angles, xs)
+    return xs, (row.w_quant * raw + row.out_bias)[:, 0]
 
 
 def _fit_columns(xs, ys, grid_size: int, degree: int,
@@ -206,9 +181,9 @@ def _fit_columns(xs, ys, grid_size: int, degree: int,
             for c, e_max, e_rms in zip(coef.T.copy(), max_err, rms_err)]
 
 
-def _distill_edges(edges: _EdgeRow, bounds, grid_size: int, degree: int,
+def _distill_edges(row: QkanLayer, bounds, grid_size: int, degree: int,
                    samples: int, edge_name=None) -> list:
-    """Distill a row of K edges with domains bounds (K, 2).
+    """Distill a 1 x K layer of edges with domains bounds (K, 2).
 
     One circuit call samples every edge, and the edges whose domains
     are bitwise equal share one design matrix and one least-squares
@@ -219,7 +194,7 @@ def _distill_edges(edges: _EdgeRow, bounds, grid_size: int, degree: int,
     """
     valid = bounds[:, 0] < bounds[:, 1]
     n = len(bounds) if valid.all() else int(np.argmin(valid))
-    xs, ys = _sample_edges(_EdgeRow(*(a[:n] for a in edges)),
+    xs, ys = _sample_edges(QkanLayer(*(a[:, :n] for a in row.arrays())),
                            bounds[:n, 0], bounds[:n, 1], samples)
     # keyed by bit pattern, so that -0.0 and 0.0 give their own knots
     groups: dict = {}
@@ -236,8 +211,8 @@ def _distill_edges(edges: _EdgeRow, bounds, grid_size: int, degree: int,
                 raise
             raise FitError(f"{edge_name(cols[0])}: {exc}") from exc
         for k, model in zip(cols, fitted):
-            model.w_base = float(edges.w_base[k])
-            model.out_bias = float(edges.out_bias[k])
+            model.w_base = float(row.w_base[0, k])
+            model.out_bias = float(row.out_bias[0, k])
             models[k] = model
     if n < len(bounds):
         raise ValueError("lo must be below hi")
@@ -469,6 +444,13 @@ def calibrate_domains(net: QkanNetwork, inputs, widen: float = 0.1) -> dict:
     Keys are (layer_index, out_node, in_node); every edge fed by one
     input gets that input's range.
     """
+    return next(_calibrated(net, inputs, widen))
+
+
+def _calibrated(net: QkanNetwork, inputs, widen: float = 0.1):
+    """Yields calibrate_domains(net, inputs, widen), then the network
+    output on the inputs, so a caller that needs both runs each layer
+    once; the last layer runs only when the output is asked for."""
     x, _ = _as_batch(np.asarray(inputs, dtype=np.float64), net.in_dim,
                      "calibration inputs")
     if net.encoder is not None:
@@ -484,7 +466,9 @@ def calibrate_domains(net: QkanNetwork, inputs, widen: float = 0.1) -> dict:
                 domains[(li, j, i)] = (lo[i], hi[i])
         if li + 1 < len(net.layers):
             x = layer.forward(x)
-    return domains
+    yield domains
+    x = net.layers[-1].forward(x)
+    yield x if net.decoder is None else net.decoder.forward(x)
 
 
 def distill_network(net: QkanNetwork, domains: dict, grid_size: int = 20,
@@ -503,7 +487,7 @@ def distill_network(net: QkanNetwork, domains: dict, grid_size: int = 20,
         if bounds.shape != (n_out * n_in, 2):
             raise ValueError("each domain must be a (lo, hi) pair")
         models = _distill_edges(
-            _EdgeRow.of_layer(layer), bounds, grid_size, degree, samples,
+            layer.as_row(), bounds, grid_size, degree, samples,
             edge_name=lambda k: f"edge (layer {li}, out {k // n_in}, "
                                 f"in {k % n_in})")
         grids.append([models[j * n_in:(j + 1) * n_in] for j in range(n_out)])

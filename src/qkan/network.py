@@ -93,6 +93,20 @@ class QkanLayer(_Stage):
         layer.w_quant[...] = 1.0
         return layer
 
+    @classmethod
+    def of_edge(cls, p: DaruanParams) -> "QkanLayer":
+        """A 1x1 layer of [None, None] views of p's arrays, so one edge
+        runs through the layer code; the inverse of get_edge(0, 0)."""
+        return cls(*(np.asarray(getattr(p, name))[None, None]
+                     for name in cls.PARAMS))
+
+    def as_row(self) -> "QkanLayer":
+        """The same edges as a 1 x (n_out * n_in) layer of reshape views,
+        in row-major (out, in) order."""
+        k = self.n_out * self.n_in
+        return type(self)(*(a.reshape((1, k) + a.shape[2:])
+                            for a in self.arrays()))
+
     def get_edge(self, j: int, i: int) -> DaruanParams:
         values = (a[j, i] for a in self.arrays())
         return DaruanParams(*(v.copy() if v.ndim else float(v)
@@ -151,7 +165,8 @@ class QkanLayer(_Stage):
         each array keeps its values in the leading corner of the grown
         array and the new entries are zero."""
         if new_r <= self.r:
-            raise ValueError(f"new_r must exceed current r={self.r}")
+            raise ValueError(f"new_r must exceed current r={self.r}, "
+                             f"got {new_r}")
         grown = QkanLayer.zeros(self.n_in, self.n_out, new_r)
         for name, old in zip(self.PARAMS, self.arrays()):
             new = getattr(grown, name)

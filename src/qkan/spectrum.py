@@ -17,6 +17,7 @@ import numpy as np
 
 from .daruan import DaruanParams, circuit_expectation
 from .errors import DegenerateSpectrumError
+from .network import QkanLayer
 
 #: merging tolerance for numerically equal signed sums
 DEDUP_TOL = 1e-9
@@ -102,8 +103,8 @@ def empirical_spectrum(p: DaruanParams,
     else:
         freqs = np.asarray(frequencies, dtype=np.float64)
     xs = _sample_grid(freqs, 4 * (2 * freqs.size + 1))
-    ys = circuit_expectation(p.enc_w[None, None, :], p.enc_b[None, None, :],
-                             p.angles[None, None, :, :],
+    edge = QkanLayer.of_edge(p)
+    ys = circuit_expectation(edge.enc_w, edge.enc_b, edge.angles,
                              xs[:, None])[:, 0, 0]
     design = np.exp(1j * np.outer(xs, freqs))
     cond = np.linalg.cond(design)

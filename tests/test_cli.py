@@ -1,14 +1,15 @@
 """End-to-end CLI tests; commands run in-process through main()."""
 
 import json
+import os
 import re
 import struct
 
 import numpy as np
 import pytest
 
-from qkan import read_csv
-from qkan.checkpoint import load_checkpoint
+from qkan import QkanNetwork, SplineNetwork, daruan, read_csv, rmse
+from qkan.checkpoint import load_checkpoint, save_checkpoint
 from qkan.cli import _GEN_DATA_FIELDS, _TRAIN_FIELDS, main
 
 
@@ -204,6 +205,34 @@ class TestDistill:
         assert (out / "spline.json").exists()
         assert report["clamp_count"] == 0
 
+    @pytest.mark.parametrize("shape", [[2, 1], [2, 2, 1], [2, 3, 2, 1]])
+    def test_one_data_forward_per_layer(self, workspace, tmp_path, shape,
+                                        monkeypatch):
+        """Calibration and the fidelity check share one forward pass over
+        the data, so each layer's circuit runs once on the data and once
+        to sample its edges."""
+        ckpt, out = tmp_path / "ckpt.json", tmp_path / "out"
+        net = QkanNetwork.init(shape, 2, np.random.default_rng(5))
+        save_checkpoint(net, ckpt)
+        data = workspace / "data" / "train.csv"
+        calls = []
+        forward = daruan.circuit_forward
+
+        def counted(*args, **kwargs):
+            calls.append(args[3].shape[0])
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(daruan, "circuit_forward", counted)
+        assert run("distill", "--checkpoint", str(ckpt), "--data", str(data),
+                   "--out", str(out)) == 0
+        layers = len(shape) - 1
+        assert sorted(calls) == [200] * layers + [256] * layers
+        report = json.loads((out / "distill_report.json").read_text())
+        spline_net = SplineNetwork.from_json((out / "spline.json").read_text())
+        x = read_csv(data).inputs
+        assert report["source_vs_distilled_rmse"] == rmse(
+            spline_net.forward(x), net.forward(x))
+
 
 class TestMnistDemo:
     def test_skips_without_files(self, tmp_path, capsys):
@@ -274,6 +303,8 @@ _OPTION_CASES = [
       for command in ("gen-data", "train")
       for field, value in (("n-train", "0"), ("n-train", "-5"),
                            ("noise-frac", "-1"), ("n-test", "0"))],
+    *[("out-is-a-file", command, {"out": "{file}"}, {"out": "{file}"})
+      for command in ("gen-data", "train")],
     ("test-csv-inputs", "train",
      {"train-csv": "{csv}/x2y1.csv", "test-csv": "{csv}/x3y1.csv",
       "shape": "2,1"},
@@ -312,6 +343,22 @@ _FLAG_CASES = [
     ("distill-csv-inputs", ["distill", *_CKPT, "--data", "{csv}/x3y1.csv"], 3),
     ("distill-csv-targets", ["distill", *_CKPT, "--data", "{csv}/x2y2.csv"],
      3),
+    # outputs that cannot be written
+    ("eval-out-in-missing-dir",
+     ["eval", *_CKPT, "--data", "{csv}/x2y1.csv", "--out", "{tmp}/no/e.json"],
+     2),
+    ("extend-out-in-missing-dir",
+     ["extend", *_CKPT, "--new-r", "3", "--out", "{tmp}/no/deeper.json"], 2),
+    ("spectrum-out-in-missing-dir",
+     ["spectrum", "--r", "2", "--out", "{tmp}/no/spectrum.json"], 2),
+    ("distill-out-is-a-file",
+     ["distill", *_CKPT, "--data", "{csv}/x2y1.csv", "--out", "{file}"], 2),
+    # inputs that cannot be read or decoded
+    ("eval-csv-missing", ["eval", *_CKPT, "--data", "{tmp}/missing.csv"], 3),
+    ("eval-csv-undecodable", ["eval", *_CKPT, "--data", "{undecodable}"], 3),
+    ("eval-checkpoint-undecodable",
+     ["eval", "--checkpoint", "{undecodable}", "--data", "{csv}/x2y1.csv"], 3),
+    ("train-config-undecodable", ["train", "--config", "{undecodable}"], 2),
 ]
 
 
@@ -349,15 +396,21 @@ def hostile_inputs(workspace):
             fh.write(bytes(range(16)))
         with open(idx_dir / f"{split}-labels-idx1-ubyte", "wb") as fh:
             fh.write(struct.pack(">II", 0x00000801, 4) + bytes([0, 1, 0, 1]))
-    return {"csv": csv_dir, "idx": idx_dir,
+    taken = workspace / "taken"
+    taken.write_text("a file, not a directory\n")
+    undecodable = workspace / "undecodable"
+    undecodable.write_bytes(b"\xff\xfe" + "x1,y1\n".encode("utf-16-le"))
+    return {"csv": csv_dir, "idx": idx_dir, "file": taken,
+            "undecodable": undecodable,
             "ckpt": workspace / "run" / "best.json"}
 
 
 @pytest.mark.parametrize("argv, config, code", _hostile_cases())
 def test_hostile_input_exits_with_its_code(hostile_inputs, tmp_path, capsys,
                                            argv, config, code):
-    """Out-of-range options and CSVs that do not fit the network exit
-    with their documented code and one error line, never a traceback."""
+    """Out-of-range options, CSVs that do not fit the network, unreadable
+    inputs and unwritable outputs exit with their documented code and one
+    error line, never a traceback, and leave no output behind."""
     def fill(value):
         return value.format(tmp=tmp_path, **hostile_inputs) \
             if isinstance(value, str) else value
@@ -370,3 +423,6 @@ def test_hostile_input_exits_with_its_code(hostile_inputs, tmp_path, capsys,
     assert main(argv) == code
     prefix = {2: "config error:", 3: "data error:"}[code]
     assert capsys.readouterr().err.startswith(prefix)
+    assert sorted(os.listdir(tmp_path)) == ([] if config is None
+                                            else ["cfg.json"])
+    assert hostile_inputs["file"].read_text() == "a file, not a directory\n"

@@ -5,10 +5,13 @@ single-edge API, and all stacked gradients against central finite
 differences through the flat parameter vector.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from qkan import daruan
+from qkan.daruan import DaruanGrad, DaruanParams
 from qkan.network import (LinearLayer, QkanLayer, QkanNetwork, latent_dim,
                           make_hqkan, param_count)
 
@@ -22,6 +25,49 @@ def scalar_layer_forward(layer: QkanLayer, x: np.ndarray) -> np.ndarray:
             for i in range(layer.n_in):
                 y[bi, j] += daruan.forward(layer.get_edge(j, i), x[bi, i])
     return y
+
+
+class TestEdgeLayout:
+    """get_edge fills DaruanParams by position and the scalar API reads
+    DaruanGrad by position, so their fields must follow QkanLayer.PARAMS;
+    a reordering would silently swap w_base, w_quant and out_bias."""
+
+    @staticmethod
+    def distinct_edge(seed: int) -> DaruanParams:
+        rng = np.random.default_rng(seed)
+        p = daruan.init_daruan(3, rng, angle_scale=2.0)
+        p.enc_w, p.enc_b = rng.normal(size=(2, 3))
+        p.w_base, p.w_quant, p.out_bias = -0.5, 1.25, 0.375
+        return p
+
+    @staticmethod
+    def edge_bytes(p: DaruanParams) -> list:
+        return [np.asarray(getattr(p, name)).tobytes()
+                for name in QkanLayer.PARAMS]
+
+    def test_fields_follow_params(self):
+        assert [f.name for f in fields(DaruanParams)] == list(QkanLayer.PARAMS)
+        assert [f.name for f in fields(DaruanGrad)] == [*QkanLayer.PARAMS,
+                                                        "d_input"]
+
+    def test_of_edge_is_the_inverse_of_get_edge(self):
+        p = self.distinct_edge(46)
+        layer = QkanLayer.of_edge(p)
+        assert (layer.n_out, layer.n_in, layer.r) == (1, 1, 3)
+        assert np.shares_memory(layer.angles, p.angles)
+        assert self.edge_bytes(layer.get_edge(0, 0)) == self.edge_bytes(p)
+
+    def test_as_row_views_edges_in_row_major_order(self):
+        layer = QkanLayer.init(3, 2, 2, np.random.default_rng(47),
+                               angle_scale=1.0)
+        layer.out_bias[...] = np.arange(6.0).reshape(2, 3)
+        row = layer.as_row()
+        assert (row.n_out, row.n_in, row.r) == (1, 6, 2)
+        assert np.shares_memory(row.enc_w, layer.enc_w)
+        for j in range(2):
+            for i in range(3):
+                assert (self.edge_bytes(row.get_edge(0, 3 * j + i))
+                        == self.edge_bytes(layer.get_edge(j, i)))
 
 
 class TestLayer:

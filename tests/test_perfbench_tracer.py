@@ -26,7 +26,9 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
         net = QkanNetwork.init([2, 1], 1, rng)
         net.grad_vector(net.backward(rng.normal(size=(3, 2)),
                                      np.ones((3, 1))))
-        daruan.backward(daruan.init_daruan(2, rng), 0.3)
+        layer = net.layers[0]
+        daruan.circuit_gradients(layer.enc_w, layer.enc_b, layer.angles,
+                                 rng.normal(size=(3, 2)))
     finally:
         t.uninstall()
     assert daruan.circuit_gradients is original
