@@ -13,8 +13,8 @@ from .data import (Dataset, FEYNMAN_SPECS, gen_regression, gen_sinc, get_spec,
                    read_csv, read_idx, sinc20, write_csv)
 from .distill import (SplineModel, SplineNetwork, calibrate_domains,
                       distill_edge, distill_network, fit_spline)
-from .errors import (ConfigError, DataError, DegenerateSpectrumError,
-                     FitError, NumericalError, QkanError)
+from .errors import (ConfigError, DataError, FitError, NumericalError,
+                     QkanError)
 from .network import (LinearLayer, QkanLayer, QkanNetwork, latent_dim,
                       make_hqkan, param_count)
 from .spectrum import (SpectrumReport, empirical_spectrum,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState", "ConfigError", "DaruanGrad", "DaruanParams", "DataError",
-    "Dataset", "DegenerateSpectrumError", "FEYNMAN_SPECS", "FitError",
+    "Dataset", "FEYNMAN_SPECS", "FitError",
     "LinearLayer", "NumericalError", "QkanError", "QkanLayer", "QkanNetwork",
     "SpectrumReport", "SplineModel", "SplineNetwork", "TrainConfig",
     "TrainResult", "adam_step", "backward", "calibrate_domains",

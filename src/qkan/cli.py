@@ -97,7 +97,8 @@ _nonnegative_int = _checked(int, lambda n: n >= 0, "an integer >= 0")
 _positive_int = _checked(int, lambda n: n >= 1, "an integer >= 1")
 _nonnegative_float = _checked(float, lambda x: 0.0 <= x < math.inf,
                               "a finite number >= 0")
-_positive_float = _checked(float, lambda x: x > 0.0, "a number > 0")
+_positive_float = _checked(float, lambda x: 0.0 < x < math.inf,
+                           "a finite number > 0")
 
 
 def _one_of(*choices):
@@ -235,7 +236,7 @@ _TRAIN_FIELDS = {
     "r": (_positive_int, 3, False),
     "optimizer": (_one_of("lbfgs", "adam"), "lbfgs", False),
     "epochs": (_nonnegative_int, 200, False),
-    "lr": (float, 1e-3, False),
+    "lr": (_positive_float, 1e-3, False),
     "history": (_nonnegative_int, 10, False),
     "seeds": (_seeds, DEFAULT_SEEDS, False),
     "n-train": (_positive_int, 1000, False),
@@ -526,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-dir", required=True)
     p.add_argument("--n-samples", type=_positive_int, default=2000)
     p.add_argument("--epochs", type=_nonnegative_int, default=50)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--lr", type=_positive_float, default=1e-3)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.set_defaults(func=cmd_mnist_demo)
 

@@ -56,8 +56,9 @@ class FeynmanSpec:
     shape: tuple    # default network shape for this equation
 
 
-def _sinc20(x):
-    # sin(20x)/(20x) with the removable singularity defined by its limit
+def sinc20(x):
+    """The clean sinc target sin(20x)/(20x), with sinc20(0) = 1."""
+    # the removable singularity is defined by its limit
     u = 20.0 * np.asarray(x, dtype=np.float64)
     return np.where(np.abs(u) < 1e-12, 1.0,
                     np.sin(np.where(u == 0, 1.0, u)) / np.where(u == 0, 1.0, u))
@@ -134,17 +135,12 @@ def gen_sinc(n_train: int = 1000, n_test: int = 1000, noise_std: float = 0.1,
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x51AC]))
     x_train = rng.uniform(0.0, 1.0, size=(n_train, 1))
     x_test = rng.uniform(0.0, 1.0, size=(n_test, 1))
-    y_train = _sinc20(x_train) + rng.normal(0.0, noise_std, size=(n_train, 1))
-    y_test = _sinc20(x_test)
+    y_train = sinc20(x_train) + rng.normal(0.0, noise_std, size=(n_train, 1))
+    y_test = sinc20(x_test)
     meta = {"equation": "sinc20", "seed": seed, "noise_std": noise_std,
             "range": [0.0, 1.0]}
     return (Dataset(x_train, y_train, dict(meta, split="train")),
             Dataset(x_test, y_test, dict(meta, split="test", clean=True)))
-
-
-def sinc20(x):
-    """The clean sinc target, with sinc20(0) = 1."""
-    return _sinc20(x)
 
 
 # --- CSV serialization ------------------------------------------------------
@@ -204,8 +200,11 @@ def read_idx(path) -> np.ndarray:
     scaled to [0, 1] then normalized to mean 0.5, std 0.5. Labels
     (magic 0x00000801) come back as (n,) integers.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read IDX file {path}: {exc}") from None
     if len(blob) < 4:
         raise DataError(f"{path}: truncated IDX header at byte 0")
     (magic,) = struct.unpack(">I", blob[:4])

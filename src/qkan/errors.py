@@ -14,15 +14,11 @@ class ConfigError(QkanError):
 
 
 class DataError(QkanError):
-    """Malformed input files (CSV, IDX, checkpoints)."""
+    """Malformed or unreadable input files (CSV, IDX, checkpoints)."""
 
 
 class NumericalError(QkanError):
-    """Numerical failure during computation (NaN loss, failed fits)."""
-
-
-class DegenerateSpectrumError(NumericalError):
-    """Frequency-basis fit is too ill-conditioned to trust."""
+    """Numerical failure during computation (NaN loss, failed spline fits)."""
 
 
 class FitError(NumericalError):

@@ -1,11 +1,11 @@
-"""Numerical verification of the circuit frequency spectrum.
+"""Closed-form Fourier spectrum of one activation edge.
 
-The raw expectation of an activation edge, as a function of its input,
-is supported on the frequency set {sum_l m_l w_l : m_l in {-1, 0, 1}}
-built from the encoding weights. This module enumerates that set and
-least-squares fits sampled circuit outputs onto the basis
-{exp(i w x)}, reporting the fit residual. Least squares is used instead
-of an FFT so non-integer (non-periodic) weights are handled uniformly.
+An edge's raw expectation is <Z>(x) = sum_f c_f exp(i f x) over the
+signed sums f = sum_l m_l w_l, m_l in {-1, 0, 1}, of its encoding
+weights. One pass through the circuit carries (v_x, v_y, v_z) as
+coefficient vectors over the frequencies F: rz(w_l x + off_l) sends
+v_x +- i v_y to F +- w_l times exp(+-i off_l) / 2, and ry mixes v_z and
+v_x. The audit compares the series with circuit_expectation.
 """
 
 from __future__ import annotations
@@ -16,24 +16,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .daruan import DaruanParams, circuit_expectation
-from .errors import DegenerateSpectrumError
 from .network import QkanLayer
 
 #: merging tolerance for numerically equal signed sums
 DEDUP_TOL = 1e-9
 
-#: condition-number ceiling for the basis fit
-COND_LIMIT = 1e12
+#: where the series is checked against the circuit, in frequency blocks
+AUDIT_POINTS = np.linspace(-2.0 * np.pi, 2.0 * np.pi, 257)
+AUDIT_BLOCK = 1024
 
 
 @dataclass
 class SpectrumReport:
-    """Enumerated frequency set and fitted Fourier coefficients."""
+    """Enumerated frequency set and exact Fourier coefficients."""
 
     weights: np.ndarray          # encoding weights the set was built from
     frequencies: np.ndarray      # sorted, closed under negation, contains 0
     coefficients: dict           # frequency -> complex coefficient
-    residual_l2: float           # RMS fit residual over the sample grid
+    residual_l2: float           # RMS series-minus-circuit at AUDIT_POINTS
 
     @property
     def nonzero_count(self) -> int:
@@ -57,73 +57,76 @@ class SpectrumReport:
         return json.dumps(doc, indent=2)
 
 
+def _propagate(p: DaruanParams):
+    """Frequencies and coefficients of <Z>(x), in O(r |F| log |F|) time and
+    O(|F|) memory; rz(alpha_0) acts as an rz(theta) with w = 0. After each
+    rz a sum within DEDUP_TOL of the sorted sum below it joins that run,
+    which keeps its first sum and adds up its coefficients."""
+    alpha = p.angles[:, 0]
+    offsets = np.append(alpha[0], p.enc_b + p.angles[:-1, 2] + alpha[1:])
+    freqs, v = np.zeros(1), np.array([[1.0], [0.0], [0.0]], dtype=complex)
+    for w, off, beta in zip(np.append(0.0, p.enc_w), offsets, p.angles[:, 1]):
+        up = 0.5 * np.exp(1j * off) * (v[0] + 1j * v[1])     # to F + w
+        down = 0.5 * np.exp(-1j * off) * (v[0] - 1j * v[1])  # to F - w
+        zero = np.zeros(freqs.size)
+        v = np.array([np.concatenate(row) for row in (
+            (down, zero, up), (1j * down, zero, -1j * up), (zero, v[2], zero))])
+        sums = np.concatenate([freqs - w, freqs, freqs + w])
+        order = np.argsort(sums, kind="stable")
+        freqs = sums[order]
+        first = np.flatnonzero(np.append(True, np.diff(freqs) > DEDUP_TOL))
+        freqs, v = freqs[first], np.add.reduceat(v[:, order], first, axis=1)
+        c, s = np.cos(beta), np.sin(beta)
+        v[2], v[0] = v[2] * c - v[0] * s, v[2] * s + v[0] * c
+    return freqs, v[2]
+
+
 def enumerate_frequencies(weights) -> np.ndarray:
     """All 3^r signed sums of the weights, deduplicated within DEDUP_TOL.
 
-    The set grows one weight at a time: the sums S of the first l
-    weights become S - w, S and S + w, sorted, and a value is dropped
-    when it lies within DEDUP_TOL of the value below it. The cost is
-    O(r |F|) for a final set F rather than 3^r. The result is sorted,
-    contains 0 and is closed under negation.
+    The set does not depend on the angles or biases, so it is the one
+    _propagate builds for these weights with all of those zero. The cost
+    is O(r |F| log |F|) for a final set F rather than 3^r. The result is
+    sorted, contains 0 and is closed under negation.
     """
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 1 or weights.size < 1:
-        raise ValueError("weights must be a nonempty 1-D array")
-    if not np.all(np.isfinite(weights)):
-        raise ValueError("weights must be finite")
-    freqs = np.zeros(1)
-    for w in weights:
-        sums = np.sort(np.concatenate([freqs - w, freqs, freqs + w]))
-        freqs = sums[np.concatenate([[True], np.diff(sums) > DEDUP_TOL])]
-    return freqs
-
-
-def _sample_grid(freqs: np.ndarray, count: int) -> np.ndarray:
-    nonzero = np.abs(freqs[np.abs(freqs) > DEDUP_TOL])
-    integral = np.all(np.abs(nonzero - np.round(nonzero)) < DEDUP_TOL)
-    if integral or nonzero.size == 0:
-        period = 2.0 * np.pi
-    else:
-        gaps = np.diff(freqs)
-        period = 8.0 * np.pi / np.min(gaps[gaps > DEDUP_TOL])
-    return np.linspace(0.0, period, count, endpoint=False)
+    w = np.asarray(weights, dtype=np.float64)
+    edge = DaruanParams(w, np.zeros(w.shape), np.zeros((w.size + 1, 3)))
+    return _propagate(edge)[0]
 
 
 def empirical_spectrum(p: DaruanParams,
                        frequencies: np.ndarray | None = None) -> SpectrumReport:
-    """Fit sampled raw expectations onto the enumerated frequency basis.
+    """The edge's exact frequencies and coefficients, with the RMS
+    difference of their series from the circuit at AUDIT_POINTS.
 
-    Encoding biases are absorbed into the complex coefficients. The
-    sample grid oversamples the basis 4x to stabilize the fit. An
-    explicit `frequencies` array overrides the enumerated set (used to
-    probe deliberately truncated bases).
+    Encoding biases are absorbed into the complex coefficients. An
+    explicit `frequencies` probe keeps only the enumerated frequencies
+    within DEDUP_TOL of one of its values, so a deliberately truncated
+    probe leaves a visible residual.
     """
-    if frequencies is None:
-        freqs = enumerate_frequencies(p.enc_w)
-    else:
-        freqs = np.asarray(frequencies, dtype=np.float64)
-    xs = _sample_grid(freqs, 4 * (2 * freqs.size + 1))
+    freqs, coeffs = _propagate(p)
+    if frequencies is not None:
+        probe = np.concatenate([[-np.inf], np.sort(frequencies), [np.inf]])
+        above = np.searchsorted(probe, freqs)
+        keep = np.minimum(freqs - probe[above - 1],
+                          probe[above] - freqs) <= DEDUP_TOL
+        freqs, coeffs = freqs[keep], coeffs[keep]
     edge = QkanLayer.of_edge(p)
-    ys = circuit_expectation(edge.enc_w, edge.enc_b, edge.angles,
-                             xs[:, None])[:, 0, 0]
-    design = np.exp(1j * np.outer(xs, freqs))
-    cond = np.linalg.cond(design)
-    if cond > COND_LIMIT:
-        raise DegenerateSpectrumError(
-            f"frequency basis is ill-conditioned (cond={cond:.3e})")
-    coeffs, *_ = np.linalg.lstsq(design, ys.astype(np.complex128), rcond=None)
-    resid = ys - design @ coeffs
-    residual_l2 = float(np.sqrt(np.mean(np.abs(resid) ** 2)))
+    resid = circuit_expectation(edge.enc_w, edge.enc_b, edge.angles,
+                                AUDIT_POINTS[:, None])[:, 0, 0].astype(complex)
+    for k in range(0, freqs.size, AUDIT_BLOCK):
+        resid -= np.exp(np.outer(AUDIT_POINTS, 1j * freqs[k:k + AUDIT_BLOCK])) \
+            @ coeffs[k:k + AUDIT_BLOCK]
     return SpectrumReport(
         weights=p.enc_w.copy(),
         frequencies=freqs,
         coefficients={float(w): complex(c) for w, c in zip(freqs, coeffs)},
-        residual_l2=residual_l2,
+        residual_l2=float(np.sqrt(np.mean(np.abs(resid) ** 2))),
     )
 
 
 def verify_spectrum(p: DaruanParams, tol: float):
-    """True iff the basis fit residual stays below tol.
+    """True iff the series residual against the circuit stays below tol.
 
     Returns (ok, report) so the claim can be audited.
     """

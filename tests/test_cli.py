@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 import struct
 
 import numpy as np
@@ -175,6 +176,14 @@ class TestSpectrum:
         doc_line = capsys.readouterr().out
         assert "OK" in doc_line
 
+    @pytest.mark.parametrize("seed", ["0", "1", "2"])
+    def test_near_colliding_weights(self, capsys, seed):
+        # the frequencies 3 and 4.00000001 - 1 lie 1e-8 apart, above
+        # DEDUP_TOL; the exact coefficients still reproduce the circuit
+        assert run("spectrum", "--r", "3", "--weights", "1,2,4.00000001",
+                   "--seed", seed) == 0
+        assert capsys.readouterr().out.rstrip().endswith("OK")
+
 
 class TestExtend:
     def test_extension_preserves_eval(self, workspace, capsys):
@@ -298,6 +307,9 @@ _OPTION_CASES = [
     ("optimizer-sgd", "train", {"optimizer": "sgd"}, {"optimizer": "sgd"}),
     ("angle-scale-invalid", "train", {"angle-scale": "nan"},
      {"angle-scale": -1}),
+    ("lr-nan", "train", {"lr": "nan"}, {"lr": float("nan")}),
+    ("lr-inf", "train", {"lr": "inf"}, {"lr": float("inf")}),
+    ("lr-negative", "train", {"lr": "-1"}, {"lr": -1}),
     *[(f"{field}={value}", command, {field: value},
        {field: json.loads(value)})
       for command in ("gen-data", "train")
@@ -323,6 +335,7 @@ _CKPT = ["--checkpoint", "{ckpt}"]
 _FLAG_CASES = [
     ("spectrum-r-0", ["spectrum", "--r", "0"], 2),
     ("spectrum-tol-0", ["spectrum", "--tol", "0"], 2),
+    ("spectrum-tol-inf", ["spectrum", "--tol", "inf"], 2),
     ("spectrum-weights-inf", ["spectrum", "--r", "1", "--weights", "inf"], 2),
     ("spectrum-weights-nan", ["spectrum", "--r", "2", "--weights", "nan,1"],
      2),
@@ -338,6 +351,7 @@ _FLAG_CASES = [
      ["mnist-demo", "--data-dir", "{idx}", "--epochs", "-1"], 2),
     ("mnist-n-samples-0",
      ["mnist-demo", "--data-dir", "{idx}", "--n-samples", "0"], 2),
+    ("mnist-lr-nan", ["mnist-demo", "--data-dir", "{idx}", "--lr", "nan"], 2),
     ("eval-csv-inputs", ["eval", *_CKPT, "--data", "{csv}/x3y1.csv"], 3),
     ("eval-csv-targets", ["eval", *_CKPT, "--data", "{csv}/x2y2.csv"], 3),
     ("distill-csv-inputs", ["distill", *_CKPT, "--data", "{csv}/x3y1.csv"], 3),
@@ -359,6 +373,8 @@ _FLAG_CASES = [
     ("eval-checkpoint-undecodable",
      ["eval", "--checkpoint", "{undecodable}", "--data", "{csv}/x2y1.csv"], 3),
     ("train-config-undecodable", ["train", "--config", "{undecodable}"], 2),
+    ("mnist-idx-is-a-directory",
+     ["mnist-demo", "--data-dir", "{idx_unopenable}"], 3),
 ]
 
 
@@ -379,7 +395,7 @@ def _hostile_cases():
 
 @pytest.fixture(scope="module")
 def hostile_inputs(workspace):
-    """CSVs of assorted widths and a tiny IDX set next to the workspace."""
+    """CSVs of assorted widths and tiny IDX sets next to the workspace."""
     csv_dir = workspace / "widths"
     csv_dir.mkdir()
     for n_x, n_y in ((2, 1), (3, 1), (2, 2)):
@@ -396,12 +412,17 @@ def hostile_inputs(workspace):
             fh.write(bytes(range(16)))
         with open(idx_dir / f"{split}-labels-idx1-ubyte", "wb") as fh:
             fh.write(struct.pack(">II", 0x00000801, 4) + bytes([0, 1, 0, 1]))
+    # the same set, but its training images are a directory
+    unopenable = workspace / "idx-unopenable"
+    shutil.copytree(idx_dir, unopenable)
+    os.remove(unopenable / "train-images-idx3-ubyte")
+    (unopenable / "train-images-idx3-ubyte").mkdir()
     taken = workspace / "taken"
     taken.write_text("a file, not a directory\n")
     undecodable = workspace / "undecodable"
     undecodable.write_bytes(b"\xff\xfe" + "x1,y1\n".encode("utf-16-le"))
-    return {"csv": csv_dir, "idx": idx_dir, "file": taken,
-            "undecodable": undecodable,
+    return {"csv": csv_dir, "idx": idx_dir, "idx_unopenable": unopenable,
+            "file": taken, "undecodable": undecodable,
             "ckpt": workspace / "run" / "best.json"}
 
 

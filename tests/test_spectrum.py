@@ -1,13 +1,14 @@
-"""Tests for frequency-set enumeration and the basis-fit verifier."""
+"""Tests for frequency-set enumeration and the closed-form spectrum."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import spectrum_oracle
 from qkan import spectrum
 from qkan.daruan import DaruanParams, init_daruan
-from qkan.errors import DegenerateSpectrumError
 
 
 def enumerate_sign_patterns(weights):
@@ -25,18 +26,21 @@ def enumerate_sign_patterns(weights):
     return np.array(merged)
 
 
+def family_weights(family, r, rng):
+    return {"unit": np.ones(r),
+            "geometric": 2.0 ** np.arange(r),
+            "integer": rng.integers(-4, 5, size=r).astype(float),
+            "normal": rng.normal(size=r),
+            # sums that differ by < DEDUP_TOL must merge
+            "near-unit": 1.0 + 1e-12 * np.arange(r)}[family]
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("family", ["unit", "geometric", "integer",
                                         "normal", "near-unit"])
     @pytest.mark.parametrize("r", range(1, 10))
     def test_matches_sign_pattern_enumeration(self, family, r):
-        rng = np.random.default_rng(1000 + r)
-        weights = {"unit": np.ones(r),
-                   "geometric": 2.0 ** np.arange(r),
-                   "integer": rng.integers(-4, 5, size=r).astype(float),
-                   "normal": rng.normal(size=r),
-                   # sums that differ by < DEDUP_TOL must merge
-                   "near-unit": 1.0 + 1e-12 * np.arange(r)}[family]
+        weights = family_weights(family, r, np.random.default_rng(1000 + r))
         ref = enumerate_sign_patterns(weights)
         freqs = spectrum.enumerate_frequencies(weights)
         assert freqs.size == ref.size
@@ -122,12 +126,16 @@ class TestEmpiricalSpectrum:
         ok, report = spectrum.verify_spectrum(p, tol=1e-7)
         assert ok, report.residual_l2
 
-    def test_degenerate_basis_detected(self):
-        # near-identical frequencies make e^{iwx} columns collinear
+    def test_probe_keeps_matching_frequencies(self):
+        # a probe value within DEDUP_TOL keeps its enumerated frequency;
+        # one matching nothing adds none
         p = init_daruan(1, np.random.default_rng(105), geometric=False)
-        bad = np.array([-1.0, 0.0, 1.0, 1.0 + 1e-13])
-        with pytest.raises(DegenerateSpectrumError):
-            spectrum.empirical_spectrum(p, frequencies=bad)
+        full = spectrum.empirical_spectrum(p)
+        probe = spectrum.empirical_spectrum(
+            p, frequencies=[1.0 + 1e-10, 0.5, -1.0, 0.0, 1.0 + 1e-13])
+        np.testing.assert_array_equal(probe.frequencies, [-1.0, 0.0, 1.0])
+        assert probe.coefficients == full.coefficients
+        assert probe.residual_l2 == full.residual_l2
 
     def test_report_json(self):
         p = init_daruan(2, np.random.default_rng(107), geometric=False)
@@ -137,3 +145,44 @@ class TestEmpiricalSpectrum:
         assert doc["nonzero_count"] == report.nonzero_count
         assert len(doc["coefficients"]) == report.frequencies.size
         assert doc["residual_l2"] == report.residual_l2
+
+
+class TestClosedForm:
+    """The propagated coefficients against the sampled least-squares fit
+    of spectrum_oracle, at sizes where its dense design fits in memory."""
+
+    @pytest.mark.parametrize("family, r", [
+        *[(family, r) for family in ("unit", "geometric", "integer")
+          for r in range(1, 9)],
+        *[("normal", r) for r in range(1, 6)]])
+    def test_matches_sampled_fit(self, family, r):
+        rng = np.random.default_rng(2000 + r)
+        p = init_daruan(r, rng, angle_scale=2.0, geometric=False)
+        p.enc_b = rng.normal(size=r)
+        p.enc_w = family_weights(family, r, rng)
+        report = spectrum.empirical_spectrum(p)
+        assert report.frequencies.tobytes() == \
+            spectrum.enumerate_frequencies(p.enc_w).tobytes()
+        ref = spectrum_oracle.empirical_spectrum(p)
+        got = np.array([report.coefficients[w] for w in report.frequencies])
+        want = np.array([ref.coefficients[w] for w in ref.frequencies])
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+        assert report.residual_l2 < 1e-12
+
+    def test_trained_like_r10_edge_audits_in_small_memory(self):
+        # weights 2^l plus noise keep all 3^10 sums apart; the sampled
+        # fit's design would need 4 * (2 * 3^10 + 1) * 3^10 * 16 bytes,
+        # about 446 GB
+        rng = np.random.default_rng(110)
+        p = init_daruan(10, rng, angle_scale=2.0)
+        p.enc_w = 2.0 ** np.arange(10) + rng.normal(0.0, 0.05, size=10)
+        p.enc_b = rng.normal(size=10)
+        tracemalloc.start()
+        try:
+            ok, report = spectrum.verify_spectrum(p, tol=1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.frequencies.size == 3 ** 10
+        assert ok, report.residual_l2
+        assert peak < 32 * 2 ** 20
