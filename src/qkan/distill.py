@@ -13,8 +13,8 @@ Cox-de Boor evaluation (`bspline_basis`) builds the least-squares
 design matrix only. For evaluation, each layer of edges is converted
 once to piecewise-polynomial tables (per-edge breakpoints and Taylor
 coefficients of every piece, stacked over the layer), so a layer is a
-bisection, a gather and a Horner sweep over the whole
-(batch, n_out, n_in) grid.
+bisection, a gather and a Horner sweep over the (rows, n_out, n_in)
+grid of each row block.
 """
 
 from __future__ import annotations
@@ -26,8 +26,12 @@ import numpy as np
 
 from . import daruan
 from .daruan import DaruanParams, silu
-from .errors import FitError
-from .network import LinearLayer, QkanLayer, QkanNetwork, _as_batch
+from .errors import DataError, FitError
+from .network import (LinearLayer, QkanLayer, QkanNetwork, _as_batch,
+                      block_rows, row_blocks)
+
+SPLINE_FORMAT = "qkan-spline-network"
+SPLINE_FORMAT_VERSION = 1
 
 
 def make_knots(lo: float, hi: float, grid_size: int, degree: int) -> np.ndarray:
@@ -107,14 +111,27 @@ class SplineModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SplineModel":
-        return cls(degree=int(d["degree"]),
-                   knots=np.array(d["knots"]),
-                   coefficients=np.array(d["coefficients"]),
-                   domain=tuple(d["domain"]),
-                   w_base=float(d["w_base"]),
-                   out_bias=float(d["out_bias"]),
-                   fit_max_err=float(d.get("fit_max_err", 0.0)),
-                   fit_rms_err=float(d.get("fit_rms_err", 0.0)))
+        """The inverse of to_dict; a missing or malformed field raises
+        DataError. The fit errors are optional."""
+        if not isinstance(d, dict):
+            raise DataError("a spline edge must be a JSON object")
+        degree = d.get("degree")
+        if type(degree) is not int or degree < 0:
+            raise DataError(f"spline edge field 'degree' must be a "
+                            f"nonnegative integer, got {degree!r}")
+        domain = _numbers(d, "domain")
+        if domain.shape != (2,):
+            raise DataError(f"spline edge field 'domain' must hold two "
+                            f"numbers, got {domain.size}")
+        fit_errors = {name: float(_numbers(d, name, 0))
+                      for name in ("fit_max_err", "fit_rms_err") if name in d}
+        return cls(degree=degree,
+                   knots=_numbers(d, "knots"),
+                   coefficients=_numbers(d, "coefficients"),
+                   domain=tuple(domain.tolist()),
+                   w_base=float(_numbers(d, "w_base", 0)),
+                   out_bias=float(_numbers(d, "out_bias", 0)),
+                   **fit_errors)
 
 
 def sample_activation(p: DaruanParams, lo: float, hi: float, count: int):
@@ -316,7 +333,19 @@ class _PiecewiseLayer:
 
     def evaluate(self, x):
         """x (B, n_in) -> (outputs (B, n_out), number of inputs outside
-        their edge's domain)."""
+        their edge's domain). A batch larger than block_rows([self])
+        runs one row block at a time."""
+        blocks = row_blocks(len(x), block_rows([self]))
+        if len(blocks) == 1:
+            return self._evaluate(x)
+        y, clamped = np.empty((len(x), self.n_out)), 0
+        for rows in blocks:
+            y[rows], count = self._evaluate(x[rows])
+            clamped += count
+        return y, clamped
+
+    def _evaluate(self, x):
+        """evaluate of a (B, n_in) batch in one piece."""
         x = x[:, None, :]
         clamped = int(np.count_nonzero((x < self.lo) | (x > self.hi)))
         xc = np.clip(x, self.lo, self.hi)
@@ -405,8 +434,8 @@ class SplineNetwork:
 
     def to_json(self) -> str:
         doc = {
-            "format": "qkan-spline-network",
-            "format_version": 1,
+            "format": SPLINE_FORMAT,
+            "format_version": SPLINE_FORMAT_VERSION,
             "encoder": _linear_to_dict(self.encoder),
             "decoder": _linear_to_dict(self.decoder),
             "layers": [[[edge.to_dict() for edge in row] for row in grid]
@@ -416,13 +445,61 @@ class SplineNetwork:
 
     @classmethod
     def from_json(cls, text: str) -> "SplineNetwork":
-        doc = json.loads(text)
-        return cls(
-            edges=[[[SplineModel.from_dict(e) for e in row] for row in grid]
-                   for grid in doc["layers"]],
-            encoder=_linear_from_dict(doc.get("encoder")),
-            decoder=_linear_from_dict(doc.get("decoder")),
-        )
+        """The inverse of to_json; every malformed document raises
+        DataError. A format tag or version mismatch is rejected, never
+        migrated."""
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"invalid spline network JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise DataError("a spline network must be a JSON object")
+        tag, version = doc.get("format"), doc.get("format_version")
+        if (tag != SPLINE_FORMAT or type(version) is not int
+                or version != SPLINE_FORMAT_VERSION):
+            raise DataError(f"unsupported spline network format {tag!r} "
+                            f"version {version!r}; this build reads "
+                            f"{SPLINE_FORMAT!r} version "
+                            f"{SPLINE_FORMAT_VERSION}")
+        layers = doc.get("layers")
+        if not (isinstance(layers, list)
+                and all(isinstance(grid, list)
+                        and all(isinstance(row, list) for row in grid)
+                        for grid in layers)):
+            raise DataError("spline network field 'layers' must be a list "
+                            "of [n_out][n_in] grids of edges")
+        edges = [[[SplineModel.from_dict(e) for e in row] for row in grid]
+                 for grid in layers]
+        try:
+            return cls(edges=edges,
+                       encoder=_linear_from_dict(doc, "encoder"),
+                       decoder=_linear_from_dict(doc, "decoder"))
+        except ValueError as exc:
+            raise DataError(f"spline network: {exc}") from None
+
+
+def _numbers(doc: dict, key: str, ndim: int = 1) -> np.ndarray:
+    """doc[key] as a float64 array of `ndim` dimensions (a scalar when
+    ndim is 0): a nonempty, rectangular nesting of lists of finite JSON
+    numbers, or DataError."""
+    def numeric(v, depth):
+        if depth == 0:
+            return isinstance(v, (int, float)) and not isinstance(v, bool)
+        return isinstance(v, list) and all(numeric(u, depth - 1) for u in v)
+
+    value = doc.get(key)
+    if numeric(value, ndim):
+        try:
+            arr = np.array(value, dtype=np.float64)
+        except (ValueError, OverflowError):   # ragged, or too large
+            arr = None
+        if (arr is not None and arr.ndim == ndim and arr.size
+                and np.all(np.isfinite(arr))):
+            return arr
+    kind = "a finite number" if ndim == 0 else \
+        f"a nonempty {ndim}-D list of finite numbers"
+    raise DataError(f"spline network field {key!r} must be {kind}, "
+                    f"got {value!r:.80}")
 
 
 def _linear_to_dict(lin: LinearLayer | None):
@@ -431,10 +508,18 @@ def _linear_to_dict(lin: LinearLayer | None):
     return {"weight": [list(row) for row in lin.weight], "bias": list(lin.bias)}
 
 
-def _linear_from_dict(d):
+def _linear_from_dict(doc: dict, key: str) -> LinearLayer | None:
+    d = doc.get(key)
     if d is None:
         return None
-    return LinearLayer(weight=np.array(d["weight"]), bias=np.array(d["bias"]))
+    if not isinstance(d, dict):
+        raise DataError(f"spline network field {key!r} must be an object "
+                        f"or null")
+    weight, bias = _numbers(d, "weight", 2), _numbers(d, "bias")
+    if bias.shape != weight.shape[:1]:
+        raise DataError(f"spline network {key} has {weight.shape[0]} weight "
+                        f"rows but {bias.size} biases")
+    return LinearLayer(weight=weight, bias=bias)
 
 
 def calibrate_domains(net: QkanNetwork, inputs, widen: float = 0.1) -> dict:

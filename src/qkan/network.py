@@ -5,6 +5,9 @@ with all edge parameters stacked into arrays of leading shape
 (n_out, n_in) so forward/backward vectorize over batch and edges. Node
 values are sums of incoming edge activations. A network optionally
 wraps the stack with linear encoder/decoder layers (HQKAN).
+
+Batched passes stream the batch in row blocks sized by BLOCK_BYTES, so
+their working memory is set by the block and not by the batch.
 """
 
 from __future__ import annotations
@@ -15,6 +18,24 @@ import numpy as np
 
 from . import daruan
 from .daruan import DaruanParams, silu, silu_grad
+
+
+#: bytes of one float64 (rows, n_out, n_in) array of the widest layer; the
+#: circuit's (r, rows, n_out, n_in) working arrays are r times this
+BLOCK_BYTES = 256 * 1024
+
+
+def block_rows(layers) -> int:
+    """Rows per block: the most whose (rows, n_out, n_in) float64 array
+    fits BLOCK_BYTES in the widest of `layers`, and at least one."""
+    edges = max(layer.n_out * layer.n_in for layer in layers)
+    return max(1, BLOCK_BYTES // (8 * edges))
+
+
+def row_blocks(n: int, rows: int) -> list[slice]:
+    """Slices cutting n rows into consecutive blocks of `rows` (the last
+    may be shorter); one block when n <= rows, even when n is 0."""
+    return [slice(start, start + rows) for start in range(0, max(n, 1), rows)]
 
 
 def _as_batch(x, dim: int, what: str) -> tuple[np.ndarray, bool]:
@@ -122,9 +143,21 @@ class QkanLayer(_Stage):
         """y_j = sum_i phi_{j,i}(x_i); x (B, n_in) -> (B, n_out).
 
         When `tape` is a list, (x, circuit tape) is appended to it for
-        backward.
+        backward. Without a tape, a batch larger than block_rows([self])
+        runs one row block at a time.
         """
         x, squeeze = _as_batch(x, self.n_in, "layer input")
+        blocks = row_blocks(len(x), block_rows([self]))
+        if tape is None and len(blocks) > 1:
+            y = np.empty((len(x), self.n_out))
+            for rows in blocks:
+                y[rows] = self._forward(x[rows], None)
+        else:
+            y = self._forward(x, tape)
+        return y[0] if squeeze else y
+
+    def _forward(self, x: np.ndarray, tape: list | None) -> np.ndarray:
+        """forward of a (B, n_in) batch in one piece."""
         f, circuit_tape = daruan.circuit_forward(
             self.enc_w, self.enc_b, self.angles, x, tape is not None)
         if tape is not None:
@@ -132,8 +165,7 @@ class QkanLayer(_Stage):
         phi = (self.w_base[None] * silu(x)[:, None, :]
                + self.w_quant[None] * f
                + self.out_bias[None])
-        y = phi.sum(axis=2)
-        return y[0] if squeeze else y
+        return phi.sum(axis=2)
 
     def backward(self, tape_entry, upstream: np.ndarray,
                  out: list[np.ndarray]) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import NumericalError
-from .network import QkanNetwork
+from .network import QkanNetwork, block_rows, row_blocks
 
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
@@ -221,16 +221,31 @@ class TrainResult:
 
 
 def _loss_closure(net: QkanNetwork, dataset: Dataset):
+    """fg(params) -> (MSE loss, its flat gradient) on the dataset.
+
+    The loss is a sum over samples, so the batch streams through the
+    network in row blocks (network.block_rows): each block runs forward
+    with a tape and then backward, and its gradient is added into the
+    first block's. A batch of one block runs exactly the unblocked pass.
+    """
     x, y = dataset.inputs, dataset.targets
     scale = 2.0 / y.size
+    blocks = row_blocks(len(x), block_rows(net.layers))
 
     def fg(params: np.ndarray):
         net.set_param_vector(params)
-        tape: list = []
-        pred = net.forward(x, tape)
-        loss = float(np.mean((pred - y) ** 2))
-        grads = net.backward(x, scale * (pred - y), tape)
-        return loss, net.grad_vector(grads)
+        total, grad = 0.0, None
+        for rows in blocks:
+            tape: list = []
+            resid = net.forward(x[rows], tape) - y[rows]
+            total += float(np.sum(resid ** 2))
+            block_grad = net.grad_vector(
+                net.backward(x[rows], scale * resid, tape))
+            if grad is None:
+                grad = block_grad
+            else:
+                grad += block_grad
+        return total / y.size, grad
 
     return fg
 

@@ -1,0 +1,181 @@
+"""Tests for streaming batches through the network in row blocks.
+
+The one-block pass is the oracle: with network.BLOCK_BYTES patched
+small, forward passes and spline evaluation must give bitwise the same
+outputs, and fg the same loss and gradient up to summation order.
+"""
+
+import importlib
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from qkan import daruan, distill, network
+from qkan.data import Dataset
+from qkan.network import QkanNetwork, make_hqkan
+
+# the package re-exports a train() function under the same name
+tr = importlib.import_module("qkan.train")
+
+BATCH = 37
+
+
+def make_plain(rng):
+    return QkanNetwork.init([3, 4, 2, 1], 2, rng, angle_scale=1.0)
+
+
+def make_hqkan_net(rng):
+    return make_hqkan(5, 2, r=3, hidden_shape=(3,), rng=rng, angle_scale=1.0)
+
+
+def small_blocks(monkeypatch, layers, rows=10):
+    """Patch BLOCK_BYTES so the widest of `layers` takes `rows` rows per
+    block, and check that BATCH then splits into >= 3 uneven blocks."""
+    edges = max(layer.n_out * layer.n_in for layer in layers)
+    monkeypatch.setattr(network, "BLOCK_BYTES", 8 * edges * rows)
+    assert network.block_rows(layers) == rows
+    sizes = [len(range(BATCH)[s])
+             for s in network.row_blocks(BATCH, rows)]
+    assert len(sizes) >= 3 and len(set(sizes)) > 1
+
+
+def kernel_rows(monkeypatch) -> list:
+    """Patch the circuit kernel to record the batch rows of each call."""
+    calls = []
+    kernel = daruan.circuit_forward
+
+    def counting(*args, **kwargs):
+        calls.append(args[3].shape[0])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(daruan, "circuit_forward", counting)
+    return calls
+
+
+class TestRowBlocks:
+    def test_blocks_cover_the_rows_in_order(self):
+        for n, rows in [(0, 4), (1, 4), (4, 4), (5, 4), (37, 10)]:
+            blocks = network.row_blocks(n, rows)
+            assert np.array_equal(
+                np.concatenate([np.arange(n)[s] for s in blocks]),
+                np.arange(n))
+            assert len(blocks) == max(1, -(-n // rows))
+
+    def test_default_budget_keeps_small_batches_in_one_block(self):
+        # the benchmark's feynman-cli and hqkan-r10 batches fit one block
+        rng = np.random.default_rng(1)
+        assert network.block_rows(
+            QkanNetwork.init([2, 2, 1], 3, rng).layers) >= 1000
+        assert network.block_rows(make_hqkan(64, 1, r=3).layers) >= 2000
+        assert network.block_rows(
+            QkanNetwork.init([16, 16], 3, rng).layers) == 128
+
+
+class TestBlockedForward:
+    @pytest.mark.parametrize("make", [make_plain, make_hqkan_net],
+                             ids=["plain", "hqkan"])
+    def test_network_forward_bitwise_equal(self, make, monkeypatch):
+        rng = np.random.default_rng(11)
+        net = make(rng)
+        x = rng.normal(scale=2.0, size=(BATCH, net.in_dim))
+        want = net.forward(x)
+        small_blocks(monkeypatch, net.layers)
+        calls = kernel_rows(monkeypatch)
+        np.testing.assert_array_equal(net.forward(x), want)
+        assert len(calls) > len(net.layers)
+        assert sum(calls) == BATCH * len(net.layers)
+
+    def test_layer_forward_bitwise_equal(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        layer = make_plain(rng).layers[0]
+        x = rng.normal(size=(BATCH, layer.n_in))
+        want = layer.forward(x)
+        small_blocks(monkeypatch, [layer])
+        np.testing.assert_array_equal(layer.forward(x), want)
+        np.testing.assert_array_equal(layer.forward(x[5]), want[5])
+
+    def test_taped_forward_runs_one_block(self, monkeypatch):
+        # the taped pass is fg's per-block pass; it must not split again
+        rng = np.random.default_rng(13)
+        layer = make_plain(rng).layers[0]
+        x = rng.normal(size=(BATCH, layer.n_in))
+        small_blocks(monkeypatch, [layer])
+        tape = []
+        y = layer.forward(x, tape)
+        assert len(tape) == 1 and tape[0][1].cos_theta.shape[1] == BATCH
+        assert y.shape == (BATCH, layer.n_out)
+
+
+class TestBlockedSpline:
+    def test_evaluate_bitwise_equal_with_clamp_count(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        net = make_hqkan_net(rng)
+        calib = rng.uniform(-1.0, 1.0, size=(60, net.in_dim))
+        snet, _ = distill.distill_network(
+            net, distill.calibrate_domains(net, calib), grid_size=6)
+        # wider than the calibration set, so some blocks clamp and some not
+        x = rng.uniform(-1.0, 1.0, size=(BATCH, net.in_dim))
+        x[::7] *= 4.0
+        want, want_clamped = snet.evaluate(x)
+        assert want_clamped > 0
+        small_blocks(monkeypatch, snet._layers)
+        got, clamped = snet.evaluate(x)
+        np.testing.assert_array_equal(got, want)
+        assert clamped == want_clamped
+
+
+class TestBlockedLossClosure:
+    @pytest.mark.parametrize("make", [make_plain, make_hqkan_net],
+                             ids=["plain", "hqkan"])
+    def test_matches_unblocked_fg(self, make, monkeypatch):
+        rng = np.random.default_rng(31)
+        net = make(rng)
+        ds = Dataset(rng.normal(size=(BATCH, net.in_dim)),
+                     rng.normal(size=(BATCH, net.out_dim)))
+        params = net.param_vector()
+        want_loss, want_grad = tr._loss_closure(net, ds)(params)
+        want_grad = want_grad.copy()
+        small_blocks(monkeypatch, net.layers)
+        loss, grad = tr._loss_closure(net, ds)(params)
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        assert (np.linalg.norm(grad - want_grad)
+                <= 1e-12 * np.linalg.norm(want_grad))
+
+    @pytest.mark.parametrize("make", [make_plain, make_hqkan_net],
+                             ids=["plain", "hqkan"])
+    def test_one_kernel_call_per_block_and_layer(self, make, monkeypatch):
+        rng = np.random.default_rng(32)
+        net = make(rng)
+        ds = Dataset(rng.normal(size=(BATCH, net.in_dim)),
+                     rng.normal(size=(BATCH, net.out_dim)))
+        small_blocks(monkeypatch, net.layers)
+        fg = tr._loss_closure(net, ds)
+        calls = kernel_rows(monkeypatch)
+        fg(net.param_vector())
+        blocks = len(network.row_blocks(BATCH, 10))
+        assert len(calls) == blocks * len(net.layers)
+        assert sum(calls) == BATCH * len(net.layers)
+
+
+class TestBoundedMemory:
+    def test_fg_peak_does_not_grow_with_the_batch(self):
+        # MNIST-sized: 60000 x 64 synthetic inputs into an HQKAN
+        rng = np.random.default_rng(41)
+        net = make_hqkan(64, 10, r=3, rng=rng)
+        params = net.param_vector()
+        full = Dataset(rng.uniform(0.0, 1.0, size=(60000, 64)),
+                       rng.uniform(0.0, 1.0, size=(60000, 10)))
+        peaks = {}
+        for n in (6000, 60000):
+            ds = Dataset(full.inputs[:n], full.targets[:n])
+            fg = tr._loss_closure(net, ds)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                loss, grad = fg(params)
+                peaks[n] = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            assert np.isfinite(loss) and np.all(np.isfinite(grad))
+        assert peaks[60000] <= 1.25 * peaks[6000] + 2 ** 20

@@ -7,12 +7,14 @@ the edge-by-edge loop in `distill_oracle` the oracle for the
 layer-batched distillation.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from qkan import daruan, distill
 from qkan.daruan import init_daruan
-from qkan.errors import FitError
+from qkan.errors import DataError, FitError
 from qkan.network import QkanNetwork, make_hqkan
 
 import distill_oracle
@@ -274,6 +276,85 @@ class TestStackedKernel:
         model.coefficients[2] = np.nan
         with pytest.raises(ValueError):
             distill.SplineNetwork(edges=[[[model]]]).to_json()
+
+
+def _hqkan_spline_doc():
+    net = make_hqkan(4, 2, r=2, rng=np.random.default_rng(230))
+    calib = np.random.default_rng(231).uniform(0.0, 1.0, size=(40, 4))
+    snet, _ = distill.distill_network(
+        net, distill.calibrate_domains(net, calib), grid_size=4)
+    return snet.to_json()
+
+
+def _edge(doc):
+    return doc["layers"][0][0][0]
+
+
+# (name, mutation of the parsed spline.json); each must raise DataError
+SPLINE_JSON_MUTATIONS = [
+    ("format_version 2", lambda d: d.update(format_version=2)),
+    ("format_version true", lambda d: d.update(format_version=True)),
+    ("format_version missing", lambda d: d.pop("format_version")),
+    ("other format tag", lambda d: d.update(format="qkan-checkpoint")),
+    ("format tag missing", lambda d: d.pop("format")),
+    ("layers missing", lambda d: d.pop("layers")),
+    ("layers not a list", lambda d: d.update(layers={"0": []})),
+    ("no layers", lambda d: d.update(layers=[])),
+    ("row not a list", lambda d: d["layers"][0].__setitem__(0, 1.0)),
+    ("edge not an object", lambda d: d["layers"][0][0].__setitem__(0, [])),
+    ("null coefficient", lambda d: _edge(d)["coefficients"].__setitem__(1, None)),
+    ("NaN coefficient", lambda d: _edge(d)["coefficients"].__setitem__(1, float("nan"))),
+    ("string knot", lambda d: _edge(d)["knots"].__setitem__(0, "0.0")),
+    ("boolean knot", lambda d: _edge(d)["knots"].__setitem__(0, True)),
+    ("huge integer knot", lambda d: _edge(d)["knots"].__setitem__(0, 10 ** 400)),
+    ("coefficients missing", lambda d: _edge(d).pop("coefficients")),
+    ("coefficients empty", lambda d: _edge(d).update(coefficients=[])),
+    ("too few coefficients", lambda d: _edge(d)["coefficients"].pop()),
+    ("degree missing", lambda d: _edge(d).pop("degree")),
+    ("degree a float", lambda d: _edge(d).update(degree=3.0)),
+    ("domain of three", lambda d: _edge(d)["domain"].append(1.0)),
+    ("domain outside knots", lambda d: _edge(d).update(domain=[-1e9, 1e9])),
+    ("w_base missing", lambda d: _edge(d).pop("w_base")),
+    ("w_base a string", lambda d: _edge(d).update(w_base="1")),
+    ("infinite fit error", lambda d: _edge(d).update(fit_max_err=float("inf"))),
+    ("encoder not an object", lambda d: d.update(encoder=[1.0])),
+    ("encoder weight ragged",
+     lambda d: d["encoder"]["weight"][0].append(1.0)),
+    ("encoder bias too short", lambda d: d["encoder"]["bias"].pop()),
+    ("decoder width", lambda d: d["decoder"]["weight"].pop()),
+]
+
+
+class TestSplineJson:
+    def test_valid_documents_round_trip_byte_identical(self):
+        text = _hqkan_spline_doc()
+        assert distill.SplineNetwork.from_json(text).to_json() == text
+        # the fit errors are optional
+        doc = json.loads(text)
+        for row in doc["layers"][0]:
+            for edge in row:
+                del edge["fit_max_err"], edge["fit_rms_err"]
+        distill.SplineNetwork.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("mutate", [m for _, m in SPLINE_JSON_MUTATIONS],
+                             ids=[name for name, _ in SPLINE_JSON_MUTATIONS])
+    def test_malformed_document_raises_data_error(self, mutate):
+        doc = json.loads(_hqkan_spline_doc())
+        mutate(doc)
+        with pytest.raises(DataError):
+            distill.SplineNetwork.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["", "[]", "null", "{\"format\": "],
+                             ids=["empty", "list", "null", "truncated"])
+    def test_unparsable_or_not_an_object(self, text):
+        with pytest.raises(DataError):
+            distill.SplineNetwork.from_json(text)
+
+    def test_truncated_file(self):
+        text = _hqkan_spline_doc()
+        for cut in (1, len(text) // 2, len(text) - 2):
+            with pytest.raises(DataError):
+                distill.SplineNetwork.from_json(text[:cut])
 
 
 def assert_distilled_like_oracle(net, domains, probe, **kw):
