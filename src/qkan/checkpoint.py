@@ -5,7 +5,9 @@ flat parameter list of QkanNetwork.param_vector, whose layout
 QkanNetwork.stages() and each stage's PARAMS (QkanLayer.PARAMS for a
 QKAN layer) define. Floats are serialized with shortest round-trip
 precision, so load(save(net)) reproduces forward passes bitwise. A
-format_version mismatch is rejected, never migrated.
+format_version mismatch is rejected, never migrated. The helpers
+below hold the rules by which qkan reads every JSON input (checkpoints,
+spline.json and --config files).
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from .errors import DataError, QkanError
 from .network import LinearLayer, QkanLayer, QkanNetwork
 
 FORMAT_VERSION = 1
+CHECKPOINT_KEYS = ("format_version", "shape", "r", "encoder", "decoder",
+                   "params", "provenance")
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -53,6 +57,83 @@ def reading(path, error: type[QkanError], what: str):
         raise error(f"cannot read {what} {path}: {exc}") from None
 
 
+def _no_constant(token):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+def parse_json(text: str, error: type[QkanError], what: str):
+    """`text` parsed as strict JSON: invalid JSON and a NaN or Infinity
+    token raise `error`, naming the document as `what`."""
+    try:
+        return json.loads(text, parse_constant=_no_constant)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what}: invalid JSON: {exc}") from None
+
+
+def check_object(doc, keys, error: type[QkanError], what: str) -> dict:
+    """`doc`, which must be a JSON object with no key outside `keys`."""
+    if not isinstance(doc, dict):
+        raise error(f"{what} must be a JSON object")
+    unknown = sorted(set(doc).difference(keys))
+    if unknown:
+        raise error(f"unknown {what} fields: {unknown}")
+    return doc
+
+
+def check_version(doc: dict, version: int, what: str,
+                  tag: str | None = None) -> None:
+    """Reject a document whose "format" is not `tag` (if given) or whose
+    format_version is not the integer `version` (true and 1.0 are not)."""
+    if tag is not None and doc.get("format") != tag:
+        raise DataError(f"{what} format {doc.get('format')!r} is not {tag!r}")
+    got = doc.get("format_version")
+    if type(got) is not int or got != version:
+        raise DataError(f"unsupported {what} format_version {got!r}; this "
+                        f"build reads the integer {version}")
+
+
+def _numeric(value, ndim: int) -> bool:
+    """Whether `value` nests lists `ndim` deep around JSON numbers."""
+    if ndim == 0:
+        return isinstance(value, float) or type(value) is int
+    return isinstance(value, list) and all(_numeric(v, ndim - 1)
+                                           for v in value)
+
+
+def finite_array(doc: dict, key: str, what: str,
+                 shape: tuple = (None,)) -> np.ndarray:
+    """doc[key] as a nonempty float64 array of `shape` (None leaves a
+    length free; () is a scalar), from nested lists of finite JSON
+    numbers, or DataError naming the field as one of `what`'s."""
+    value = doc.get(key)
+    try:
+        arr = np.array(value, dtype=np.float64) \
+            if _numeric(value, len(shape)) else None
+    except (ValueError, OverflowError):   # ragged, or too large
+        arr = None
+    if (arr is not None and arr.ndim == len(shape) and arr.size
+            and all(n in (None, m) for n, m in zip(shape, arr.shape))
+            and np.all(np.isfinite(arr))):
+        return arr
+    kind = "a finite number" if not shape else \
+        f"a nonempty list of finite numbers of shape {shape}"
+    raise DataError(f"{what} field {key!r} must be {kind}, got {value!r:.80}")
+
+
+def positive_ints(doc: dict, key: str, what: str,
+                  count: int | None = None) -> list:
+    """doc[key]: a nonempty list of positive integers (of `count` entries
+    when given), or DataError naming the field as one of `what`'s."""
+    value = doc.get(key)
+    if not (isinstance(value, list) and value
+            and all(type(v) is int and v >= 1 for v in value)
+            and (count is None or len(value) == count)):
+        length = f"{count} " if count is not None else ""
+        raise DataError(f"{what} field {key!r} must be a list of {length}"
+                        f"positive integers, got {value!r:.80}")
+    return value
+
+
 def config_hash(config: dict) -> str:
     return hashlib.sha256(
         json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
@@ -74,46 +155,26 @@ def network_to_dict(net: QkanNetwork, provenance: dict | None = None) -> dict:
     return doc
 
 
-def _widths(doc: dict, key: str, count: int | None = None):
-    """A list of positive integers (of `count` entries when given)."""
-    value = doc.get(key)
-    if not (isinstance(value, list) and value
-            and all(type(v) is int and v >= 1 for v in value)
-            and (count is None or len(value) == count)):
-        length = f"{count} " if count is not None else ""
-        raise DataError(f"checkpoint field {key!r} must be a list of {length}"
-                        f"positive integers, got {value!r}")
-    return value
-
-
 def _linear(doc: dict, key: str) -> LinearLayer | None:
     if doc.get(key) is None:
         return None
-    n_in, n_out = _widths(doc, key, 2)
+    n_in, n_out = positive_ints(doc, key, "checkpoint", 2)
     return LinearLayer(np.zeros((n_out, n_in)), np.zeros(n_out))
 
 
 def network_from_dict(doc: dict) -> QkanNetwork:
     """Rebuild a network; every malformed field raises DataError."""
-    if not isinstance(doc, dict):
-        raise DataError("checkpoint must be a JSON object")
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise DataError(f"unsupported checkpoint format_version {version!r}; "
-                        f"this build reads version {FORMAT_VERSION}")
-    shape = _widths(doc, "shape")
+    check_object(doc, CHECKPOINT_KEYS, DataError, "checkpoint")
+    check_version(doc, FORMAT_VERSION, "checkpoint")
+    shape = positive_ints(doc, "shape", "checkpoint")
     if len(shape) < 2:
         raise DataError(f"checkpoint shape {shape} needs at least two widths")
-    rs = _widths(doc, "r", len(shape) - 1)
+    rs = positive_ints(doc, "r", "checkpoint", len(shape) - 1)
     layers = [QkanLayer.zeros(shape[i], shape[i + 1], r)
               for i, r in enumerate(rs)]
-    params = doc.get("params")
-    if not (isinstance(params, list)
-            and all(type(v) in (int, float) for v in params)):
-        raise DataError("checkpoint field 'params' must be a list of numbers")
-    params = np.array(params, dtype=np.float64)
-    if not np.all(np.isfinite(params)):
-        raise DataError("checkpoint parameters contain non-finite values")
+    params = finite_array(doc, "params", "checkpoint")
+    if not isinstance(doc.get("provenance", {}), dict):
+        raise DataError("checkpoint field 'provenance' must be an object")
     try:
         net = QkanNetwork(layers=layers, encoder=_linear(doc, "encoder"),
                           decoder=_linear(doc, "decoder"))
@@ -137,9 +198,6 @@ def save_checkpoint(net: QkanNetwork, path,
 
 def load_checkpoint(path):
     """Returns (network, full checkpoint document)."""
-    try:
-        with reading(path, DataError, "checkpoint") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid checkpoint JSON: {exc}") from None
+    with reading(path, DataError, "checkpoint") as fh:
+        doc = parse_json(fh.read(), DataError, f"checkpoint {path}")
     return network_from_dict(doc), doc

@@ -27,7 +27,8 @@ from . import data as datamod
 from . import distill as distillmod
 from . import spectrum as spectrummod
 from .checkpoint import (atomic_write_text, config_hash, load_checkpoint,
-                         reading, save_checkpoint)
+                         check_object, parse_json, reading,
+                         save_checkpoint)
 from .daruan import DaruanParams, init_daruan
 from .errors import ConfigError, DataError, NumericalError, QkanError
 from .network import QkanNetwork, make_hqkan
@@ -42,40 +43,27 @@ def _default_out(subdir: str) -> str:
     return os.path.join(root, subdir)
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    try:
-        with reading(path, ConfigError, "config") as fh:
-            cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid config JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return cfg
-
-
-def _merged(cfg: dict, args: argparse.Namespace, fields: dict) -> dict:
-    """Overlay CLI flags (when given) onto the config, then convert and
-    check every value with its field's parse function."""
+def _merged(args: argparse.Namespace, fields: dict) -> dict:
+    """Overlay CLI flags (when given) onto the fields of the --config
+    file, then convert and check every value with its field's parse
+    function."""
+    cfg = {}
+    if args.config is not None:
+        with reading(args.config, ConfigError, "config") as fh:
+            cfg = check_object(
+                parse_json(fh.read(), ConfigError, f"config {args.config}"),
+                fields, ConfigError, "config")
     out = {}
     for name, (typ, default, required) in fields.items():
         value = getattr(args, name.replace("-", "_"), None)
         if value is None:
             value = cfg.get(name, default)
-        if value is None:
-            if required:
-                raise ConfigError(f"missing required config field {name!r}")
-            out[name] = None
-            continue
+        if value is None and required:
+            raise ConfigError(f"missing required config field {name!r}")
         try:
-            out[name] = typ(value)
-        except (TypeError, ValueError, OverflowError,
-                argparse.ArgumentTypeError) as exc:
+            out[name] = None if value is None else typ(value)
+        except argparse.ArgumentTypeError as exc:
             raise ConfigError(f"config field {name!r}: {exc}") from None
-    unknown = set(cfg) - set(fields)
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     return out
 
 
@@ -93,54 +81,49 @@ def _checked(convert, ok, expected: str):
     return parse
 
 
-_nonnegative_int = _checked(int, lambda n: n >= 0, "an integer >= 0")
-_positive_int = _checked(int, lambda n: n >= 1, "an integer >= 1")
-_nonnegative_float = _checked(float, lambda x: 0.0 <= x < math.inf,
+def _typed(convert, *types):
+    """convert(v) for a flag's text or a JSON value of one of `types`."""
+    def typed(v):
+        if not (isinstance(v, str) or type(v) in types):
+            raise TypeError
+        return convert(v)
+    return typed
+
+
+_integer, _number = _typed(int, int), _typed(float, int, float)
+
+
+def _list_of(item):
+    """Converts a comma list (a flag value) or a JSON list with `item`."""
+    def convert(v):
+        if isinstance(v, str):
+            v = [s for s in v.split(",") if s]
+        if not isinstance(v, list):
+            raise TypeError
+        return [item(s) for s in v]
+    return convert
+
+
+_string = _checked(lambda v: v, lambda v: isinstance(v, str), "a string")
+_nonnegative_int = _checked(_integer, lambda n: n >= 0, "an integer >= 0")
+_positive_int = _checked(_integer, lambda n: n >= 1, "an integer >= 1")
+_nonnegative_float = _checked(_number, lambda x: 0.0 <= x < math.inf,
                               "a finite number >= 0")
-_positive_float = _checked(float, lambda x: 0.0 < x < math.inf,
+_positive_float = _checked(_number, lambda x: 0.0 < x < math.inf,
                            "a finite number > 0")
-
-
-def _one_of(*choices):
-    return _checked(lambda v: v, lambda v: v in choices,
-                    f"one of {list(choices)}")
-
-
-_weight_list = _checked(lambda v: [float(w) for w in v.split(",")],
-                        lambda ws: all(map(math.isfinite, ws)),
-                        "'geometric', 'unit' or a comma list of finite "
-                        "numbers")
-
-
-def _weights(v):
-    """'geometric', 'unit' or a list of finite encoding weights."""
-    return v if v in ("geometric", "unit") else _weight_list(v)
-
-
-def _int_list(v):
-    if isinstance(v, str):
-        v = [s for s in v.split(",") if s]
-    return [int(s) for s in v]
-
-
-_seeds = _checked(_int_list, lambda seeds: seeds and min(seeds) >= 0,
+_seeds = _checked(_list_of(_integer), lambda seeds: seeds and min(seeds) >= 0,
                   "a nonempty list of integers >= 0")
-
-
-def _shape(v):
-    shape = _int_list(v)
-    if len(shape) < 2 or any(s < 1 for s in shape):
-        raise ValueError("shape needs >= 2 positive widths")
-    return shape
-
-
-def _range_pair(v):
-    if isinstance(v, str):
-        v = v.split(",")
-    lo, hi = (float(x) for x in v)
-    if not -math.inf < lo < hi < math.inf:
-        raise ValueError("range must be finite with lo < hi")
-    return [lo, hi]
+_shape = _checked(_list_of(_integer),
+                  lambda shape: len(shape) >= 2 and min(shape) >= 1,
+                  "a list of two or more integers >= 1")
+_range_pair = _checked(_list_of(_number),
+                       lambda p: len(p) == 2
+                       and -math.inf < p[0] < p[1] < math.inf,
+                       "two finite numbers lo < hi")
+_weights = _checked(
+    lambda v: v if v in ("geometric", "unit") else _list_of(_number)(v),
+    lambda w: isinstance(w, str) or all(map(math.isfinite, w)),
+    "'geometric', 'unit' or a comma list of finite numbers")
 
 
 @contextmanager
@@ -204,18 +187,18 @@ def _init_rng(seed: int) -> np.random.Generator:
 
 
 _GEN_DATA_FIELDS = {
-    "equation": (str, None, True),
+    "equation": (_string, None, True),
     "n-train": (_positive_int, 1000, False),
     "n-test": (_positive_int, 1000, False),
     "noise-frac": (_nonnegative_float, 0.1, False),
     "data-seed": (_nonnegative_int, 0, False),
     "range": (_range_pair, [0.0, 1.0], False),
-    "out": (str, None, False),
+    "out": (_string, None, False),
 }
 
 
 def cmd_gen_data(args) -> int:
-    cfg = _merged(_load_config(args.config), args, _GEN_DATA_FIELDS)
+    cfg = _merged(args, _GEN_DATA_FIELDS)
     train_ds, test_ds = _make_dataset(dict(cfg, **{"train-csv": None,
                                                    "test-csv": None}))
     out = _ensure_out_dir(cfg["out"] or _default_out("data"))
@@ -229,12 +212,13 @@ def cmd_gen_data(args) -> int:
 
 
 _TRAIN_FIELDS = {
-    "equation": (str, None, False),
-    "train-csv": (str, None, False),
-    "test-csv": (str, None, False),
+    "equation": (_string, None, False),
+    "train-csv": (_string, None, False),
+    "test-csv": (_string, None, False),
     "shape": (_shape, None, True),
     "r": (_positive_int, 3, False),
-    "optimizer": (_one_of("lbfgs", "adam"), "lbfgs", False),
+    "optimizer": (_checked(lambda v: v, lambda v: v in ("lbfgs", "adam"),
+                           "'lbfgs' or 'adam'"), "lbfgs", False),
     "epochs": (_nonnegative_int, 200, False),
     "lr": (_positive_float, 1e-3, False),
     "history": (_nonnegative_int, 10, False),
@@ -245,7 +229,7 @@ _TRAIN_FIELDS = {
     "data-seed": (_nonnegative_int, 0, False),
     "range": (_range_pair, [0.0, 1.0], False),
     "angle-scale": (_nonnegative_float, 0.1, False),
-    "out": (str, None, False),
+    "out": (_string, None, False),
 }
 
 
@@ -300,7 +284,7 @@ def _json_number(value: float):
 
 
 def cmd_train(args) -> int:
-    cfg = _merged(_load_config(args.config), args, _TRAIN_FIELDS)
+    cfg = _merged(args, _TRAIN_FIELDS)
     summary, _ = run_training(cfg)
     best_rmse = summary["best_test_rmse"]
     print(f"best seed {summary['best_seed']}: "
@@ -420,21 +404,21 @@ def run_mnist_demo(data_dir: str, n_samples: int = 2000, epochs: int = 50,
     paths = {k: os.path.join(data_dir, v) for k, v in MNIST_FILES.items()}
     if not all(os.path.exists(p) for p in paths.values()):
         return None
-    images = datamod.read_idx(paths["train_images"])
-    labels = datamod.read_idx(paths["train_labels"])
-    t_images = datamod.read_idx(paths["test_images"])
-    t_labels = datamod.read_idx(paths["test_labels"])
 
-    def subset(x, y, limit=None):
+    def subset(split, limit=None):
+        """The digits 0 and 1 of one split: a dataset and its labels."""
+        x, y = (datamod.read_idx(paths[f"{split}_{kind}"])
+                for kind in ("images", "labels"))
         mask = (y == 0) | (y == 1)
-        x, y = x[mask], y[mask]
-        if limit is not None:
-            x, y = x[:limit], y[:limit]
-        onehot = np.eye(2)[y]
-        return datamod.Dataset(x, onehot), y
+        if not (x.ndim == 2 and x.shape[1] and y.shape == x.shape[:1]
+                and mask.any()):
+            raise DataError(f"{data_dir}: the {split} images {x.shape} and "
+                            f"labels {y.shape} pair no image with a 0 or 1")
+        x, y = x[mask][:limit], y[mask][:limit]
+        return datamod.Dataset(x, np.eye(2)[y]), y
 
-    train_ds, _ = subset(images, labels, n_samples)
-    test_ds, y_test = subset(t_images, t_labels)
+    train_ds, _ = subset("train", n_samples)
+    test_ds, y_test = subset("test")
     net = make_hqkan(train_ds.inputs.shape[1], 2, r=MNIST_R,
                      rng=_init_rng(seed))
     result = train(net, train_ds, test_ds,

@@ -20,11 +20,12 @@ grid of each row block.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import daruan
+from .checkpoint import check_object, check_version, finite_array, parse_json
 from .daruan import DaruanParams, silu
 from .errors import DataError, FitError
 from .network import (LinearLayer, QkanLayer, QkanNetwork, _as_batch,
@@ -32,6 +33,7 @@ from .network import (LinearLayer, QkanLayer, QkanNetwork, _as_batch,
 
 SPLINE_FORMAT = "qkan-spline-network"
 SPLINE_FORMAT_VERSION = 1
+SPLINE_KEYS = ("format", "format_version", "encoder", "decoder", "layers")
 
 
 def make_knots(lo: float, hi: float, grid_size: int, degree: int) -> np.ndarray:
@@ -98,40 +100,30 @@ class SplineModel:
         return y.reshape(x.shape)[()]
 
     def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "knots": list(self.knots),
-            "coefficients": list(self.coefficients),
-            "domain": list(self.domain),
-            "w_base": self.w_base,
-            "out_bias": self.out_bias,
-            "fit_max_err": self.fit_max_err,
-            "fit_rms_err": self.fit_rms_err,
-        }
+        """Every field, in declaration order; arrays and the domain as
+        lists."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v if isinstance(v, (int, float)) else list(v)
+                for k, v in doc.items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SplineModel":
         """The inverse of to_dict; a missing or malformed field raises
         DataError. The fit errors are optional."""
-        if not isinstance(d, dict):
-            raise DataError("a spline edge must be a JSON object")
+        what = "spline edge"
+        check_object(d, [f.name for f in fields(cls)], DataError, what)
         degree = d.get("degree")
         if type(degree) is not int or degree < 0:
             raise DataError(f"spline edge field 'degree' must be a "
                             f"nonnegative integer, got {degree!r}")
-        domain = _numbers(d, "domain")
-        if domain.shape != (2,):
-            raise DataError(f"spline edge field 'domain' must hold two "
-                            f"numbers, got {domain.size}")
-        fit_errors = {name: float(_numbers(d, name, 0))
-                      for name in ("fit_max_err", "fit_rms_err") if name in d}
-        return cls(degree=degree,
-                   knots=_numbers(d, "knots"),
-                   coefficients=_numbers(d, "coefficients"),
-                   domain=tuple(domain.tolist()),
-                   w_base=float(_numbers(d, "w_base", 0)),
-                   out_bias=float(_numbers(d, "out_bias", 0)),
-                   **fit_errors)
+        domain = finite_array(d, "domain", what, (2,))
+        scalars = {name: float(finite_array(d, name, what, ()))
+                   for name in ("w_base", "out_bias", "fit_max_err",
+                                "fit_rms_err")
+                   if name in d or not name.startswith("fit")}
+        return cls(degree=degree, knots=finite_array(d, "knots", what),
+                   coefficients=finite_array(d, "coefficients", what),
+                   domain=tuple(domain.tolist()), **scalars)
 
 
 def sample_activation(p: DaruanParams, lo: float, hi: float, count: int):
@@ -448,19 +440,10 @@ class SplineNetwork:
         """The inverse of to_json; every malformed document raises
         DataError. A format tag or version mismatch is rejected, never
         migrated."""
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid spline network JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            raise DataError("a spline network must be a JSON object")
-        tag, version = doc.get("format"), doc.get("format_version")
-        if (tag != SPLINE_FORMAT or type(version) is not int
-                or version != SPLINE_FORMAT_VERSION):
-            raise DataError(f"unsupported spline network format {tag!r} "
-                            f"version {version!r}; this build reads "
-                            f"{SPLINE_FORMAT!r} version "
-                            f"{SPLINE_FORMAT_VERSION}")
+        doc = check_object(parse_json(text, DataError, "spline network"),
+                           SPLINE_KEYS, DataError, "spline network")
+        check_version(doc, SPLINE_FORMAT_VERSION, "spline network",
+                      SPLINE_FORMAT)
         layers = doc.get("layers")
         if not (isinstance(layers, list)
                 and all(isinstance(grid, list)
@@ -478,30 +461,6 @@ class SplineNetwork:
             raise DataError(f"spline network: {exc}") from None
 
 
-def _numbers(doc: dict, key: str, ndim: int = 1) -> np.ndarray:
-    """doc[key] as a float64 array of `ndim` dimensions (a scalar when
-    ndim is 0): a nonempty, rectangular nesting of lists of finite JSON
-    numbers, or DataError."""
-    def numeric(v, depth):
-        if depth == 0:
-            return isinstance(v, (int, float)) and not isinstance(v, bool)
-        return isinstance(v, list) and all(numeric(u, depth - 1) for u in v)
-
-    value = doc.get(key)
-    if numeric(value, ndim):
-        try:
-            arr = np.array(value, dtype=np.float64)
-        except (ValueError, OverflowError):   # ragged, or too large
-            arr = None
-        if (arr is not None and arr.ndim == ndim and arr.size
-                and np.all(np.isfinite(arr))):
-            return arr
-    kind = "a finite number" if ndim == 0 else \
-        f"a nonempty {ndim}-D list of finite numbers"
-    raise DataError(f"spline network field {key!r} must be {kind}, "
-                    f"got {value!r:.80}")
-
-
 def _linear_to_dict(lin: LinearLayer | None):
     if lin is None:
         return None
@@ -512,13 +471,10 @@ def _linear_from_dict(doc: dict, key: str) -> LinearLayer | None:
     d = doc.get(key)
     if d is None:
         return None
-    if not isinstance(d, dict):
-        raise DataError(f"spline network field {key!r} must be an object "
-                        f"or null")
-    weight, bias = _numbers(d, "weight", 2), _numbers(d, "bias")
-    if bias.shape != weight.shape[:1]:
-        raise DataError(f"spline network {key} has {weight.shape[0]} weight "
-                        f"rows but {bias.size} biases")
+    what = f"spline network {key}"
+    check_object(d, ("weight", "bias"), DataError, what)
+    weight = finite_array(d, "weight", what, (None, None))
+    bias = finite_array(d, "bias", what, weight.shape[:1])
     return LinearLayer(weight=weight, bias=bias)
 
 

@@ -14,7 +14,8 @@ class ConfigError(QkanError):
 
 
 class DataError(QkanError):
-    """Malformed or unreadable input files (CSV, IDX, checkpoints)."""
+    """Malformed or unreadable input files: CSV, IDX, checkpoints and
+    spline.json."""
 
 
 class NumericalError(QkanError):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -118,11 +119,20 @@ class TestValidation:
         lambda doc: doc["params"].__setitem__(3, float("-inf")),
         lambda doc: doc.update(encoder=[4]),
         lambda doc: doc.update(encoder=[4, 3]),   # core input width is 2
+        lambda doc: doc.update(format_version=True),
+        lambda doc: doc.update(format_version=1.0),
+        lambda doc: doc.update(format_version="1"),
+        lambda doc: doc["params"].__setitem__(3, float("inf")),
+        lambda doc: doc["params"].__setitem__(3, 10 ** 400),
+        lambda doc: doc.update(comment="an unknown key"),
+        lambda doc: doc.update(provenance=[1]),
     ], ids=["no-format_version", "no-shape", "no-r", "no-params",
             "shape-string", "shape-short", "shape-zero", "r-float",
             "r-count", "r-scalar", "params-string", "params-null",
             "params-nested", "params-nan", "params-inf", "encoder-short",
-            "encoder-mismatch"])
+            "encoder-mismatch", "format_version-true", "format_version-1.0",
+            "format_version-string", "params-infinity", "params-overflow",
+            "unknown-key", "provenance-list"])
     def test_malformed_document_is_data_error(self, tmp_path, mutate):
         net = QkanNetwork.init([2, 3, 1], 2, np.random.default_rng(306))
         path = tmp_path / "ckpt.json"
@@ -184,3 +194,14 @@ class TestConfigHash:
         assert ck.config_hash({"a": 1, "b": 2}) == ck.config_hash({"b": 2, "a": 1})
         assert ck.config_hash({"a": 1}) != ck.config_hash({"a": 2})
         assert len(ck.config_hash({})) == 16
+
+
+def test_only_checkpoint_parses_json():
+    """checkpoint.py holds the one set of JSON read rules; a module that
+    calls json.load or json.loads itself would state its own."""
+    src = os.path.dirname(ck.__file__)
+    readers = [name for name in sorted(os.listdir(src))
+               if name.endswith(".py") and re.search(
+                   r"\bjson\s*\.\s*loads?\s*\(|from\s+json\s+import",
+                   open(os.path.join(src, name)).read())]
+    assert readers == ["checkpoint.py"]

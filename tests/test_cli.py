@@ -12,6 +12,9 @@ import pytest
 from qkan import QkanNetwork, SplineNetwork, daruan, read_csv, rmse
 from qkan.checkpoint import load_checkpoint, save_checkpoint
 from qkan.cli import _GEN_DATA_FIELDS, _TRAIN_FIELDS, main
+from qkan.errors import DataError
+
+from test_distill import SPLINE_JSON_MUTATIONS, _hqkan_spline_doc
 
 
 def run(*argv):
@@ -314,7 +317,22 @@ _OPTION_CASES = [
        {field: json.loads(value)})
       for command in ("gen-data", "train")
       for field, value in (("n-train", "0"), ("n-train", "-5"),
-                           ("noise-frac", "-1"), ("n-test", "0"))],
+                           ("noise-frac", "-1"), ("n-test", "0"),
+                           ("n-train", "10.9"), ("n-train", "true"),
+                           ("data-seed", "1.5"), ("noise-frac", "true"))],
+    *[(f"range-{name}", command, {"range": flag}, {"range": config})
+      for command in ("gen-data", "train")
+      for name, flag, config in (("bool", "0,true", [0, True]),
+                                 ("three", "0,1,2", [0, 1, 2]))],
+    ("seeds-float", "train", {"seeds": "0.5"}, {"seeds": [0.5]}),
+    ("shape-float", "train", {"shape": "2,2.0,1"}, {"shape": [2, 2.0, 1]}),
+    ("r-bool", "train", {"r": "true"}, {"r": True}),
+    # values no flag can spell: only the config form runs
+    *[(f"{field}-{name}", command, None, {field: value})
+      for command in ("gen-data", "train")
+      for field in ("out", "equation")
+      for name, value in (("nan", float("nan")), ("list", ["a"]),
+                          ("number", 1))],
     *[("out-is-a-file", command, {"out": "{file}"}, {"out": "{file}"})
       for command in ("gen-data", "train")],
     ("test-csv-inputs", "train",
@@ -381,6 +399,8 @@ _FLAG_CASES = [
 def _hostile_cases():
     for name, command, flags, config in _OPTION_CASES:
         for form, given in (("flag", flags), ("config", config)):
+            if given is None:
+                continue
             fields = {k: v for k, v in _BASE_FIELDS[command].items()
                       if k not in given}
             if form == "flag":
@@ -428,10 +448,13 @@ def hostile_inputs(workspace):
 
 @pytest.mark.parametrize("argv, config, code", _hostile_cases())
 def test_hostile_input_exits_with_its_code(hostile_inputs, tmp_path, capsys,
-                                           argv, config, code):
-    """Out-of-range options, CSVs that do not fit the network, unreadable
-    inputs and unwritable outputs exit with their documented code and one
-    error line, never a traceback, and leave no output behind."""
+                                           monkeypatch, argv, config, code):
+    """Out-of-range options, config values of the wrong JSON type, CSVs
+    that do not fit the network, unreadable inputs and unwritable outputs
+    exit with their documented code and one error line, never a
+    traceback, and leave no output behind (relative paths included)."""
+    monkeypatch.chdir(tmp_path)
+
     def fill(value):
         return value.format(tmp=tmp_path, **hostile_inputs) \
             if isinstance(value, str) else value
@@ -443,7 +466,186 @@ def test_hostile_input_exits_with_its_code(hostile_inputs, tmp_path, capsys,
         argv += ["--config", str(path)]
     assert main(argv) == code
     prefix = {2: "config error:", 3: "data error:"}[code]
-    assert capsys.readouterr().err.startswith(prefix)
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
     assert sorted(os.listdir(tmp_path)) == ([] if config is None
                                             else ["cfg.json"])
     assert hostile_inputs["file"].read_text() == "a file, not a directory\n"
+
+
+# --- every input format, damaged ---------------------------------------------
+
+
+def _text(name, edit):
+    """A mutation that rewrites the input file `name` as edit(its text)."""
+    def mutate(src):
+        path = src / name
+        path.write_text(edit(path.read_text()))
+    return mutate
+
+
+def _doc(name, edit):
+    """A mutation that applies edit(document) to the JSON file `name`; a
+    NaN or infinite float is written as the token json.dumps gives it."""
+    def rewrite(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return _text(name, rewrite)
+
+
+def _csv(edit):
+    """A mutation that applies edit(rows of cells) to data.csv."""
+    def rewrite(text):
+        rows = [line.split(",") for line in text.splitlines()]
+        edit(rows)
+        return "\n".join(",".join(row) for row in rows) + "\n"
+    return _text("data.csv", rewrite)
+
+
+def _idx(name, edit):
+    """A mutation that rewrites the IDX file `name` as edit(its bytes)."""
+    def mutate(src):
+        path = src / "idx" / name
+        path.write_bytes(edit(path.read_bytes()))
+    return mutate
+
+
+def _cut(text):
+    """The text up to the first comma past its middle: a row cut short.
+    (A CSV cut inside a row's last cell ends in a shorter valid number,
+    which no reader can tell from a whole file.)"""
+    return text[:text.index(",", len(text) // 2)]
+
+
+_TRAIN_IMAGES = "train-images-idx3-ubyte"
+_TRAIN_LABELS = "train-labels-idx1-ubyte"
+_SPLINE_ROWS = dict(SPLINE_JSON_MUTATIONS)
+
+# (format, mutation, mutate(input directory)); the kinds of damage are a
+# truncated file, a NaN, a value of the wrong type, a deleted key, an
+# added column or unknown key, and a version that is a bool or a float
+_FILE_MUTATIONS = [
+    ("csv", "truncated", _text("data.csv", _cut)),
+    ("csv", "nan-cell", _csv(lambda rows: rows[5].__setitem__(1, "nan"))),
+    ("csv", "string-cell", _csv(lambda rows: rows[5].__setitem__(1, "abc"))),
+    ("csv", "target-column-deleted",
+     _csv(lambda rows: [row.pop() for row in rows])),
+    ("csv", "column-added", _csv(lambda rows: [
+        row.append("x3" if k == 0 else "0.5") for k, row in enumerate(rows)])),
+    ("csv", "unknown-column", _csv(lambda rows: rows[0].__setitem__(2, "z1"))),
+    ("idx", "truncated", _idx(_TRAIN_IMAGES, lambda b: b[:len(b) // 2])),
+    ("idx", "labels-for-images",
+     lambda src: shutil.copy(src / "idx" / _TRAIN_LABELS,
+                             src / "idx" / _TRAIN_IMAGES)),
+    ("idx", "label-deleted", _idx(_TRAIN_LABELS, lambda b: struct.pack(
+        ">II", 0x00000801, 3) + b[8:-1])),
+    ("idx", "byte-added", _idx(_TRAIN_IMAGES, lambda b: b + b"\x00")),
+    ("idx", "zero-width-images", _idx(_TRAIN_IMAGES, lambda b: struct.pack(
+        ">IIII", 0x00000803, 4, 2, 0))),
+    ("idx", "no-0-or-1-labels", _idx(_TRAIN_LABELS, lambda b: b[:8] + b"\x07"
+                                     * (len(b) - 8))),
+    ("checkpoint", "truncated", _text("ckpt.json", lambda t: t[:len(t) // 2])),
+    ("checkpoint", "nan-token",
+     _doc("ckpt.json", lambda d: d["params"].__setitem__(3, float("nan")))),
+    ("checkpoint", "5000-digit-integer",
+     _text("ckpt.json", lambda t: t.replace('"params": [',
+                                            '"params": [' + "9" * 5000 + ","))),
+    ("checkpoint", "overflowing-integer",
+     _doc("ckpt.json", lambda d: d["params"].__setitem__(3, 10 ** 400))),
+    ("checkpoint", "deep-nesting", _text("ckpt.json", lambda t: "[" * 100000)),
+    ("checkpoint", "params-string", _doc("ckpt.json",
+                                         lambda d: d.update(params="0.1"))),
+    ("checkpoint", "provenance-list",
+     _doc("ckpt.json", lambda d: d.update(provenance=[1]))),
+    ("checkpoint", "shape-deleted", _doc("ckpt.json", lambda d: d.pop("shape"))),
+    ("checkpoint", "unknown-key",
+     _doc("ckpt.json", lambda d: d.update(comment="an unknown key"))),
+    ("checkpoint", "version-true",
+     _doc("ckpt.json", lambda d: d.update(format_version=True))),
+    ("checkpoint", "version-1.0",
+     _doc("ckpt.json", lambda d: d.update(format_version=1.0))),
+    ("checkpoint", "version-string",
+     _doc("ckpt.json", lambda d: d.update(format_version="1"))),
+    ("config", "truncated", _text("cfg.json", lambda t: t[:len(t) // 2])),
+    ("config", "nan-token", _doc("cfg.json",
+                                 lambda d: d.update(lr=float("nan")))),
+    ("config", "5000-digit-integer",
+     _text("cfg.json", lambda t: t.replace('"seeds": [',
+                                           '"seeds": [' + "9" * 5000 + ","))),
+    ("config", "deep-nesting", _text("cfg.json", lambda t: "[" * 100000)),
+    ("config", "shape-object", _doc("cfg.json",
+                                    lambda d: d.update(shape={"2": 1}))),
+    ("config", "shape-deleted", _doc("cfg.json", lambda d: d.pop("shape"))),
+    ("config", "unknown-key", _doc("cfg.json",
+                                   lambda d: d.update(comment="unknown"))),
+    ("config", "r-true", _doc("cfg.json", lambda d: d.update(r=True))),
+    ("config", "epochs-1.5", _doc("cfg.json", lambda d: d.update(epochs=1.5))),
+    ("spline", "truncated", _text("spline.json", lambda t: t[:len(t) // 2])),
+    *[("spline", name, _doc("spline.json", _SPLINE_ROWS[name]))
+      for name in ("NaN coefficient", "w_base a string", "coefficients missing",
+                   "unknown key", "format_version true",
+                   "format_version 1.0")],
+]
+
+# format: (commands that read its file, exit code); the spline network
+# has no command and is read through SplineNetwork.from_json
+_READERS = {
+    "csv": ([["eval", "--checkpoint", "{src}/ckpt.json",
+              "--data", "{src}/data.csv", "--out", "{out}/eval.json"]], 3),
+    "idx": ([["mnist-demo", "--data-dir", "{src}/idx", "--epochs", "1"]], 3),
+    "checkpoint": ([["eval", "--checkpoint", "{src}/ckpt.json",
+                     "--data", "{src}/data.csv", "--out", "{out}/eval.json"],
+                    ["distill", "--checkpoint", "{src}/ckpt.json",
+                     "--data", "{src}/data.csv", "--out", "{out}/dist"],
+                    ["extend", "--checkpoint", "{src}/ckpt.json",
+                     "--new-r", "3", "--out", "{out}/deeper.json"]], 3),
+    "config": ([["train", "--config", "{src}/cfg.json",
+                 "--out", "{out}/run"]], 2),
+}
+
+
+@pytest.fixture(scope="module")
+def pristine_inputs(workspace, hostile_inputs, tmp_path_factory):
+    """One valid file of each format, each read without error."""
+    src = tmp_path_factory.mktemp("pristine")
+    shutil.copy(workspace / "run" / "best.json", src / "ckpt.json")
+    shutil.copy(workspace / "data" / "test.csv", src / "data.csv")
+    shutil.copytree(hostile_inputs["idx"], src / "idx")
+    (src / "cfg.json").write_text(json.dumps(
+        {"equation": "I.12.11", "shape": [2, 2, 1], "r": 2, "epochs": 1,
+         "seeds": [0], "n-train": 20, "n-test": 10}))
+    (src / "spline.json").write_text(_hqkan_spline_doc())
+    SplineNetwork.from_json((src / "spline.json").read_text())
+    out = tmp_path_factory.mktemp("pristine-out")
+    for fmt in _READERS:
+        for argv in _READERS[fmt][0]:
+            assert main([a.format(src=src, out=out) for a in argv]) == 0
+    return src
+
+
+@pytest.mark.parametrize("fmt, mutate", [
+    pytest.param(fmt, mutate, id=f"{fmt}-{name}")
+    for fmt, name, mutate in _FILE_MUTATIONS])
+def test_damaged_input_file_is_refused(pristine_inputs, tmp_path, capsys,
+                                       fmt, mutate):
+    """Each input format, damaged in each way a file can be, exits with
+    the code the README gives it (3 for data, 2 for a config) and one
+    error line, never a traceback, and writes no output; a damaged
+    spline.json raises DataError."""
+    src, out = tmp_path / "in", tmp_path / "out"
+    shutil.copytree(pristine_inputs, src)
+    out.mkdir()
+    mutate(src)
+    if fmt == "spline":
+        with pytest.raises(DataError):
+            SplineNetwork.from_json((src / "spline.json").read_text())
+        return
+    argvs, code = _READERS[fmt]
+    prefix = {2: "config error:", 3: "data error:"}[code]
+    for argv in argvs:
+        assert main([a.format(src=src, out=out) for a in argv]) == code, argv
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert os.listdir(out) == []

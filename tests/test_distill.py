@@ -294,6 +294,11 @@ def _edge(doc):
 SPLINE_JSON_MUTATIONS = [
     ("format_version 2", lambda d: d.update(format_version=2)),
     ("format_version true", lambda d: d.update(format_version=True)),
+    ("format_version 1.0", lambda d: d.update(format_version=1.0)),
+    ("format_version a string", lambda d: d.update(format_version="1")),
+    ("unknown key", lambda d: d.update(comment="an unknown key")),
+    ("edge unknown key", lambda d: _edge(d).update(grid_size=20)),
+    ("encoder unknown key", lambda d: d["encoder"].update(scale=1.0)),
     ("format_version missing", lambda d: d.pop("format_version")),
     ("other format tag", lambda d: d.update(format="qkan-checkpoint")),
     ("format tag missing", lambda d: d.pop("format")),
