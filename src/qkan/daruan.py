@@ -147,12 +147,13 @@ def _rotate(a, b, c, s, work):
     b += as_
 
 
-def circuit_forward(enc_w, enc_b, angles, x, keep_states=False):
+def circuit_forward(enc_w, enc_b, angles, x):
     """Run the batched circuit.
 
     enc_w, enc_b: (N, M, r); angles: (N, M, r+1, 3); x: (B, M).
-    Returns (expectations (B, N, M), tape or None). When keep_states is
-    set, the CircuitTape of this pass is returned for circuit_adjoint.
+    Returns (expectations (B, N, M), the CircuitTape of this pass for
+    circuit_adjoint). The tape holds the working arrays of the pass, so
+    it costs no copy; a caller that needs no gradient drops it.
     """
     r = enc_w.shape[2]
     alpha, beta = angles[..., 0], angles[..., 1]
@@ -174,16 +175,15 @@ def circuit_forward(enc_w, enc_b, angles, x, keep_states=False):
     for l in range(r):
         _rotate(vx, vy, cos_t[l], sin_t[l], work)              # rz(theta_l)
         _rotate(vz, vx, cb[..., l + 1], sb[..., l + 1], work)  # ry(beta_l+1)
-    tape = CircuitTape(cos_t, sin_t, (vx, vy, vz)) if keep_states else None
-    return vz, tape
+    return vz, CircuitTape(cos_t, sin_t, (vx, vy, vz))
 
 
-def circuit_adjoint(angles, tape: CircuitTape, weights=None):
+def circuit_adjoint(angles, tape: CircuitTape, weights):
     """Adjoint sweep over a forward tape, with no second forward pass.
 
     Returns per-sample derivatives of weights * <Z>: g_theta (r, B, N, M)
     for the merged angles, g_beta (r+1, B, N, M) and g_alpha0 (B, N, M).
-    weights (B, N, M) defaults to 1.
+    weights is an array (B, N, M) or a scalar such as 1.0.
 
     For a rotation by t about axis n, d<Z>/dt = n . (v x lam), where v
     is the state and lam the back-propagated readout (weights * e_z),
@@ -195,8 +195,7 @@ def circuit_adjoint(angles, tape: CircuitTape, weights=None):
     r = cos_t.shape[0]
     beta = angles[..., 1]
     cb, sb = np.cos(beta), np.sin(beta)
-    w = 1.0 if weights is None else weights
-    cx, cy, cz = w * vy, -w * vx, np.zeros(vx.shape)
+    cx, cy, cz = weights * vy, -weights * vx, np.zeros(vx.shape)
     work = (np.empty(vx.shape), np.empty(vx.shape))
     g_theta = np.empty(cos_t.shape)
     g_beta = np.empty((r + 1,) + vx.shape)
@@ -242,8 +241,8 @@ def circuit_gradients(enc_w, enc_b, angles, x):
     derivatives from angle_grads.
     """
     r = enc_w.shape[2]
-    f, tape = circuit_forward(enc_w, enc_b, angles, x, keep_states=True)
-    g_theta, g_beta, g_alpha0 = circuit_adjoint(angles, tape)
+    f, tape = circuit_forward(enc_w, enc_b, angles, x)
+    g_theta, g_beta, g_alpha0 = circuit_adjoint(angles, tape, 1.0)
     g_ang = angle_grads(g_theta, g_beta, g_alpha0,
                         np.empty(f.shape + (r + 1, 3)))
     return f, np.moveaxis(g_theta, 0, -1), g_ang

@@ -35,6 +35,9 @@ SPLINE_FORMAT = "qkan-spline-network"
 SPLINE_FORMAT_VERSION = 1
 SPLINE_KEYS = ("format", "format_version", "encoder", "decoder", "layers")
 
+#: calibrate_domains widens each observed input range by this fraction of it
+CALIBRATION_WIDEN = 0.1
+
 
 def make_knots(lo: float, hi: float, grid_size: int, degree: int) -> np.ndarray:
     """Clamped (open uniform) knot vector with `grid_size` intervals."""
@@ -124,15 +127,6 @@ class SplineModel:
         return cls(degree=degree, knots=finite_array(d, "knots", what),
                    coefficients=finite_array(d, "coefficients", what),
                    domain=tuple(domain.tolist()), **scalars)
-
-
-def sample_activation(p: DaruanParams, lo: float, hi: float, count: int):
-    """Uniform samples of the edge output minus the silu residual term,
-    i.e. the part the spline will replace."""
-    xs, ys = _sample_edges(QkanLayer.of_edge(p),
-                           np.array([lo], dtype=np.float64),
-                           np.array([hi], dtype=np.float64), count)
-    return xs[:, 0], ys[:, 0]
 
 
 def fit_spline(xs, ys, grid_size: int, degree: int = 3,
@@ -478,18 +472,19 @@ def _linear_from_dict(doc: dict, key: str) -> LinearLayer | None:
     return LinearLayer(weight=weight, bias=bias)
 
 
-def calibrate_domains(net: QkanNetwork, inputs, widen: float = 0.1) -> dict:
+def calibrate_domains(net: QkanNetwork, inputs) -> dict:
     """Observed per-edge input ranges over a calibration set, widened by
-    `widen` (split evenly between the two ends).
+    CALIBRATION_WIDEN of the range (split evenly between the two ends);
+    an input that never varies gets 0.5 on each side.
 
     Keys are (layer_index, out_node, in_node); every edge fed by one
     input gets that input's range.
     """
-    return next(_calibrated(net, inputs, widen))
+    return next(_calibrated(net, inputs))
 
 
-def _calibrated(net: QkanNetwork, inputs, widen: float = 0.1):
-    """Yields calibrate_domains(net, inputs, widen), then the network
+def _calibrated(net: QkanNetwork, inputs):
+    """Yields calibrate_domains(net, inputs), then the network
     output on the inputs, so a caller that needs both runs each layer
     once; the last layer runs only when the output is asked for."""
     x, _ = _as_batch(np.asarray(inputs, dtype=np.float64), net.in_dim,
@@ -500,7 +495,7 @@ def _calibrated(net: QkanNetwork, inputs, widen: float = 0.1):
     for li, layer in enumerate(net.layers):
         lo, hi = x.min(axis=0), x.max(axis=0)
         span = hi - lo
-        pad = np.where(span > 0, 0.5 * widen * span, 0.5)
+        pad = np.where(span > 0, 0.5 * CALIBRATION_WIDEN * span, 0.5)
         lo, hi = (lo - pad).tolist(), (hi + pad).tolist()
         for i in range(layer.n_in):
             for j in range(layer.n_out):

@@ -133,12 +133,6 @@ class QkanLayer(_Stage):
         return DaruanParams(*(v.copy() if v.ndim else float(v)
                               for v in values))
 
-    def set_edge(self, j: int, i: int, p: DaruanParams) -> None:
-        if p.r != self.r:
-            raise ValueError("edge repetition count must match the layer")
-        for name, a in zip(self.PARAMS, self.arrays()):
-            a[j, i] = getattr(p, name)
-
     def forward(self, x, tape: list | None = None) -> np.ndarray:
         """y_j = sum_i phi_{j,i}(x_i); x (B, n_in) -> (B, n_out).
 
@@ -159,9 +153,10 @@ class QkanLayer(_Stage):
     def _forward(self, x: np.ndarray, tape: list | None) -> np.ndarray:
         """forward of a (B, n_in) batch in one piece."""
         f, circuit_tape = daruan.circuit_forward(
-            self.enc_w, self.enc_b, self.angles, x, tape is not None)
+            self.enc_w, self.enc_b, self.angles, x)
         if tape is not None:
             tape.append((x, circuit_tape))
+        del circuit_tape   # without a tape list, freed before phi is built
         phi = (self.w_base[None] * silu(x)[:, None, :]
                + self.w_quant[None] * f
                + self.out_bias[None])
@@ -303,22 +298,24 @@ class QkanNetwork:
             x = stage.forward(x, tape)
         return x[0] if squeeze else x
 
-    def backward(self, x, upstream, tape: list | None = None) -> NetworkGrads:
+    def backward(self, x, upstream, tape: list) -> NetworkGrads:
         """Gradients of sum_b upstream[b] . forward(x[b]) for every
         trainable scalar, plus the input derivative.
 
-        `tape` is the list filled by forward(x, tape); backward empties
-        it, releasing each layer's tape once used. When it is missing or
-        empty, the forward pass runs here first. Each stage writes its
-        gradients into views of one flat buffer.
+        `tape` is the list that forward(x, tape) filled, one entry per
+        stage; a tape of any other length raises ValueError. backward
+        runs no forward pass. It empties the tape, releasing each
+        stage's entry once used. Each stage writes its gradients into
+        views of one flat buffer.
         """
         x, _ = _as_batch(x, self.in_dim, "network input")
         upstream, _ = _as_batch(upstream, self.out_dim, "upstream")
         if upstream.shape[0] != x.shape[0]:
             raise ValueError("upstream batch size must match the input")
-        if not tape:
-            tape = []
-            self.forward(x, tape)
+        if len(tape) != len(self.stages()):
+            raise ValueError(f"tape holds {len(tape)} entries, expected one "
+                             f"per stage ({len(self.stages())}); fill it "
+                             f"with forward(x, tape)")
         flat = np.empty(self.param_count())
         up = upstream
         for stage, out in reversed(list(zip(self.stages(),

@@ -94,23 +94,14 @@ def enumerate_frequencies(weights) -> np.ndarray:
     return _propagate(edge)[0]
 
 
-def empirical_spectrum(p: DaruanParams,
-                       frequencies: np.ndarray | None = None) -> SpectrumReport:
+def empirical_spectrum(p: DaruanParams) -> SpectrumReport:
     """The edge's exact frequencies and coefficients, with the RMS
     difference of their series from the circuit at AUDIT_POINTS.
 
-    Encoding biases are absorbed into the complex coefficients. An
-    explicit `frequencies` probe keeps only the enumerated frequencies
-    within DEDUP_TOL of one of its values, so a deliberately truncated
-    probe leaves a visible residual.
+    Encoding biases are absorbed into the complex coefficients. The
+    series uses every frequency that _propagate finds.
     """
     freqs, coeffs = _propagate(p)
-    if frequencies is not None:
-        probe = np.concatenate([[-np.inf], np.sort(frequencies), [np.inf]])
-        above = np.searchsorted(probe, freqs)
-        keep = np.minimum(freqs - probe[above - 1],
-                          probe[above] - freqs) <= DEDUP_TOL
-        freqs, coeffs = freqs[keep], coeffs[keep]
     edge = QkanLayer.of_edge(p)
     resid = circuit_expectation(edge.enc_w, edge.enc_b, edge.angles,
                                 AUDIT_POINTS[:, None])[:, 0, 0].astype(complex)

@@ -254,6 +254,10 @@ def train(net: QkanNetwork, train_ds: Dataset, test_ds: Dataset,
           config: TrainConfig) -> TrainResult:
     """Full-batch training; keeps the best-by-test-RMSE parameters.
 
+    Each trace row scores one parameter vector on both sets: an L-BFGS
+    row the parameters after its step, an Adam row e the parameters
+    after e updates, which fg scores before update e+1.
+
     The network is left at its final-epoch parameters; use
     `result.best_params` for the selected checkpoint. Raises
     NumericalError on NaN loss.
@@ -288,9 +292,10 @@ def train(net: QkanNetwork, train_ds: Dataset, test_ds: Dataset,
     else:
         state = AdamState.init(params.size, lr=config.lr)
         for epoch in range(config.epochs):
+            # fg just scored these parameters: record them, then update
             loss, grads = fg(params)
-            params = adam_step(state, params, grads)
             record(epoch, params, loss)
+            params = adam_step(state, params, grads)
     net.set_param_vector(params)
     if best["epoch"] < 0:
         best.update(epoch=0, rmse=float("nan"), params=params.copy())

@@ -306,9 +306,9 @@ class TestFusedKernelOracle:
 
     def test_weighted_adjoint_scales_readout(self):
         args = self.random_circuits(4, 60)
-        _, tape = daruan.circuit_forward(*args, keep_states=True)
+        _, tape = daruan.circuit_forward(*args)
         weights = np.random.default_rng(61).normal(size=tape.final[2].shape)
-        plain = daruan.circuit_adjoint(args[2], tape)
+        plain = daruan.circuit_adjoint(args[2], tape, 1.0)
         weighted = daruan.circuit_adjoint(args[2], tape, weights)
         for g, gw in zip(plain, weighted):
             np.testing.assert_allclose(gw, weights * g, rtol=0, atol=1e-14)

@@ -27,6 +27,13 @@ def scalar_layer_forward(layer: QkanLayer, x: np.ndarray) -> np.ndarray:
     return y
 
 
+def taped_backward(net: QkanNetwork, x, upstream):
+    """backward after the forward pass that records its tape."""
+    tape: list = []
+    net.forward(x, tape)
+    return net.backward(x, upstream, tape)
+
+
 class TestEdgeLayout:
     """get_edge fills DaruanParams by position and the scalar API reads
     DaruanGrad by position, so their fields must follow QkanLayer.PARAMS;
@@ -83,16 +90,6 @@ class TestLayer:
         y = layer.forward(np.zeros(3))
         assert y.shape == (2,)
 
-    def test_edge_round_trip(self):
-        rng = np.random.default_rng(43)
-        layer = QkanLayer.init(2, 2, 3, rng)
-        p = daruan.init_daruan(3, rng, angle_scale=2.0)
-        p.w_base, p.out_bias = -0.5, 0.3
-        layer.set_edge(1, 0, p)
-        q = layer.get_edge(1, 0)
-        np.testing.assert_array_equal(q.angles, p.angles)
-        assert q.w_base == p.w_base and q.out_bias == p.out_bias
-
     def test_param_count(self):
         layer = QkanLayer.init(4, 3, 5, np.random.default_rng(44))
         # 5r + 6 scalars per edge
@@ -110,7 +107,7 @@ class TestLayer:
 
 class TestNetworkGradients:
     def check_fd(self, net, x, upstream, n_probe=40, seed=0):
-        grads = net.grad_vector(net.backward(x, upstream))
+        grads = net.grad_vector(taped_backward(net, x, upstream))
         pv = net.param_vector()
         eps = 1e-6
         rng = np.random.default_rng(seed)
@@ -158,7 +155,7 @@ class TestNetworkGradients:
         gamma_r = np.concatenate([lay.angles[:, :, -1, 2].ravel()
                                   for lay in net.layers]).astype(int)
         net.set_param_vector(pv)
-        g = net.grad_vector(net.backward(x, upstream))
+        g = net.grad_vector(taped_backward(net, x, upstream))
         assert np.all(g[gamma_r] == 0.0)
 
     def test_input_derivative(self):
@@ -166,7 +163,7 @@ class TestNetworkGradients:
         net = QkanNetwork.init([3, 2], 2, rng)
         x = rng.normal(size=(3, 3))
         upstream = rng.normal(size=(3, 2))
-        g = net.backward(x, upstream)
+        g = taped_backward(net, x, upstream)
         eps = 1e-6
         for bi in (0, 2):
             for i in range(3):
@@ -201,7 +198,7 @@ class TestParamVector:
         net = QkanNetwork.init([2, 2], 1, rng)
         x = rng.normal(size=(3, 2))
         upstream = np.ones((3, 2))
-        g = net.grad_vector(net.backward(x, upstream))
+        g = net.grad_vector(taped_backward(net, x, upstream))
         direction = rng.normal(size=g.size)
         eps = 1e-6
         pv = net.param_vector()
@@ -285,3 +282,13 @@ class TestValidation:
         net = QkanNetwork.init([2, 1], 1, np.random.default_rng(0))
         with pytest.raises(ValueError):
             net.forward(np.zeros((3, 5)))
+
+    @pytest.mark.parametrize("tape, error", [
+        pytest.param((), TypeError, id="no-tape"),
+        pytest.param(([],), ValueError, id="empty-tape"),
+    ])
+    def test_backward_needs_the_forward_tape(self, tape, error):
+        net = make_hqkan(3, 1, r=1, rng=np.random.default_rng(0))
+        x = np.zeros((2, 3))
+        with pytest.raises(error):
+            net.backward(x, np.ones((2, 1)), *tape)

@@ -24,8 +24,9 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
         assert daruan.circuit_gradients is not original
         rng = np.random.default_rng(0)
         net = QkanNetwork.init([2, 1], 1, rng)
-        net.grad_vector(net.backward(rng.normal(size=(3, 2)),
-                                     np.ones((3, 1))))
+        x, tape = rng.normal(size=(3, 2)), []
+        net.forward(x, tape)
+        net.grad_vector(net.backward(x, np.ones((3, 1)), tape))
         layer = net.layers[0]
         daruan.circuit_gradients(layer.enc_w, layer.enc_b, layer.angles,
                                  rng.normal(size=(3, 2)))

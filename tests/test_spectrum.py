@@ -110,14 +110,20 @@ class TestEmpiricalSpectrum:
         assert report.max_frequency == 15.0
         assert report.nonzero_count == 30
 
-    def test_truncated_basis_fails(self):
+    def test_truncated_basis_fails(self, monkeypatch):
         # dropping the +-max frequencies must leave visible residual
         rng = np.random.default_rng(103)
         p = init_daruan(2, rng, angle_scale=2.0, geometric=False)
         p.enc_b = rng.normal(size=2)
-        full = spectrum.enumerate_frequencies(p.enc_w)
-        truncated = full[1:-1]
-        report = spectrum.empirical_spectrum(p, frequencies=truncated)
+        propagate = spectrum._propagate
+
+        def truncated(edge):
+            freqs, coeffs = propagate(edge)
+            assert freqs[-1] == -freqs[0] == 2.0
+            return freqs[1:-1], coeffs[1:-1]
+
+        monkeypatch.setattr(spectrum, "_propagate", truncated)
+        report = spectrum.empirical_spectrum(p)
         assert report.residual_l2 > 1e-6
 
     def test_irrational_weights_fit(self):
@@ -125,17 +131,6 @@ class TestEmpiricalSpectrum:
         p.enc_w = np.array([1.0, np.sqrt(2.0)])
         ok, report = spectrum.verify_spectrum(p, tol=1e-7)
         assert ok, report.residual_l2
-
-    def test_probe_keeps_matching_frequencies(self):
-        # a probe value within DEDUP_TOL keeps its enumerated frequency;
-        # one matching nothing adds none
-        p = init_daruan(1, np.random.default_rng(105), geometric=False)
-        full = spectrum.empirical_spectrum(p)
-        probe = spectrum.empirical_spectrum(
-            p, frequencies=[1.0 + 1e-10, 0.5, -1.0, 0.0, 1.0 + 1e-13])
-        np.testing.assert_array_equal(probe.frequencies, [-1.0, 0.0, 1.0])
-        assert probe.coefficients == full.coefficients
-        assert probe.residual_l2 == full.residual_l2
 
     def test_report_json(self):
         p = init_daruan(2, np.random.default_rng(107), geometric=False)

@@ -139,6 +139,24 @@ class TestTrainLoop:
             tr.rmse(net.forward(ds.inputs), ds.targets),
             best_from_trace["train_rmse"], atol=1e-12)
 
+    @pytest.mark.parametrize("config", [
+        tr.TrainConfig(epochs=8),
+        tr.TrainConfig(optimizer="adam", epochs=8, lr=5e-2),
+    ], ids=["lbfgs", "adam"])
+    def test_trace_row_scores_one_parameter_vector(self, config):
+        # a row's train and test RMSE both belong to the parameters that
+        # are saved when the row is best
+        train_ds, test_ds = toy_dataset(seed=1), toy_dataset(seed=2, n=40)
+        net = self.make_net()
+        result = tr.train(net, train_ds, test_ds, config)
+        row = result.trace[result.best_epoch]
+        assert row["epoch"] == result.best_epoch
+        net.set_param_vector(result.best_params)
+        for ds, key in ((train_ds, "train_rmse"), (test_ds, "test_rmse")):
+            np.testing.assert_allclose(
+                tr.rmse(net.forward(ds.inputs), ds.targets), row[key],
+                rtol=1e-12, atol=0.0)
+
     def test_zero_epochs(self):
         ds = toy_dataset()
         net = self.make_net()
@@ -159,6 +177,8 @@ class TestTrainLoop:
                 return getattr(self.inner, name)
 
             def forward(self, x, tape=None):
+                if tape is not None:
+                    self.inner.forward(x, tape)
                 return np.full((x.shape[0], 1), np.nan)
 
         with pytest.raises(NumericalError):
@@ -195,11 +215,12 @@ class TestLossClosure:
         loss, grad = fg(params)
         assert len(calls) == len(net.layers)
         monkeypatch.undo()
-        # the taped gradient equals a backward that runs its own forward
-        pred = net.forward(ds.inputs)
+        # the closure's gradient equals one whole-batch taped pass
+        tape: list = []
+        pred = net.forward(ds.inputs, tape)
         up = 2.0 / ds.targets.size * (pred - ds.targets)
         np.testing.assert_array_equal(
-            grad, net.grad_vector(net.backward(ds.inputs, up)))
+            grad, net.grad_vector(net.backward(ds.inputs, up, tape)))
         assert loss == np.mean((pred - ds.targets) ** 2)
 
 
