@@ -7,7 +7,7 @@ QKAN layer) define. Floats are serialized with shortest round-trip
 precision, so load(save(net)) reproduces forward passes bitwise. A
 format_version mismatch is rejected, never migrated. The helpers
 below hold the rules by which qkan reads every JSON input (checkpoints,
-spline.json and --config files).
+spline.json and --config files) and writes every output.
 """
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import DataError, QkanError
+from .errors import ConfigError, DataError, NumericalError, QkanError
 from .network import LinearLayer, QkanLayer, QkanNetwork
 
 FORMAT_VERSION = 1
@@ -28,21 +27,44 @@ CHECKPOINT_KEYS = ("format_version", "shape", "r", "encoder", "decoder",
                    "params", "provenance")
 
 
+@contextmanager
+def writing(path):
+    """Context reporting an OSError on the output `path` as ConfigError."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") \
+            from None
+
+
 def atomic_write_text(path, text: str) -> None:
     """Write via a temp file in the same directory plus rename, so no
-    partial file is left behind on failure."""
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
-                               suffix=os.path.basename(path))
+    partial file is left behind on failure; open() gives the file the
+    mode the umask leaves (0644 under umask 022)."""
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".tmp-{os.urandom(6).hex()}-{tail}")
+    with writing(path):
+        try:
+            with open(tmp, "x") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+
+
+def write_json(path, doc, indent: int | None = 2) -> str:
+    """`doc` as strict JSON text, also written atomically to `path` (plus
+    a final newline) unless `path` is None. A NaN or infinite number
+    raises NumericalError, and nothing is written."""
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        text = json.dumps(doc, indent=indent, allow_nan=False)
+    except ValueError:
+        raise NumericalError(f"{path or 'JSON output'}: strict JSON has no "
+                             f"token for a NaN or infinite number") from None
+    if path is not None:
+        atomic_write_text(path, text + "\n")
+    return text
 
 
 @contextmanager
@@ -193,7 +215,7 @@ def save_checkpoint(net: QkanNetwork, path,
     if bad.size:
         raise DataError(f"cannot save a checkpoint with {bad.size} non-finite "
                         f"parameters (first at flat index {bad[0]})")
-    atomic_write_text(path, json.dumps(doc, allow_nan=False) + "\n")
+    write_json(path, doc, indent=None)
 
 
 def load_checkpoint(path):

@@ -15,11 +15,9 @@ QKAN_OUT environment variable sets the default output root.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -28,7 +26,7 @@ from . import distill as distillmod
 from . import spectrum as spectrummod
 from .checkpoint import (atomic_write_text, config_hash, load_checkpoint,
                          check_object, parse_json, reading,
-                         save_checkpoint)
+                         save_checkpoint, write_json, writing)
 from .daruan import DaruanParams, init_daruan
 from .errors import ConfigError, DataError, NumericalError, QkanError
 from .network import QkanNetwork, make_hqkan
@@ -126,19 +124,8 @@ _weights = _checked(
     "'geometric', 'unit' or a comma list of finite numbers")
 
 
-@contextmanager
-def _writing(path):
-    """Reports a failed write of the output `path` as a config error
-    naming it."""
-    try:
-        yield
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") \
-            from None
-
-
 def _ensure_out_dir(path) -> str:
-    with _writing(path):
+    with writing(path):
         os.makedirs(path, exist_ok=True)
     return path
 
@@ -204,8 +191,7 @@ def cmd_gen_data(args) -> int:
     out = _ensure_out_dir(cfg["out"] or _default_out("data"))
     datamod.write_csv(train_ds, os.path.join(out, "train.csv"))
     datamod.write_csv(test_ds, os.path.join(out, "test.csv"))
-    atomic_write_text(os.path.join(out, "meta.json"),
-                      json.dumps(train_ds.meta, indent=2) + "\n")
+    write_json(os.path.join(out, "meta.json"), train_ds.meta)
     print(f"wrote {out}/train.csv, test.csv, meta.json "
           f"({len(train_ds)}/{len(test_ds)} rows)")
     return 0
@@ -271,15 +257,12 @@ def run_training(cfg: dict):
     summary["best_test_rmse"] = _json_number(best[1])
     save_checkpoint(best[2], os.path.join(out, "best.json"),
                     provenance=best[3])
-    atomic_write_text(os.path.join(out, "summary.json"),
-                      json.dumps(summary, indent=2, allow_nan=False) + "\n")
+    write_json(os.path.join(out, "summary.json"), summary)
     return summary, best[2]
 
 
 def _json_number(value: float):
-    """value, or None when it is not finite: no epoch ran when epochs is
-    0, and the NaN RMSE is written as null, since outputs are strict
-    JSON."""
+    """value, or None (JSON null) when it is not finite: no epoch ran."""
     return value if np.isfinite(value) else None
 
 
@@ -297,12 +280,9 @@ def cmd_eval(args) -> int:
     net, _ = load_checkpoint(args.checkpoint)
     dataset = _read_data_for(net, args.data)
     value = rmse(net.forward(dataset.inputs), dataset.targets)
-    report = json.dumps({"checkpoint": args.checkpoint, "data": args.data,
-                         "n_samples": len(dataset), "rmse": value}, indent=2)
-    if args.out:
-        with _writing(args.out):
-            atomic_write_text(args.out, report + "\n")
-    print(report)
+    print(write_json(args.out or None, {
+        "checkpoint": args.checkpoint, "data": args.data,
+        "n_samples": len(dataset), "rmse": value}))
     return 0
 
 
@@ -331,8 +311,7 @@ def cmd_spectrum(args) -> int:
     ok, report = spectrummod.verify_spectrum(p, tol=args.tol)
     text = report.to_json()
     if args.out:
-        with _writing(args.out):
-            atomic_write_text(args.out, text + "\n")
+        atomic_write_text(args.out, text + "\n")
     print(text)
     print(f"spectrum residual {report.residual_l2:.3e} "
           f"{'<' if ok else '>='} tol {args.tol:g}: "
@@ -349,13 +328,12 @@ def cmd_extend(args) -> int:
     net.extend(args.new_r)
     probe = np.random.default_rng(0).uniform(-2.0, 2.0, size=(256, net.in_dim))
     diff = float(np.max(np.abs(net.forward(probe) - reference.forward(probe))))
-    if diff >= 1e-12:
+    if not diff < 1e-12:
         raise NumericalError(f"extension changed outputs by {diff:.3e} "
                              f"on the probe grid")
     provenance = dict(doc.get("provenance", {}), extended_from=doc["r"],
                       probe_max_diff=diff)
-    with _writing(args.out):
-        save_checkpoint(net, args.out, provenance=provenance)
+    save_checkpoint(net, args.out, provenance=provenance)
     print(f"extended r {doc['r']} -> {args.new_r}; probe max diff {diff:.3e}; "
           f"wrote {args.out}")
     return 0
@@ -370,9 +348,6 @@ def cmd_distill(args) -> int:
         net, domains, grid_size=args.grid_size, degree=args.degree)
     source = next(calibrated)
     distilled, clamped = spline_net.evaluate(dataset.inputs)
-    out = _ensure_out_dir(args.out or _default_out("distill"))
-    atomic_write_text(os.path.join(out, "spline.json"),
-                      spline_net.to_json() + "\n")
     report = {
         "grid_size": args.grid_size,
         "degree": args.degree,
@@ -381,8 +356,12 @@ def cmd_distill(args) -> int:
         "edges": {f"{li}.{j}.{i}": errs
                   for (li, j, i), errs in sorted(fit_report.items())},
     }
-    atomic_write_text(os.path.join(out, "distill_report.json"),
-                      json.dumps(report, indent=2, allow_nan=False) + "\n")
+    # both serialized first, so that a non-finite number writes neither
+    texts = {"spline.json": spline_net.to_json(),
+             "distill_report.json": write_json(None, report)}
+    out = _ensure_out_dir(args.out or _default_out("distill"))
+    for name, text in texts.items():
+        atomic_write_text(os.path.join(out, name), text + "\n")
     print(f"distilled network RMSE vs source: "
           f"{report['source_vs_distilled_rmse']:.6g}; wrote {out}/spline.json")
     return 0
@@ -438,7 +417,7 @@ def cmd_mnist_demo(args) -> int:
         print(f"mnist-demo: IDX files not found under {args.data_dir}; "
               f"skipping")
         return 0
-    print(json.dumps(report, indent=2))
+    print(write_json(None, report))
     return 0
 
 

@@ -19,15 +19,15 @@ grid of each row block.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import daruan
-from .checkpoint import check_object, check_version, finite_array, parse_json
+from .checkpoint import (check_object, check_version, finite_array,
+                         parse_json, write_json)
 from .daruan import DaruanParams, silu
-from .errors import DataError, FitError
+from .errors import DataError, FitError, NumericalError
 from .network import (LinearLayer, QkanLayer, QkanNetwork, _as_batch,
                       block_rows, row_blocks)
 
@@ -152,8 +152,6 @@ def _sample_edges(row: QkanLayer, lo, hi, count: int):
     """
     if count < 2:
         raise ValueError("count must be >= 2")
-    if not np.all(lo < hi):
-        raise ValueError("lo must be below hi")
     xs = np.linspace(lo, hi, count)
     raw = daruan.circuit_expectation(row.enc_w, row.enc_b, row.angles, xs)
     return xs, (row.w_quant * raw + row.out_bias)[:, 0]
@@ -419,15 +417,14 @@ class SplineNetwork:
         return self.evaluate(x)[1]
 
     def to_json(self) -> str:
-        doc = {
+        return write_json(None, {
             "format": SPLINE_FORMAT,
             "format_version": SPLINE_FORMAT_VERSION,
             "encoder": _linear_to_dict(self.encoder),
             "decoder": _linear_to_dict(self.decoder),
             "layers": [[[edge.to_dict() for edge in row] for row in grid]
                        for grid in self.edges],
-        }
-        return json.dumps(doc, indent=2, allow_nan=False)
+        })
 
     @classmethod
     def from_json(cls, text: str) -> "SplineNetwork":
@@ -478,7 +475,8 @@ def calibrate_domains(net: QkanNetwork, inputs) -> dict:
     an input that never varies gets 0.5 on each side.
 
     Keys are (layer_index, out_node, in_node); every edge fed by one
-    input gets that input's range.
+    input gets that input's range. A layer whose inputs give no finite
+    domain lo < hi raises NumericalError.
     """
     return next(_calibrated(net, inputs))
 
@@ -497,6 +495,8 @@ def _calibrated(net: QkanNetwork, inputs):
         span = hi - lo
         pad = np.where(span > 0, 0.5 * CALIBRATION_WIDEN * span, 0.5)
         lo, hi = (lo - pad).tolist(), (hi + pad).tolist()
+        if not all(-np.inf < a < b < np.inf for a, b in zip(lo, hi)):
+            raise NumericalError(f"layer {li}: no finite calibration domain")
         for i in range(layer.n_in):
             for j in range(layer.n_out):
                 domains[(li, j, i)] = (lo[i], hi[i])

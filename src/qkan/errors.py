@@ -10,7 +10,7 @@ class QkanError(Exception):
 
 
 class ConfigError(QkanError):
-    """Invalid configuration or CLI arguments."""
+    """Invalid configuration or CLI arguments, or an unwritable output."""
 
 
 class DataError(QkanError):

@@ -10,11 +10,11 @@ v_x. The audit compares the series with circuit_expectation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import write_json
 from .daruan import DaruanParams, circuit_expectation
 from .network import QkanLayer
 
@@ -44,7 +44,7 @@ class SpectrumReport:
         return float(np.sum(np.abs(self.weights)))
 
     def to_json(self) -> str:
-        doc = {
+        return write_json(None, {
             "weights": list(self.weights),
             "frequencies": list(self.frequencies),
             "nonzero_count": self.nonzero_count,
@@ -53,8 +53,7 @@ class SpectrumReport:
                 [w, [c.real, c.imag]] for w, c in sorted(self.coefficients.items())
             ],
             "residual_l2": self.residual_l2,
-        }
-        return json.dumps(doc, indent=2)
+        })
 
 
 def _propagate(p: DaruanParams):

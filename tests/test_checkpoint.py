@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -188,6 +189,14 @@ class TestAtomicWrite:
         assert target.read_text() == "two"
         assert os.listdir(tmp_path) == ["out.txt"]
 
+    def test_mode_follows_the_umask(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            ck.atomic_write_text(tmp_path / "out.txt", "text")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(tmp_path / "out.txt").st_mode) == 0o644
+
 
 class TestConfigHash:
     def test_stable_under_key_order(self):
@@ -197,11 +206,13 @@ class TestConfigHash:
 
 
 def test_only_checkpoint_parses_json():
-    """checkpoint.py holds the one set of JSON read rules; a module that
-    calls json.load or json.loads itself would state its own."""
+    """checkpoint.py holds the one set of JSON read and write rules; a
+    module that imports json or calls json.load or json.loads itself
+    would state its own."""
     src = os.path.dirname(ck.__file__)
     readers = [name for name in sorted(os.listdir(src))
                if name.endswith(".py") and re.search(
-                   r"\bjson\s*\.\s*loads?\s*\(|from\s+json\s+import",
-                   open(os.path.join(src, name)).read())]
+                   r"\bjson\s*\.\s*loads?\s*\(|from\s+json\s+import"
+                   r"|^\s*import\s+json\b",
+                   open(os.path.join(src, name)).read(), re.MULTILINE)]
     assert readers == ["checkpoint.py"]

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from qkan import QkanNetwork, SplineNetwork, daruan, read_csv, rmse
+from qkan import spectrum
 from qkan.checkpoint import load_checkpoint, save_checkpoint
 from qkan.cli import _GEN_DATA_FIELDS, _TRAIN_FIELDS, main
 from qkan.errors import DataError
+from qkan.network import QkanLayer
 
 from test_distill import SPLINE_JSON_MUTATIONS, _hqkan_spline_doc
 
@@ -347,8 +349,30 @@ _OPTION_CASES = [
       "shape": [2, 1]}),
 ]
 
-# the other subcommands: (name, argv, exit code); the workspace
-# checkpoint is [2, 2, 1] with r=2
+def _blocked(name):
+    """Setup: the output `name` inside the existing --out directory
+    {tmp}/out is a directory, so it cannot be written."""
+    def setup(tmp, monkeypatch):
+        (tmp / "out" / name).mkdir(parents=True)
+        return tmp / "out" / name
+    return setup
+
+
+def _nan_layers(tmp, monkeypatch):
+    """Setup: every QKAN layer's forward pass returns NaN."""
+    monkeypatch.setattr(QkanLayer, "forward", lambda self, x, tape=None:
+                        np.full((len(x), self.n_out), np.nan))
+
+
+def _nan_audit(tmp, monkeypatch):
+    """Setup: the circuit the spectrum audit checks against returns NaN."""
+    monkeypatch.setattr(spectrum, "circuit_expectation", lambda *args:
+                        np.full((spectrum.AUDIT_POINTS.size, 1, 1), np.nan))
+
+
+# the other subcommands: (name, argv, exit code[, setup(tmp, monkeypatch),
+# which returns the blocked output, if any]); the workspace checkpoint is
+# [2, 2, 1] with r=2
 _CKPT = ["--checkpoint", "{ckpt}"]
 _FLAG_CASES = [
     ("spectrum-r-0", ["spectrum", "--r", "0"], 2),
@@ -385,6 +409,28 @@ _FLAG_CASES = [
      ["spectrum", "--r", "2", "--out", "{tmp}/no/spectrum.json"], 2),
     ("distill-out-is-a-file",
      ["distill", *_CKPT, "--data", "{csv}/x2y1.csv", "--out", "{file}"], 2),
+    ("gen-data-meta-json-blocked",
+     ["gen-data", "--equation", "I.12.11", "--n-train", "20", "--n-test", "10",
+      "--out", "{tmp}/out"], 2, _blocked("meta.json")),
+    ("train-summary-json-blocked",
+     ["train", "--equation", "I.12.11", "--shape", "2,2,1", "--epochs", "1",
+      "--seeds", "0", "--n-train", "20", "--n-test", "10",
+      "--out", "{tmp}/out"], 2, _blocked("summary.json")),
+    ("distill-spline-json-blocked",
+     ["distill", *_CKPT, "--data", "{csv}/x2y1.csv", "--out", "{tmp}/out"], 2,
+     _blocked("spline.json")),
+    # a NaN in an output is a numerical failure, not a non-strict file
+    ("eval-nan-rmse",
+     ["eval", *_CKPT, "--data", "{csv}/x2y1.csv", "--out", "{tmp}/e.json"], 4,
+     _nan_layers),
+    ("extend-nan-probe",
+     ["extend", *_CKPT, "--new-r", "3", "--out", "{tmp}/deeper.json"], 4,
+     _nan_layers),
+    ("distill-nan-calibration",
+     ["distill", *_CKPT, "--data", "{csv}/x2y1.csv", "--out", "{tmp}/dist"], 4,
+     _nan_layers),
+    ("spectrum-nan-residual",
+     ["spectrum", "--r", "2", "--out", "{tmp}/spectrum.json"], 4, _nan_audit),
     # inputs that cannot be read or decoded
     ("eval-csv-missing", ["eval", *_CKPT, "--data", "{tmp}/missing.csv"], 3),
     ("eval-csv-undecodable", ["eval", *_CKPT, "--data", "{undecodable}"], 3),
@@ -408,9 +454,9 @@ def _hostile_cases():
             argv = [command] + [a for field, value in fields.items()
                                 for a in (f"--{field}", value)]
             yield pytest.param(argv, given if form == "config" else None, 2,
-                               id=f"{command}-{form}-{name}")
-    for name, argv, code in _FLAG_CASES:
-        yield pytest.param(argv, None, code, id=name)
+                               None, id=f"{command}-{form}-{name}")
+    for name, argv, code, *setup in _FLAG_CASES:
+        yield pytest.param(argv, None, code, *setup or [None], id=name)
 
 
 @pytest.fixture(scope="module")
@@ -446,14 +492,17 @@ def hostile_inputs(workspace):
             "ckpt": workspace / "run" / "best.json"}
 
 
-@pytest.mark.parametrize("argv, config, code", _hostile_cases())
+@pytest.mark.parametrize("argv, config, code, setup", _hostile_cases())
 def test_hostile_input_exits_with_its_code(hostile_inputs, tmp_path, capsys,
-                                           monkeypatch, argv, config, code):
+                                           monkeypatch, argv, config, code,
+                                           setup):
     """Out-of-range options, config values of the wrong JSON type, CSVs
-    that do not fit the network, unreadable inputs and unwritable outputs
-    exit with their documented code and one error line, never a
-    traceback, and leave no output behind (relative paths included)."""
+    that do not fit the network, unreadable inputs, unwritable outputs
+    and non-finite results exit with their documented code and one error
+    line, never a traceback, and leave no output behind (relative paths
+    included); a blocked output inside --out leaves no temp file."""
     monkeypatch.chdir(tmp_path)
+    blocked = setup(tmp_path, monkeypatch) if setup else None
 
     def fill(value):
         return value.format(tmp=tmp_path, **hostile_inputs) \
@@ -465,11 +514,17 @@ def test_hostile_input_exits_with_its_code(hostile_inputs, tmp_path, capsys,
         path.write_text(json.dumps({k: fill(v) for k, v in config.items()}))
         argv += ["--config", str(path)]
     assert main(argv) == code
-    prefix = {2: "config error:", 3: "data error:"}[code]
+    prefix = {2: "config error:", 3: "data error:",
+              4: "numerical failure:"}[code]
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1
-    assert sorted(os.listdir(tmp_path)) == ([] if config is None
-                                            else ["cfg.json"])
+    if blocked is None:
+        assert sorted(os.listdir(tmp_path)) == ([] if config is None
+                                                else ["cfg.json"])
+    else:
+        assert os.listdir(blocked) == []
+        assert not [name for _, _, names in os.walk(tmp_path)
+                    for name in names if name.startswith(".tmp-")]
     assert hostile_inputs["file"].read_text() == "a file, not a directory\n"
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from qkan import daruan, distill
 from qkan.daruan import init_daruan
-from qkan.errors import DataError, FitError
+from qkan.errors import DataError, FitError, NumericalError
 from qkan.network import QkanNetwork, make_hqkan
 
 import distill_oracle
@@ -275,7 +275,7 @@ class TestStackedKernel:
         xs = np.linspace(0.0, 1.0, 40)
         model = distill.fit_spline(xs, xs, grid_size=4)
         model.coefficients[2] = np.nan
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError):
             distill.SplineNetwork(edges=[[[model]]]).to_json()
 
 
