@@ -9,7 +9,9 @@ file + rename). Exit codes: 0 success, 2 config error (including an
 out-of-range option value, an unreadable config file and an output that
 cannot be written), 3 data error (including an unreadable input file
 and a CSV that does not fit the checkpoint), 4 numerical failure. The
-QKAN_OUT environment variable sets the default output root.
+QKAN_OUT environment variable sets the default output root. A command
+runs with numpy's floating-point warnings off, so a numerical failure
+prints its one error line and nothing else.
 """
 
 from __future__ import annotations
@@ -500,7 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # a non-finite result is reported once, by the check that finds it,
+        # not also by numpy's RuntimeWarnings on the way
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

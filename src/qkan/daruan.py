@@ -20,9 +20,17 @@ and the edge is ry(beta_r) rz(theta_{r-1}) ... rz(theta_0) ry(beta_0)
 applied to rz(alpha_0)|+>, simulated as a real Bloch vector. The final
 rz(gamma_r) cannot change <Z>.
 
-Gradients are exact. One forward pass records cos and sin of every
-theta_l plus the final Bloch vector; the adjoint sweep then undoes each
-rotation instead of storing the intermediate states. It yields
+Each rz(theta_l) needs cos theta_l and sin theta_l. The kernel takes one
+tan per angle instead: with t = tan(theta_l / 2),
+
+    cos theta_l = (1 - t^2) / (1 + t^2),   sin theta_l = 2 t / (1 + t^2).
+
+Halving an angle is exact, t^2 cannot overflow for a finite angle, and
+float64 tan is vectorized in numpy where cos and sin may not be.
+
+Gradients are exact. One forward pass records t for every theta_l plus
+the final Bloch vector; the adjoint sweep then rebuilds cos and sin and
+undoes each rotation instead of storing the intermediate states. It yields
 derivatives with respect to theta_l, beta_l and alpha_0, which scatter
 back to the parameters: gamma_l, alpha_{l+1} and b_l each get
 d/dtheta_l, w_l gets x * d/dtheta_l, the input gets sum_l w_l d/dtheta_l
@@ -129,9 +137,22 @@ def init_daruan(r: int, rng: np.random.Generator, angle_scale: float = 0.1,
 class CircuitTape(NamedTuple):
     """What the adjoint sweep needs from one forward pass."""
 
-    cos_theta: np.ndarray   # (r, B, N, M)
-    sin_theta: np.ndarray   # (r, B, N, M)
+    tan_half: np.ndarray    # (r, B, N, M) tan(theta_l / 2)
     final: tuple            # Bloch vector (v_x, v_y, v_z) after the last gate
+
+
+def _cos_sin(t, out):
+    """cos and sin of theta from t = tan(theta / 2), written into the two
+    buffers `out` (shaped like t), which are returned."""
+    c, s = out
+    np.multiply(t, t, out=c)
+    np.add(c, 1.0, out=s)
+    np.divide(1.0, s, out=s)      # 1 / (1 + t^2)
+    np.subtract(1.0, c, out=c)
+    c *= s
+    s *= t
+    s *= 2.0
+    return out
 
 
 def _rotate(a, b, c, s, work):
@@ -157,25 +178,27 @@ def circuit_forward(enc_w, enc_b, angles, x):
     """
     r = enc_w.shape[2]
     alpha, beta = angles[..., 0], angles[..., 1]
-    offset = np.moveaxis(enc_b + angles[..., :r, 2] + alpha[..., 1:], -1, 0)
-    w = np.ascontiguousarray(np.moveaxis(enc_w, -1, 0))   # (r, N, M)
-    theta = np.multiply(w[:, None], x[None, :, None, :])  # (r, B, N, M)
-    theta += offset[:, None]
-    cos_t = np.cos(theta)
-    sin_t = np.sin(theta, out=theta)
+    # theta_l / 2 = (w_l / 2) x + (b_l + gamma_l + alpha_{l+1}) / 2, exactly
+    offset = 0.5 * np.moveaxis(enc_b + angles[..., :r, 2] + alpha[..., 1:],
+                               -1, 0)
+    w = 0.5 * np.ascontiguousarray(np.moveaxis(enc_w, -1, 0))   # (r, N, M)
+    tan_half = np.multiply(w[:, None], x[None, :, None, :])     # (r, B, N, M)
+    tan_half += offset[:, None]
+    np.tan(tan_half, out=tan_half)
     cb, sb = np.cos(beta), np.sin(beta)                   # (N, M, r+1)
 
-    shape = cos_t.shape[1:]
+    shape = tan_half.shape[1:]
     ca0 = np.cos(alpha[..., 0])
     vx, vy, vz = np.empty(shape), np.empty(shape), np.empty(shape)
     vx[...] = ca0 * cb[..., 0]
     vy[...] = np.sin(alpha[..., 0])
     vz[...] = -ca0 * sb[..., 0]
     work = (np.empty(shape), np.empty(shape))
+    cs = (np.empty(shape), np.empty(shape))
     for l in range(r):
-        _rotate(vx, vy, cos_t[l], sin_t[l], work)              # rz(theta_l)
+        _rotate(vx, vy, *_cos_sin(tan_half[l], cs), work)      # rz(theta_l)
         _rotate(vz, vx, cb[..., l + 1], sb[..., l + 1], work)  # ry(beta_l+1)
-    return vz, CircuitTape(cos_t, sin_t, (vx, vy, vz))
+    return vz, CircuitTape(tan_half, (vx, vy, vz))
 
 
 def circuit_adjoint(angles, tape: CircuitTape, weights):
@@ -190,21 +213,24 @@ def circuit_adjoint(angles, tape: CircuitTape, weights):
     both taken right after the gate. Rotations preserve cross products,
     so the sweep carries only c = v x lam and undoes each rotation on
     it: the derivative of rz(theta_l) is c_z, that of ry(beta_l) is c_y.
+    The cos and sin of each theta_l are rebuilt from the tape's
+    tan(theta_l / 2) just before their rotation is undone.
     """
-    cos_t, sin_t, (vx, vy, _) = tape
-    r = cos_t.shape[0]
+    tan_half, (vx, vy, _) = tape
+    r = tan_half.shape[0]
     beta = angles[..., 1]
     cb, sb = np.cos(beta), np.sin(beta)
     cx, cy, cz = weights * vy, -weights * vx, np.zeros(vx.shape)
     work = (np.empty(vx.shape), np.empty(vx.shape))
-    g_theta = np.empty(cos_t.shape)
+    cs = (np.empty(vx.shape), np.empty(vx.shape))
+    g_theta = np.empty(tan_half.shape)
     g_beta = np.empty((r + 1,) + vx.shape)
     for l in range(r, -1, -1):
         g_beta[l] = cy
         _rotate(cx, cz, cb[..., l], sb[..., l], work)       # undo ry(beta_l)
         if l > 0:
             g_theta[l - 1] = cz
-            _rotate(cy, cx, cos_t[l - 1], sin_t[l - 1], work)  # undo rz(theta)
+            _rotate(cy, cx, *_cos_sin(tan_half[l - 1], cs), work)  # undo rz
     return g_theta, g_beta, cz
 
 

@@ -103,8 +103,30 @@ class TestBlockedForward:
         small_blocks(monkeypatch, [layer])
         tape = []
         y = layer.forward(x, tape)
-        assert len(tape) == 1 and tape[0][1].cos_theta.shape[1] == BATCH
+        assert len(tape) == 1 and tape[0][1].tan_half.shape[1] == BATCH
         assert y.shape == (BATCH, layer.n_out)
+
+    def test_tape_is_r_plus_3_block_arrays(self):
+        # tan(theta_l / 2) per encoding layer and the final Bloch vector:
+        # cos and sin are rebuilt by the adjoint sweep, never stored
+        rng = np.random.default_rng(14)
+        layer = make_plain(rng).layers[0]
+        x = rng.normal(size=(BATCH, layer.n_in))
+        tape = []
+        layer.forward(x, tape)
+        circuit_tape = tape[0][1]
+        assert circuit_tape._fields == ("tan_half", "final")
+        arrays = [*circuit_tape.tan_half, *circuit_tape.final]
+        assert len(arrays) == layer.r + 3
+        for a in arrays:
+            assert a.shape == (BATCH, layer.n_out, layer.n_in)
+            assert a.dtype == np.float64
+        theta = (layer.enc_w[None] * x[:, None, :, None] + layer.enc_b
+                 + layer.angles[..., :-1, 2] + layer.angles[..., 1:, 0])
+        t = np.moveaxis(circuit_tape.tan_half, 0, -1)
+        c, s = daruan._cos_sin(t, (np.empty(t.shape), np.empty(t.shape)))
+        np.testing.assert_allclose(c, np.cos(theta), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(s, np.sin(theta), rtol=0, atol=1e-14)
 
 
 class TestBlockedSpline:

@@ -431,6 +431,20 @@ _FLAG_CASES = [
      _nan_layers),
     ("spectrum-nan-residual",
      ["spectrum", "--r", "2", "--out", "{tmp}/spectrum.json"], 4, _nan_audit),
+    # results that genuinely overflow: numpy's RuntimeWarnings stay
+    # silent, so the error line is the only line
+    ("eval-overflow",
+     ["eval", "--checkpoint", "{overflow}", "--data", "{csv}/x2y1.csv",
+      "--out", "{tmp}/e.json"], 4),
+    ("extend-overflow",
+     ["extend", "--checkpoint", "{overflow}", "--new-r", "3",
+      "--out", "{tmp}/deeper.json"], 4),
+    ("distill-overflow",
+     ["distill", "--checkpoint", "{overflow}", "--data", "{data}/test.csv",
+      "--out", "{tmp}/dist"], 4),
+    ("spectrum-overflow",
+     ["spectrum", "--r", "2", "--weights", "1e308,1e308",
+      "--out", "{tmp}/spectrum.json"], 4),
     # inputs that cannot be read or decoded
     ("eval-csv-missing", ["eval", *_CKPT, "--data", "{tmp}/missing.csv"], 3),
     ("eval-csv-undecodable", ["eval", *_CKPT, "--data", "{undecodable}"], 3),
@@ -487,9 +501,16 @@ def hostile_inputs(workspace):
     taken.write_text("a file, not a directory\n")
     undecodable = workspace / "undecodable"
     undecodable.write_bytes(b"\xff\xfe" + "x1,y1\n".encode("utf-16-le"))
+    # finite parameters whose forward pass overflows: each output of
+    # layer 0 adds two terms of 1e308 * silu(x)
+    net, doc = load_checkpoint(workspace / "run" / "best.json")
+    net.layers[0].w_base[:] = 1e308
+    overflow = workspace / "overflow.json"
+    save_checkpoint(net, overflow, doc["provenance"])
     return {"csv": csv_dir, "idx": idx_dir, "idx_unopenable": unopenable,
             "file": taken, "undecodable": undecodable,
-            "ckpt": workspace / "run" / "best.json"}
+            "ckpt": workspace / "run" / "best.json", "overflow": overflow,
+            "data": workspace / "data"}
 
 
 @pytest.mark.parametrize("argv, config, code, setup", _hostile_cases())

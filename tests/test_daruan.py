@@ -304,6 +304,29 @@ class TestFusedKernelOracle:
         # rz(gamma_r) follows the last ry and commutes with the readout
         assert np.all(g_ang[..., r, 2] == 0.0)
 
+    def test_large_angles_match(self):
+        # |theta| up to 2^9 * 50 = 25600, so tan(theta / 2) is far past its
+        # poles. The inputs are dyadic (x on a 2^-6 grid, biases and angles
+        # on a 2^-30 grid), so every angle sum is exact in both kernels and
+        # the comparison measures the trigonometry, not summation order,
+        # which alone would move <Z> by ~ulp(25600) = 3.6e-12.
+        rng = np.random.default_rng(70)
+        n, m, b, r = 3, 2, 6, 10
+        enc_w = (rng.choice([-1.0, 1.0], size=(n, m, r))
+                 * 2.0 ** rng.integers(0, 10, size=(n, m, r)))
+        enc_w[0, 0, 0] = 2.0 ** 9
+        enc_b = np.round(rng.uniform(-np.pi, np.pi, size=(n, m, r)) * 2 ** 30)
+        angles = np.round(rng.uniform(-np.pi, np.pi, size=(n, m, r + 1, 3))
+                          * 2 ** 30)
+        x = np.round(rng.uniform(-50.0, 50.0, size=(b, m)) * 64) / 64
+        x[0] = [50.0, -50.0]
+        args = (enc_w, enc_b / 2 ** 30, angles / 2 ** 30, x)
+        f_want, enc_want, ang_want = complex_kernel.circuit_gradients(*args)
+        f, g_enc, g_ang = daruan.circuit_gradients(*args)
+        assert np.max(np.abs(f - f_want)) <= 1e-13
+        assert np.max(np.abs(g_enc - enc_want)) <= 1e-12
+        assert np.max(np.abs(g_ang - ang_want)) <= 1e-12
+
     def test_weighted_adjoint_scales_readout(self):
         args = self.random_circuits(4, 60)
         _, tape = daruan.circuit_forward(*args)
@@ -312,6 +335,36 @@ class TestFusedKernelOracle:
         weighted = daruan.circuit_adjoint(args[2], tape, weights)
         for g, gw in zip(plain, weighted):
             np.testing.assert_allclose(gw, weights * g, rtol=0, atol=1e-14)
+
+
+class TestHalfAngle:
+    """cos and sin rebuilt from t = tan(theta / 2), as the kernel does,
+    against numpy's cos and sin."""
+
+    @staticmethod
+    def cos_sin(theta):
+        t = np.tan(0.5 * theta)
+        return daruan._cos_sin(t, (np.empty(t.shape), np.empty(t.shape)))
+
+    def test_hard_angles(self):
+        rng = np.random.default_rng(71)
+        theta = np.concatenate([
+            [0.0, -0.0, np.pi, -np.pi, np.nextafter(np.pi, 0.0),
+             3 * np.pi, -3 * np.pi, 0.5 * np.pi, 1e300, -1e300],
+            rng.uniform(-4 * np.pi, 4 * np.pi, size=2000),
+            rng.uniform(-1e300, 1e300, size=2000),
+            # magnitudes spread over 1 .. 1e300
+            rng.choice([-1.0, 1.0], size=2000)
+            * 10.0 ** rng.uniform(0.0, 300.0, size=2000)])
+        c, s = self.cos_sin(theta)
+        assert np.max(np.abs(c - np.cos(theta))) <= 4.5e-16
+        assert np.max(np.abs(s - np.sin(theta))) <= 4.5e-16
+
+    def test_zero_is_exact_and_keeps_its_sign(self):
+        c, s = self.cos_sin(np.array([0.0, -0.0]))
+        assert np.array_equal(c, [1.0, 1.0])
+        assert np.array_equal(s, [0.0, 0.0])
+        assert np.array_equal(np.signbit(s), [False, True])
 
 
 class TestExtension:
