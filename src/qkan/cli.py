@@ -281,7 +281,14 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     net, _ = load_checkpoint(args.checkpoint)
     dataset = _read_data_for(net, args.data)
-    value = rmse(net.forward(dataset.inputs), dataset.targets)
+    predictions = net.forward(dataset.inputs)
+    value = rmse(predictions, dataset.targets)
+    if not np.isfinite(value):
+        bad = int(np.count_nonzero(~np.isfinite(predictions)))
+        raise NumericalError(
+            f"eval predictions: {bad} of {predictions.size} are NaN or "
+            f"infinite" if bad else
+            "eval predictions: finite, but their RMSE overflows")
     print(write_json(args.out or None, {
         "checkpoint": args.checkpoint, "data": args.data,
         "n_samples": len(dataset), "rmse": value}))

@@ -191,8 +191,13 @@ def _distill_edges(row: QkanLayer, bounds, grid_size: int, degree: int,
     solve. Errors are those of fitting the edges one at a time in
     order: only the edges before the first domain without lo < hi are
     fitted, the groups are solved in the order of their first edge, and
-    a FitError names that edge through `edge_name(k)`.
+    a FitError names that edge through `edge_name(k)`. An edge whose
+    circuit samples or fitted coefficients are not finite raises a
+    NumericalError named the same way.
     """
+    def named(k: int, message: str) -> str:
+        return message if edge_name is None else f"{edge_name(k)}: {message}"
+
     valid = bounds[:, 0] < bounds[:, 1]
     n = len(bounds) if valid.all() else int(np.argmin(valid))
     xs, ys = _sample_edges(QkanLayer(*(a[:, :n] for a in row.arrays())),
@@ -204,14 +209,19 @@ def _distill_edges(row: QkanLayer, bounds, grid_size: int, degree: int,
     models = [None] * n
     for cols in groups.values():
         lo, hi = bounds[cols[0]].tolist()
+        finite = np.isfinite(ys[:, cols]).all(axis=0)
+        if not finite.all():
+            raise NumericalError(named(cols[int(np.argmin(finite))],
+                                       "circuit samples are not finite"))
         try:
             fitted = _fit_columns(xs[:, cols[0]], ys[:, cols], grid_size,
                                   degree, (lo, hi))
         except FitError as exc:
-            if edge_name is None:
-                raise
-            raise FitError(f"{edge_name(cols[0])}: {exc}") from exc
+            raise FitError(named(cols[0], str(exc))) from exc
         for k, model in zip(cols, fitted):
+            if not np.isfinite(model.coefficients).all():
+                raise NumericalError(named(
+                    k, "fitted spline coefficients are not finite"))
             model.w_base = float(row.w_base[0, k])
             model.out_bias = float(row.out_bias[0, k])
             models[k] = model
@@ -484,7 +494,8 @@ def calibrate_domains(net: QkanNetwork, inputs) -> dict:
 def _calibrated(net: QkanNetwork, inputs):
     """Yields calibrate_domains(net, inputs), then the network
     output on the inputs, so a caller that needs both runs each layer
-    once; the last layer runs only when the output is asked for."""
+    once; the last layer runs only when the output is asked for. An
+    output that is not finite raises NumericalError."""
     x, _ = _as_batch(np.asarray(inputs, dtype=np.float64), net.in_dim,
                      "calibration inputs")
     if net.encoder is not None:
@@ -504,7 +515,13 @@ def _calibrated(net: QkanNetwork, inputs):
             x = layer.forward(x)
     yield domains
     x = net.layers[-1].forward(x)
-    yield x if net.decoder is None else net.decoder.forward(x)
+    if net.decoder is not None:
+        x = net.decoder.forward(x)
+    bad = int(np.count_nonzero(~np.isfinite(x)))
+    if bad:
+        raise NumericalError(f"calibration: {bad} of {x.size} network "
+                             f"outputs are NaN or infinite")
+    yield x
 
 
 def distill_network(net: QkanNetwork, domains: dict, grid_size: int = 20,

@@ -7,11 +7,21 @@ values are sums of incoming edge activations. A network optionally
 wraps the stack with linear encoder/decoder layers (HQKAN).
 
 Batched passes stream the batch in row blocks sized by BLOCK_BYTES, so
-their working memory is set by the block and not by the batch.
+their working memory is set by the block and not by the batch. A batch
+that fits one block runs in one piece. A larger one is cut into blocks
+of half that size (batch_blocks), and map_blocks runs up to
+MAX_WORKERS of them at once on a thread pool: numpy's ufuncs release the
+GIL, so two blocks use two CPUs, and about BLOCK_BYTES stay in flight.
+The partition does not depend on the CPU count and the caller combines
+block results in block order, so results are bitwise the same on every
+host. This is the only module that runs threads.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +46,74 @@ def row_blocks(n: int, rows: int) -> list[slice]:
     """Slices cutting n rows into consecutive blocks of `rows` (the last
     may be shorter); one block when n <= rows, even when n is 0."""
     return [slice(start, start + rows) for start in range(0, max(n, 1), rows)]
+
+
+#: most row blocks that run at once
+MAX_WORKERS = 2
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+_worker = threading.local()
+
+
+def batch_blocks(n: int, layers) -> list[slice]:
+    """The row blocks of an n-row batch through `layers`: one block when
+    n <= block_rows(layers), else blocks of half that many rows, so that
+    two blocks in flight hold about BLOCK_BYTES."""
+    rows = block_rows(layers)
+    return row_blocks(n, rows if n <= rows else max(1, rows // 2))
+
+
+def _workers() -> int:
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(MAX_WORKERS, cpus)
+
+
+def _mark_worker() -> None:
+    _worker.active = True
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The module's pool, started on first use, so importing starts no
+    thread."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(MAX_WORKERS, "qkan-block",
+                                       initializer=_mark_worker)
+        return _pool
+
+
+def _forget_pool() -> None:
+    """In a forked child: none of the parent's pool threads exist there,
+    so a pass that queued blocks on the inherited pool would wait
+    forever; the child starts its own pool on first use."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def map_blocks(fn, blocks: list):
+    """An iterator over fn(block) for each of `blocks`, in block order.
+
+    Up to _workers() blocks run at once on the module's thread pool,
+    each under the caller's numpy error state. The calls run serially
+    for one block, on one usable CPU, or when made from a pool worker,
+    so nested calls cannot deadlock.
+    """
+    if len(blocks) == 1 or _workers() == 1 or getattr(_worker, "active", False):
+        return map(fn, blocks)
+    err = np.geterr()
+
+    def run(block):
+        with np.errstate(**err):
+            return fn(block)
+
+    return _executor().map(run, blocks)
 
 
 def _as_batch(x, dim: int, what: str) -> tuple[np.ndarray, bool]:
@@ -137,15 +215,18 @@ class QkanLayer(_Stage):
         """y_j = sum_i phi_{j,i}(x_i); x (B, n_in) -> (B, n_out).
 
         When `tape` is a list, (x, circuit tape) is appended to it for
-        backward. Without a tape, a batch larger than block_rows([self])
-        runs one row block at a time.
+        backward and the batch runs in one piece. Without a tape, the
+        batch runs in the row blocks of batch_blocks(len(x), [self]),
+        two at a time (map_blocks); each output row is bitwise the one
+        the one-piece pass gives.
         """
         x, squeeze = _as_batch(x, self.n_in, "layer input")
-        blocks = row_blocks(len(x), block_rows([self]))
+        blocks = batch_blocks(len(x), [self])
         if tape is None and len(blocks) > 1:
             y = np.empty((len(x), self.n_out))
-            for rows in blocks:
-                y[rows] = self._forward(x[rows], None)
+            for rows, y_rows in zip(blocks, map_blocks(
+                    lambda rows: self._forward(x[rows], None), blocks)):
+                y[rows] = y_rows
         else:
             y = self._forward(x, tape)
         return y[0] if squeeze else y

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import NumericalError
-from .network import QkanNetwork, block_rows, row_blocks
+from .network import QkanNetwork, batch_blocks, map_blocks
 
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
@@ -224,23 +224,28 @@ def _loss_closure(net: QkanNetwork, dataset: Dataset):
     """fg(params) -> (MSE loss, its flat gradient) on the dataset.
 
     The loss is a sum over samples, so the batch streams through the
-    network in row blocks (network.block_rows): each block runs forward
-    with a tape and then backward, and its gradient is added into the
-    first block's. A batch of one block runs exactly the unblocked pass.
+    network in the row blocks of network.batch_blocks: each block runs
+    forward with a tape and then backward, two blocks at a time
+    (network.map_blocks). Each block's loss and gradient are added into
+    the first block's in block order, so the result is bitwise that of
+    running the same blocks one after another, on any number of CPUs. A
+    batch of one block runs exactly the unblocked pass.
     """
     x, y = dataset.inputs, dataset.targets
     scale = 2.0 / y.size
-    blocks = row_blocks(len(x), block_rows(net.layers))
+    blocks = batch_blocks(len(x), net.layers)
+
+    def block_fg(rows):
+        tape: list = []
+        resid = net.forward(x[rows], tape) - y[rows]
+        grad = net.grad_vector(net.backward(x[rows], scale * resid, tape))
+        return float(np.sum(resid ** 2)), grad
 
     def fg(params: np.ndarray):
         net.set_param_vector(params)
         total, grad = 0.0, None
-        for rows in blocks:
-            tape: list = []
-            resid = net.forward(x[rows], tape) - y[rows]
-            total += float(np.sum(resid ** 2))
-            block_grad = net.grad_vector(
-                net.backward(x[rows], scale * resid, tape))
+        for block_loss, block_grad in map_blocks(block_fg, blocks):
+            total += block_loss
             if grad is None:
                 grad = block_grad
             else:

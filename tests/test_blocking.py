@@ -2,10 +2,19 @@
 
 The one-block pass is the oracle: with network.BLOCK_BYTES patched
 small, forward passes and spline evaluation must give bitwise the same
-outputs, and fg the same loss and gradient up to summation order.
+outputs, and fg the same loss and gradient up to summation order. fg
+and tapeless forward passes run two blocks at a time on network's
+thread pool; the threaded fg must equal the serial fg over the same
+blocks bitwise.
 """
 
 import importlib
+import os
+import pathlib
+import re
+import signal
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -36,21 +45,33 @@ def small_blocks(monkeypatch, layers, rows=10):
     monkeypatch.setattr(network, "BLOCK_BYTES", 8 * edges * rows)
     assert network.block_rows(layers) == rows
     sizes = [len(range(BATCH)[s])
-             for s in network.row_blocks(BATCH, rows)]
+             for s in network.batch_blocks(BATCH, layers)]
     assert len(sizes) >= 3 and len(set(sizes)) > 1
 
 
-def kernel_rows(monkeypatch) -> list:
-    """Patch the circuit kernel to record the batch rows of each call."""
+def two_workers(monkeypatch):
+    """Run blocks two at a time even on a host with one usable CPU."""
+    monkeypatch.setattr(network, "_workers", lambda: 2)
+
+
+def kernel_rows(monkeypatch, threads: set | None = None) -> list:
+    """Patch the circuit kernel to record the batch rows of each call,
+    and the name of the thread that made it into `threads`."""
     calls = []
     kernel = daruan.circuit_forward
 
     def counting(*args, **kwargs):
         calls.append(args[3].shape[0])
+        if threads is not None:
+            threads.add(threading.current_thread().name)
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(daruan, "circuit_forward", counting)
     return calls
+
+
+def pool_threads(threads: set) -> set:
+    return {name for name in threads if name.startswith("qkan-block")}
 
 
 class TestRowBlocks:
@@ -71,6 +92,14 @@ class TestRowBlocks:
         assert network.block_rows(
             QkanNetwork.init([16, 16], 3, rng).layers) == 128
 
+    def test_batch_blocks_halve_only_batches_of_several_blocks(self):
+        layers = QkanNetwork.init([16, 16], 3, np.random.default_rng(2)).layers
+        assert network.batch_blocks(128, layers) == [slice(0, 128)]
+        blocks = network.batch_blocks(129, layers)
+        assert [len(range(129)[s]) for s in blocks] == [64, 64, 1]
+        assert network.batch_blocks(1000, layers) == \
+            network.row_blocks(1000, 64)
+
 
 class TestBlockedForward:
     @pytest.mark.parametrize("make", [make_plain, make_hqkan_net],
@@ -81,10 +110,13 @@ class TestBlockedForward:
         x = rng.normal(scale=2.0, size=(BATCH, net.in_dim))
         want = net.forward(x)
         small_blocks(monkeypatch, net.layers)
-        calls = kernel_rows(monkeypatch)
+        two_workers(monkeypatch)
+        threads = set()
+        calls = kernel_rows(monkeypatch, threads)
         np.testing.assert_array_equal(net.forward(x), want)
         assert len(calls) > len(net.layers)
         assert sum(calls) == BATCH * len(net.layers)
+        assert pool_threads(threads)
 
     def test_layer_forward_bitwise_equal(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -175,9 +207,120 @@ class TestBlockedLossClosure:
         fg = tr._loss_closure(net, ds)
         calls = kernel_rows(monkeypatch)
         fg(net.param_vector())
-        blocks = len(network.row_blocks(BATCH, 10))
+        blocks = len(network.batch_blocks(BATCH, net.layers))
         assert len(calls) == blocks * len(net.layers)
         assert sum(calls) == BATCH * len(net.layers)
+
+
+class TestThreadedBlocks:
+    @pytest.mark.parametrize("make", [make_plain, make_hqkan_net],
+                             ids=["plain", "hqkan"])
+    def test_threaded_fg_bitwise_equal_to_serial(self, make, monkeypatch):
+        rng = np.random.default_rng(33)
+        net = make(rng)
+        ds = Dataset(rng.normal(size=(BATCH, net.in_dim)),
+                     rng.normal(size=(BATCH, net.out_dim)))
+        params = net.param_vector()
+        small_blocks(monkeypatch, net.layers)
+        fg = tr._loss_closure(net, ds)
+        two_workers(monkeypatch)
+        threads = set()
+        kernel_rows(monkeypatch, threads)
+        loss, grad = fg(params)
+        assert pool_threads(threads)
+        monkeypatch.setattr(network, "_workers", lambda: 1)
+        threads.clear()
+        want_loss, want_grad = fg(params)
+        assert threads == {threading.current_thread().name}
+        assert loss == want_loss
+        np.testing.assert_array_equal(grad, want_grad)
+
+    def test_one_block_batch_never_submits(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        net = make_hqkan_net(rng)
+        ds = Dataset(rng.normal(size=(BATCH, net.in_dim)),
+                     rng.normal(size=(BATCH, net.out_dim)))
+        assert len(network.batch_blocks(BATCH, net.layers)) == 1
+        two_workers(monkeypatch)
+
+        def no_pool():
+            raise AssertionError("a one-block batch reached the pool")
+
+        monkeypatch.setattr(network, "_executor", no_pool)
+        loss, _ = tr._loss_closure(net, ds)(net.param_vector())
+        assert np.isfinite(loss)
+        assert net.forward(ds.inputs).shape == (BATCH, net.out_dim)
+
+    def test_map_blocks_inside_a_worker_runs_serially(self, monkeypatch):
+        two_workers(monkeypatch)
+
+        def inner(k):
+            return k, threading.current_thread().name
+
+        def outer(block):
+            # every inner block runs on the worker that runs this block
+            return block, list(network.map_blocks(inner, [0, 1, 2]))
+
+        results = []
+        runner = threading.Thread(target=lambda: results.extend(
+            network.map_blocks(outer, ["a", "b", "c"])))
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive()
+        assert [block for block, _ in results] == ["a", "b", "c"]
+        for _, inner_results in results:
+            assert [k for k, _ in inner_results] == [0, 1, 2]
+            names = {name for _, name in inner_results}
+            assert len(names) == 1 and pool_threads(names)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_runs_its_blocks(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        net = make_plain(rng)
+        x = rng.normal(size=(BATCH, net.in_dim))
+        small_blocks(monkeypatch, net.layers)
+        two_workers(monkeypatch)
+        want = net.forward(x)   # starts the pool the child inherits
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if np.array_equal(net.forward(x), want) else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        done, status = os.waitpid(pid, os.WNOHANG)
+        while not done and time.monotonic() < deadline:
+            time.sleep(0.05)
+            done, status = os.waitpid(pid, os.WNOHANG)
+        if not done:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done, "the forked child's pass did not finish"
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_blocks_run_under_the_callers_error_state(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        net = make_plain(rng)
+        net.layers[0].w_base[:] = 1e308   # each layer-0 output overflows
+        x = rng.uniform(1.0, 2.0, size=(BATCH, net.in_dim))
+        small_blocks(monkeypatch, net.layers)
+        two_workers(monkeypatch)
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(net.forward(x)).any()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            net.forward(x)
+
+
+def test_only_network_runs_threads():
+    """network.py holds the one thread pool and its rules (block order,
+    worker count, no nesting); a module that imports threading or
+    concurrent.futures itself would run blocks by rules of its own."""
+    src = pathlib.Path(network.__file__).parent
+    users = [path.name for path in sorted(src.glob("*.py"))
+             if re.search(r"^\s*(import|from)\s+(threading|concurrent)\b",
+                          path.read_text(), re.MULTILINE)]
+    assert users == ["network.py"]
 
 
 class TestBoundedMemory:

@@ -371,8 +371,8 @@ def _nan_audit(tmp, monkeypatch):
 
 
 # the other subcommands: (name, argv, exit code[, setup(tmp, monkeypatch),
-# which returns the blocked output, if any]); the workspace checkpoint is
-# [2, 2, 1] with r=2
+# which returns the blocked output, if any[, text the error line must
+# hold]]); the workspace checkpoint is [2, 2, 1] with r=2
 _CKPT = ["--checkpoint", "{ckpt}"]
 _FLAG_CASES = [
     ("spectrum-r-0", ["spectrum", "--r", "0"], 2),
@@ -432,16 +432,21 @@ _FLAG_CASES = [
     ("spectrum-nan-residual",
      ["spectrum", "--r", "2", "--out", "{tmp}/spectrum.json"], 4, _nan_audit),
     # results that genuinely overflow: numpy's RuntimeWarnings stay
-    # silent, so the error line is the only line
+    # silent, so the error line is the only line; it names the stage
+    # that found the failure
     ("eval-overflow",
      ["eval", "--checkpoint", "{overflow}", "--data", "{csv}/x2y1.csv",
-      "--out", "{tmp}/e.json"], 4),
+      "--out", "{tmp}/e.json"], 4, None, "eval predictions: "),
     ("extend-overflow",
      ["extend", "--checkpoint", "{overflow}", "--new-r", "3",
       "--out", "{tmp}/deeper.json"], 4),
     ("distill-overflow",
      ["distill", "--checkpoint", "{overflow}", "--data", "{data}/test.csv",
-      "--out", "{tmp}/dist"], 4),
+      "--out", "{tmp}/dist"], 4, None, "calibration: "),
+    ("distill-edge-overflow",
+     ["distill", "--checkpoint", "{edge_overflow}", "--data",
+      "{data}/test.csv", "--out", "{tmp}/dist"], 4, None,
+     "edge (layer 1, out 0, in 1): circuit samples are not finite"),
     ("spectrum-overflow",
      ["spectrum", "--r", "2", "--weights", "1e308,1e308",
       "--out", "{tmp}/spectrum.json"], 4),
@@ -468,9 +473,10 @@ def _hostile_cases():
             argv = [command] + [a for field, value in fields.items()
                                 for a in (f"--{field}", value)]
             yield pytest.param(argv, given if form == "config" else None, 2,
-                               None, id=f"{command}-{form}-{name}")
-    for name, argv, code, *setup in _FLAG_CASES:
-        yield pytest.param(argv, None, code, *setup or [None], id=name)
+                               None, None, id=f"{command}-{form}-{name}")
+    for name, argv, code, *rest in _FLAG_CASES:
+        setup, message = (rest + [None, None])[:2]
+        yield pytest.param(argv, None, code, setup, message, id=name)
 
 
 @pytest.fixture(scope="module")
@@ -507,16 +513,24 @@ def hostile_inputs(workspace):
     net.layers[0].w_base[:] = 1e308
     overflow = workspace / "overflow.json"
     save_checkpoint(net, overflow, doc["provenance"])
+    # finite parameters whose last-layer edge (out 0, in 1) overflows in
+    # distill's samples w_quant * <Z> + out_bias, where <Z> > 0.06
+    net, doc = load_checkpoint(workspace / "run" / "best.json")
+    net.layers[1].w_quant[0, 1] = net.layers[1].out_bias[0, 1] = 1.7e308
+    edge_overflow = workspace / "edge-overflow.json"
+    save_checkpoint(net, edge_overflow, doc["provenance"])
     return {"csv": csv_dir, "idx": idx_dir, "idx_unopenable": unopenable,
             "file": taken, "undecodable": undecodable,
             "ckpt": workspace / "run" / "best.json", "overflow": overflow,
+            "edge_overflow": edge_overflow,
             "data": workspace / "data"}
 
 
-@pytest.mark.parametrize("argv, config, code, setup", _hostile_cases())
+@pytest.mark.parametrize("argv, config, code, setup, message",
+                         _hostile_cases())
 def test_hostile_input_exits_with_its_code(hostile_inputs, tmp_path, capsys,
                                            monkeypatch, argv, config, code,
-                                           setup):
+                                           setup, message):
     """Out-of-range options, config values of the wrong JSON type, CSVs
     that do not fit the network, unreadable inputs, unwritable outputs
     and non-finite results exit with their documented code and one error
@@ -539,6 +553,7 @@ def test_hostile_input_exits_with_its_code(hostile_inputs, tmp_path, capsys,
               4: "numerical failure:"}[code]
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1
+    assert message is None or message in err
     if blocked is None:
         assert sorted(os.listdir(tmp_path)) == ([] if config is None
                                                 else ["cfg.json"])

@@ -493,6 +493,26 @@ class TestBatchedDistillation:
         empty[(0, 0, 0)] = (np.nan, 1.0)
         assert self.errors_of(net, empty, **too_few)[0] is ValueError
 
+    def test_non_finite_edge_is_named(self):
+        rng = np.random.default_rng(261)
+        net = QkanNetwork.init([2, 2], 4, rng, angle_scale=3.0)
+        domains = {(0, j, i): (-2.0, 2.0) for j in range(2) for i in range(2)}
+        layer = net.layers[0]
+        # samples 1e307 <Z> + (max - 1e307) are finite, but the fit
+        # overshoots them past the largest float
+        top = np.finfo(np.float64).max
+        layer.w_quant[1, 0], layer.out_bias[1, 0] = 1e307, top - 1e307
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericalError, match=r"^edge \(layer 0, out 1, in 0\): "
+                                      r"fitted spline coefficients are not"):
+            distill.distill_network(net, domains, grid_size=4)
+        # an earlier edge's samples overflow where <Z> > 0.06
+        layer.w_quant[0, 1] = layer.out_bias[0, 1] = 1.7e308
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericalError, match=r"^edge \(layer 0, out 0, in 1\): "
+                                      r"circuit samples are not finite$"):
+            distill.distill_network(net, domains, grid_size=4)
+
     @pytest.mark.parametrize("shape", [[3], [2, 3], [2, 3, 4, 1]])
     def test_calibration_matches_oracle(self, shape, monkeypatch):
         rng = np.random.default_rng(270 + len(shape))
