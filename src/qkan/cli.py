@@ -336,7 +336,14 @@ def cmd_extend(args) -> int:
     reference = net.copy()
     net.extend(args.new_r)
     probe = np.random.default_rng(0).uniform(-2.0, 2.0, size=(256, net.in_dim))
-    diff = float(np.max(np.abs(net.forward(probe) - reference.forward(probe))))
+    outputs = {"source": reference.forward(probe),
+               "extended": net.forward(probe)}
+    for name, y in outputs.items():
+        bad = int(np.count_nonzero(~np.isfinite(y)))
+        if bad:
+            raise NumericalError(f"extend probe: {bad} of {y.size} {name} "
+                                 f"outputs are NaN or infinite")
+    diff = float(np.max(np.abs(outputs["extended"] - outputs["source"])))
     if not diff < 1e-12:
         raise NumericalError(f"extension changed outputs by {diff:.3e} "
                              f"on the probe grid")

@@ -12,9 +12,10 @@ and one least-squares solve.
 Cox-de Boor evaluation (`bspline_basis`) builds the least-squares
 design matrix only. For evaluation, each layer of edges is converted
 once to piecewise-polynomial tables (per-edge breakpoints and Taylor
-coefficients of every piece, stacked over the layer), so a layer is a
-bisection, a gather and a Horner sweep over the (rows, n_out, n_in)
-grid of each row block.
+coefficients of every piece, stacked over the layer). Every edge's
+knots must be the uniform ones of `make_knots`, so an input's piece is
+one multiply away, and a layer is that multiply, a gather and a Horner
+sweep over the (rows, n_out, n_in) grid of each row block.
 """
 
 from __future__ import annotations
@@ -276,10 +277,12 @@ class _PiecewiseLayer:
     breaks (N, M, W + 1): each edge's breakpoints, padded with +inf.
     coefs (N, M, W, D + 1): each piece's power-basis coefficients in
     x - breaks[..., k], lowest power first, padded with zeros. D is the
-    largest degree in the layer and W the smallest power of two that
-    holds the largest piece count, so that the interval search is a
-    bisection of log2(W) fixed steps.
+    largest degree in the layer and W the largest piece count.
     lo, hi, w_base (N, M): spline domain and silu weight of each edge.
+
+    Every edge's knots are uniform (see _check_knots), so the piece of
+    an input comes from one multiply: trunc((x - first breakpoint) *
+    pieces / span), capped at the last piece.
     """
 
     def __init__(self, grid):
@@ -299,31 +302,30 @@ class _PiecewiseLayer:
             key = (int(edge.degree), len(edge.knots), len(edge.coefficients))
             groups.setdefault(key, []).append(k)
         degree_max = max(d for d, _, _ in groups)
-        steps = max(n - 2 * d - 2 for d, n, _ in groups).bit_length()
-        width = 1 << steps
+        width = max(n - 2 * d - 1 for d, n, _ in groups)
         breaks = np.full((len(edges), width + 1), np.inf)
-        ends = np.full((len(edges), width), np.inf)
         coefs = np.zeros((len(edges), width, degree_max + 1))
+        first, scale = np.empty(len(edges)), np.empty(len(edges))
+        pieces = np.empty(len(edges), dtype=np.intp)
         for (degree, n, n_coef), rows in groups.items():
             knots = np.array([edges[k].knots for k in rows], dtype=np.float64)
-            _check_knots(knots, degree, n_coef, domain[rows])
+            scale[rows] = _check_knots(knots, degree, n_coef, domain[rows])
             b, taylor = _power_form(
                 knots, np.array([edges[k].coefficients for k in rows],
                                 dtype=np.float64), degree)
             breaks[rows, :b.shape[1]] = b
             coefs[rows, :taylor.shape[1], :degree + 1] = taylor
-            # right end of each piece for the search; the pieces that end
-            # at the last knot get +inf so x == last knot stays in the
-            # first of them, as Cox-de Boor's closed last interval does
-            ends[rows, :b.shape[1] - 1] = np.where(b[:, 1:] < b[:, -1:],
-                                                   b[:, 1:], np.inf)
+            first[rows] = b[:, 0]
+            pieces[rows] = b.shape[1] - 1
         self.breaks = breaks.reshape(n_out, n_in, width + 1)
         self.coefs = coefs.reshape(n_out, n_in, width, degree_max + 1)
-        self._ends = ends.ravel()
+        self._first = first.reshape(n_out, n_in)
+        self._scale = scale.reshape(n_out, n_in)
         self._left = breaks[:, :-1].ravel()
         self._powers = coefs.reshape(-1, degree_max + 1).T.copy()
         self._base = (np.arange(len(edges)) * width).reshape(n_out, n_in)
-        self._steps = [1 << s for s in reversed(range(steps))]
+        # flat index of each edge's last piece
+        self._last = self._base + pieces.reshape(n_out, n_in) - 1
 
     def evaluate(self, x):
         """x (B, n_in) -> (outputs (B, n_out), number of inputs outside
@@ -342,11 +344,15 @@ class _PiecewiseLayer:
         """evaluate of a (B, n_in) batch in one piece."""
         x = x[:, None, :]
         clamped = int(np.count_nonzero((x < self.lo) | (x > self.hi)))
-        xc = np.clip(x, self.lo, self.hi)
-        # flat index of each sample's piece: bisection over the piece ends
-        pos = np.broadcast_to(self._base, xc.shape).copy()
-        for step in self._steps:
-            pos += step * (self._ends.take(pos + (step - 1)) <= xc)
+        # fmax/fmin send NaN into the domain too, so the piece index is a
+        # finite number; silu(x) below still makes that output NaN
+        xc = np.fmin(np.fmax(x, self.lo), self.hi)
+        # flat index of each sample's piece
+        u = xc - self._first
+        u *= self._scale
+        pos = u.astype(np.intp)
+        pos += self._base
+        np.minimum(pos, self._last, out=pos)
         t = xc - self._left.take(pos)
         y = self._powers[-1].take(pos)
         for c in self._powers[-2::-1]:
@@ -356,23 +362,35 @@ class _PiecewiseLayer:
         return y.sum(axis=2), clamped
 
 
-def _check_knots(knots, degree: int, n_coef: int, domain) -> None:
-    """Reject what the piecewise form cannot represent exactly: knot
-    vectors that are not clamped and nondecreasing, and domains outside
-    the knot span."""
+def _check_knots(knots, degree: int, n_coef: int, domain) -> np.ndarray:
+    """Reject what the direct piece index cannot evaluate: knot vectors
+    other than make_knots(first, last, G, degree) with degree >= 1, a
+    piece count over the span that is not finite, and domains outside
+    the knot span. Returns that piece count over the span of each
+    edge."""
     n = knots.shape[1]
-    if degree < 0 or n_coef != n - degree - 1 or n < 2 * degree + 2:
+    if degree < 1:
+        raise ValueError(f"spline edges need degree >= 1, got {degree}")
+    if n_coef != n - degree - 1 or n < 2 * degree + 2:
         raise ValueError(f"a degree-{degree} spline with {n} knots cannot "
                          f"have {n_coef} coefficients")
-    ok = (np.all(np.diff(knots, axis=1) >= 0, axis=1)
-          & (knots[:, degree] == knots[:, 0])
-          & (knots[:, -degree - 1] == knots[:, -1])
-          & (knots[:, 0] < knots[:, -1])
-          & (knots[:, 0] <= domain[:, 0]) & (domain[:, 0] <= domain[:, 1])
-          & (domain[:, 1] <= knots[:, -1]))
+    pieces = n - 2 * degree - 1
+    first, last = knots[:, 0], knots[:, -1]
+    with np.errstate(over="ignore"):
+        scale = pieces / (last - first)
+    ok = ((0 < scale) & (scale < np.inf) & (first <= domain[:, 0])
+          & (domain[:, 0] <= domain[:, 1]) & (domain[:, 1] <= last))
+    if np.all(ok):
+        # no step (last - first) / pieces is zero, so linspace treats
+        # every row as make_knots(first, last, pieces, degree) does
+        ok = np.all(knots == np.hstack([
+            first[:, None].repeat(degree, axis=1),
+            np.linspace(first, last, pieces + 1, axis=1),
+            last[:, None].repeat(degree, axis=1)]), axis=1)
     if not np.all(ok):
-        raise ValueError("spline edges need clamped nondecreasing knots and "
-                         "a domain inside the knot span")
+        raise ValueError("spline edges need the clamped uniform knots of "
+                         "make_knots and a domain inside the knot span")
+    return scale
 
 
 @dataclass

@@ -16,6 +16,7 @@ import numpy as np
 
 from .checkpoint import write_json
 from .daruan import DaruanParams, circuit_expectation
+from .errors import NumericalError
 from .network import QkanLayer
 
 #: merging tolerance for numerically equal signed sums
@@ -98,7 +99,9 @@ def empirical_spectrum(p: DaruanParams) -> SpectrumReport:
     difference of their series from the circuit at AUDIT_POINTS.
 
     Encoding biases are absorbed into the complex coefficients. The
-    series uses every frequency that _propagate finds.
+    series uses every frequency that _propagate finds. Weights whose
+    absolute sum overflows, or a residual that is not finite, raise
+    NumericalError.
     """
     freqs, coeffs = _propagate(p)
     edge = QkanLayer.of_edge(p)
@@ -107,12 +110,19 @@ def empirical_spectrum(p: DaruanParams) -> SpectrumReport:
     for k in range(0, freqs.size, AUDIT_BLOCK):
         resid -= np.exp(np.outer(AUDIT_POINTS, 1j * freqs[k:k + AUDIT_BLOCK])) \
             @ coeffs[k:k + AUDIT_BLOCK]
-    return SpectrumReport(
+    report = SpectrumReport(
         weights=p.enc_w.copy(),
         frequencies=freqs,
         coefficients={float(w): complex(c) for w, c in zip(freqs, coeffs)},
         residual_l2=float(np.sqrt(np.mean(np.abs(resid) ** 2))),
     )
+    if not np.isfinite(report.max_frequency):
+        raise NumericalError(f"spectrum audit: the encoding weights sum to "
+                             f"{report.max_frequency}")
+    if not np.isfinite(report.residual_l2):
+        raise NumericalError(f"spectrum audit: the series residual is "
+                             f"{report.residual_l2}")
+    return report
 
 
 def verify_spectrum(p: DaruanParams, tol: float):

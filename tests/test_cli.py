@@ -425,12 +425,13 @@ _FLAG_CASES = [
      _nan_layers),
     ("extend-nan-probe",
      ["extend", *_CKPT, "--new-r", "3", "--out", "{tmp}/deeper.json"], 4,
-     _nan_layers),
+     _nan_layers, "extend probe: 256 of 256 source outputs are NaN"),
     ("distill-nan-calibration",
      ["distill", *_CKPT, "--data", "{csv}/x2y1.csv", "--out", "{tmp}/dist"], 4,
      _nan_layers),
     ("spectrum-nan-residual",
-     ["spectrum", "--r", "2", "--out", "{tmp}/spectrum.json"], 4, _nan_audit),
+     ["spectrum", "--r", "2", "--out", "{tmp}/spectrum.json"], 4, _nan_audit,
+     "spectrum audit: the series residual is nan"),
     # results that genuinely overflow: numpy's RuntimeWarnings stay
     # silent, so the error line is the only line; it names the stage
     # that found the failure
@@ -439,7 +440,7 @@ _FLAG_CASES = [
       "--out", "{tmp}/e.json"], 4, None, "eval predictions: "),
     ("extend-overflow",
      ["extend", "--checkpoint", "{overflow}", "--new-r", "3",
-      "--out", "{tmp}/deeper.json"], 4),
+      "--out", "{tmp}/deeper.json"], 4, None, "extend probe: "),
     ("distill-overflow",
      ["distill", "--checkpoint", "{overflow}", "--data", "{data}/test.csv",
       "--out", "{tmp}/dist"], 4, None, "calibration: "),
@@ -449,7 +450,8 @@ _FLAG_CASES = [
      "edge (layer 1, out 0, in 1): circuit samples are not finite"),
     ("spectrum-overflow",
      ["spectrum", "--r", "2", "--weights", "1e308,1e308",
-      "--out", "{tmp}/spectrum.json"], 4),
+      "--out", "{tmp}/spectrum.json"], 4, None,
+     "spectrum audit: the encoding weights sum to inf"),
     # inputs that cannot be read or decoded
     ("eval-csv-missing", ["eval", *_CKPT, "--data", "{tmp}/missing.csv"], 3),
     ("eval-csv-undecodable", ["eval", *_CKPT, "--data", "{undecodable}"], 3),

@@ -8,6 +8,7 @@ layer-batched distillation.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,49 @@ def assert_matches_oracle(snet, x):
     assert type(count) is int
 
 
+def assert_close_to_oracle(snet, x):
+    """Elementwise agreement with the per-edge loop, NaN where it has
+    NaN, and the same clamp count; any RuntimeWarning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ref, ref_count = spline_oracle.evaluate(snet, x)
+        out, count = snet.evaluate(x)
+    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-14)
+    assert count == ref_count
+    return out, count
+
+
+def breakpoint_probe(grid):
+    """Inputs of a one-layer network on every breakpoint of every edge
+    and one float to either side of it; column i probes the edges of
+    input i, padded by repetition to a common length."""
+    columns = []
+    for i in range(len(grid[0])):
+        knots = np.unique(np.concatenate([row[i].knots for row in grid]))
+        columns.append(np.concatenate([knots, np.nextafter(knots, -np.inf),
+                                       np.nextafter(knots, np.inf)]))
+    rows = max(map(len, columns))
+    return np.stack([np.resize(c, rows) for c in columns], axis=1)
+
+
+def mixed_grid(degree=None):
+    """Two outputs by three inputs whose edges differ in grid size,
+    domain and, unless `degree` is given, degree; one fit per edge."""
+    grid = []
+    for j in range(2):
+        row = []
+        for i, (g, d, lo, hi) in enumerate([(3, 1, -1.0, 2.0),
+                                            (17, 3, 0.5, 0.75),
+                                            (8, 2, -40.0, 7.0)]):
+            xs = np.linspace(lo, hi, 90)
+            edge = distill.fit_spline(xs, np.sin((j + 1) * xs + i),
+                                      grid_size=g + j, degree=degree or d)
+            edge.w_base = 0.3 * i - 0.2 * j
+            row.append(edge)
+        grid.append(row)
+    return grid
+
+
 class TestStackedKernel:
     """The stacked tables against one Cox-de Boor evaluation per edge."""
 
@@ -237,12 +281,67 @@ class TestStackedKernel:
         snet = distill.SplineNetwork.from_json(
             distill.SplineNetwork(edges=[grid]).to_json())
         layer = snet._layers[0]
-        assert layer.breaks.shape[:2] == (2, 3)
+        assert layer.breaks.shape == (2, 3, 18)    # W = the most pieces
         assert np.isinf(layer.breaks[0, 0, 4:]).all()
         assert not layer.coefs[0, 0, :, 2:].any()
         probe = np.concatenate([xs, [-3.0, 5.0, -1.0, 2.0]])
         assert_matches_oracle(snet, np.stack([probe, probe[::-1], probe + 0.1],
                                              axis=1))
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, None])
+    def test_direct_index_at_every_breakpoint(self, degree):
+        """trunc((x - first) * scale) may land one piece off on a
+        breakpoint; continuity keeps the value."""
+        grid = mixed_grid(degree)
+        snet = distill.SplineNetwork(edges=[grid])
+        probe = breakpoint_probe(grid)
+        _, count = assert_close_to_oracle(snet, probe)
+        assert count > 0                       # the outermost neighbours
+
+    @pytest.mark.parametrize("lo, hi, degree", [
+        (0.0, 1e-300, 1), (-3e-300, 2e-300, 1), (1e300, 3e300, 1),
+        (-8e307, 8e307, 1), (-1e-100, 1e-100, 3), (0.0, 1e100, 3)])
+    def test_extreme_domain_spans(self, lo, hi, degree):
+        # the power form itself overflows (or underflows) for degree >= 2
+        # on spans far below 1e-100 (or above 1e150), at the direct index
+        # and at the former bisection alike
+        rng = np.random.default_rng(290)
+        edges = [distill.SplineModel(
+            degree=degree, knots=distill.make_knots(lo, hi, g, degree),
+            coefficients=rng.normal(size=g + degree), domain=(lo, hi))
+            for g in (5, 12)]
+        snet = distill.SplineNetwork(edges=[[edges]])
+        inside = lo + (hi - lo) * rng.uniform(size=(40, 2))
+        probe = np.vstack([breakpoint_probe([edges]), inside,
+                           [[lo - (hi - lo) / 4, hi + (hi - lo) / 4]]])
+        assert_close_to_oracle(snet, probe)
+
+    def test_infinite_inputs_give_the_clamped_value(self, monkeypatch):
+        grid = mixed_grid()
+        snet = distill.SplineNetwork(edges=[grid])
+        lo = [edge.domain[0] for edge in grid[0]]
+        hi = [edge.domain[1] for edge in grid[0]]
+        x = np.array([[np.inf, -np.inf, np.inf], [-np.inf, np.inf, 0.6]])
+        ends = np.where(x == np.inf, hi, np.where(x == -np.inf, lo, x))
+        # silu(+-inf) is +-inf or NaN, so only the spline part can show
+        # the clamp
+        monkeypatch.setattr(distill, "silu", np.zeros_like)
+        monkeypatch.setattr(spline_oracle, "silu", np.zeros_like)
+        out, count = assert_close_to_oracle(snet, x)
+        assert np.array_equal(out, snet.evaluate(ends)[0])
+        assert count == 2 * 5
+
+    def test_nan_inputs_give_nan_outputs(self):
+        grid = mixed_grid()
+        snet = distill.SplineNetwork(edges=[grid])
+        probe = breakpoint_probe(grid)[:30].copy()
+        probe[3, 0] = probe[7, 2] = probe[8, :] = np.nan
+        probe[9, 1] = 100.0                     # clamped beside a NaN
+        probe[9, 2] = np.nan
+        out, count = assert_close_to_oracle(snet, probe)
+        assert np.isnan(out[[3, 7, 8, 9]]).all()
+        assert np.isfinite(np.delete(out, [3, 7, 8, 9], axis=0)).all()
+        assert count == spline_oracle.clamp_count(snet, probe) > 0
 
     def test_scalar_and_array_edge_eval(self):
         xs = np.linspace(0.0, 1.0, 40)
@@ -263,7 +362,11 @@ class TestStackedKernel:
             dict(good.to_dict(), domain=[-1.0, 1.0]))
         short = distill.SplineModel.from_dict(
             dict(good.to_dict(), coefficients=[1.0, 2.0]))
-        for bad in (unclamped, wide, short):
+        knots = good.knots.copy()
+        knots[5] += 0.25 / 3.0                 # a third of a piece
+        non_uniform = distill.SplineModel.from_dict(
+            dict(good.to_dict(), knots=list(knots)))
+        for bad in (unclamped, wide, short, non_uniform):
             with pytest.raises(ValueError):
                 distill.SplineNetwork(edges=[[[good], [bad]]])
         with pytest.raises(ValueError):      # layer widths do not chain
@@ -289,6 +392,21 @@ def _hqkan_spline_doc():
 
 def _edge(doc):
     return doc["layers"][0][0][0]
+
+
+def _move_interior_knot(doc):
+    """Moves one interior knot of a degree-3, G=4 edge by a third of a
+    piece."""
+    knots = _edge(doc)["knots"]
+    knots[5] += (knots[-1] - knots[0]) / 4 / 3
+
+
+def _degree_zero(doc):
+    """A degree-0 edge with consistent counts: G + 1 knots, G
+    coefficients."""
+    edge = _edge(doc)
+    edge.update(degree=0, knots=edge["knots"][3:-3],
+                coefficients=edge["coefficients"][:4])
 
 
 # (name, mutation of the parsed spline.json); each must raise DataError
@@ -318,6 +436,8 @@ SPLINE_JSON_MUTATIONS = [
     ("too few coefficients", lambda d: _edge(d)["coefficients"].pop()),
     ("degree missing", lambda d: _edge(d).pop("degree")),
     ("degree a float", lambda d: _edge(d).update(degree=3.0)),
+    ("degree 0", _degree_zero),
+    ("non-uniform interior knot", _move_interior_knot),
     ("domain of three", lambda d: _edge(d)["domain"].append(1.0)),
     ("domain outside knots", lambda d: _edge(d).update(domain=[-1e9, 1e9])),
     ("w_base missing", lambda d: _edge(d).pop("w_base")),

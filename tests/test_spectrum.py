@@ -9,6 +9,7 @@ import pytest
 import spectrum_oracle
 from qkan import spectrum
 from qkan.daruan import DaruanParams, init_daruan
+from qkan.errors import NumericalError
 
 
 def enumerate_sign_patterns(weights):
@@ -131,6 +132,22 @@ class TestEmpiricalSpectrum:
         p.enc_w = np.array([1.0, np.sqrt(2.0)])
         ok, report = spectrum.verify_spectrum(p, tol=1e-7)
         assert ok, report.residual_l2
+
+    def test_non_finite_audit_names_its_stage(self, monkeypatch):
+        p = init_daruan(2, np.random.default_rng(108), geometric=False)
+        p.enc_w = np.array([1e308, 1e308])
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericalError, match="^spectrum audit: the encoding weights "
+                                      "sum to inf$"):
+            spectrum.empirical_spectrum(p)
+        p.enc_w = np.ones(2)
+        monkeypatch.setattr(
+            spectrum, "circuit_expectation",
+            lambda *args: np.full((spectrum.AUDIT_POINTS.size, 1, 1), np.inf))
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericalError, match="^spectrum audit: the series residual "
+                                      "is inf$"):
+            spectrum.verify_spectrum(p, tol=1e-8)
 
     def test_report_json(self):
         p = init_daruan(2, np.random.default_rng(107), geometric=False)
