@@ -29,13 +29,13 @@ Halving an angle is exact, t^2 cannot overflow for a finite angle, and
 float64 tan is vectorized in numpy where cos and sin may not be.
 
 Gradients are exact. One forward pass records t for every theta_l plus
-the final Bloch vector; the adjoint sweep then rebuilds cos and sin and
-undoes each rotation instead of storing the intermediate states. It yields
-derivatives with respect to theta_l, beta_l and alpha_0, which scatter
-back to the parameters: gamma_l, alpha_{l+1} and b_l each get
-d/dtheta_l, w_l gets x * d/dtheta_l, the input gets sum_l w_l d/dtheta_l
-and gamma_r gets exactly 0. Every parameter still enters one rotation
-with unit coefficient, so the parameter-shift rule stays exact.
+the final Bloch vector; the adjoint sweep rebuilds cos and sin, undoes
+each rotation instead of storing the intermediate states, and sums over
+the batch as it walks back. Its derivatives with respect to theta_l,
+beta_l and alpha_0 scatter back to the parameters: gamma_l, alpha_{l+1}
+and b_l each get d/dtheta_l, w_l gets sum_b x_b d/dtheta_l, input x_m
+gets sum_{n,l} w_l d/dtheta_l and gamma_r gets exactly 0. Every parameter
+enters one rotation with unit coefficient, so parameter shift is exact.
 
 Batched routines operate on stacked edge parameters with shape
 (N, M, ...) and inputs (B, M), producing (B, N, M) outputs. A single
@@ -201,20 +201,22 @@ def circuit_forward(enc_w, enc_b, angles, x):
     return vz, CircuitTape(tan_half, (vx, vy, vz))
 
 
-def circuit_adjoint(angles, tape: CircuitTape, weights):
+def circuit_adjoint(enc_w, angles, tape: CircuitTape, x, weights):
     """Adjoint sweep over a forward tape, with no second forward pass.
 
-    Returns per-sample derivatives of weights * <Z>: g_theta (r, B, N, M)
-    for the merged angles, g_beta (r+1, B, N, M) and g_alpha0 (B, N, M).
-    weights is an array (B, N, M) or a scalar such as 1.0.
+    enc_w (N, M, r) and x (B, M) are the forward pass's; weights is an
+    array (B, N, M) or a scalar such as 1.0. Returns the derivatives of
+    sum_b weights * <Z>, already summed over the batch: g_theta (r, N, M)
+    for the merged angles, g_beta (r+1, N, M), g_alpha0 (N, M), g_w
+    (r, N, M) = sum_b x_b d/dtheta_l and d_x (B, M) = sum_{n,l} w_l d/dtheta_l.
 
     For a rotation by t about axis n, d<Z>/dt = n . (v x lam), where v
     is the state and lam the back-propagated readout (weights * e_z),
     both taken right after the gate. Rotations preserve cross products,
     so the sweep carries only c = v x lam and undoes each rotation on
-    it: the derivative of rz(theta_l) is c_z, that of ry(beta_l) is c_y.
-    The cos and sin of each theta_l are rebuilt from the tape's
-    tan(theta_l / 2) just before their rotation is undone.
+    it: d/dtheta_l is c_z and d/dbeta_l is c_y, each summed over the batch
+    at its step by einsum (faster than .sum(0) for small N, M). Undoing
+    rz(theta_l) rebuilds its cos and sin from the tape's tan(theta_l / 2).
     """
     tan_half, (vx, vy, _) = tape
     r = tan_half.shape[0]
@@ -223,15 +225,18 @@ def circuit_adjoint(angles, tape: CircuitTape, weights):
     cx, cy, cz = weights * vy, -weights * vx, np.zeros(vx.shape)
     work = (np.empty(vx.shape), np.empty(vx.shape))
     cs = (np.empty(vx.shape), np.empty(vx.shape))
-    g_theta = np.empty(tan_half.shape)
-    g_beta = np.empty((r + 1,) + vx.shape)
+    g_theta, g_w = np.empty((2, r) + vx.shape[1:])
+    g_beta = np.empty((r + 1,) + vx.shape[1:])
+    d_x = np.zeros(x.shape)
     for l in range(r, -1, -1):
-        g_beta[l] = cy
+        np.einsum("bnm->nm", cy, out=g_beta[l])
         _rotate(cx, cz, cb[..., l], sb[..., l], work)       # undo ry(beta_l)
         if l > 0:
-            g_theta[l - 1] = cz
+            np.einsum("bnm->nm", cz, out=g_theta[l - 1])
+            np.einsum("bnm,bm->nm", cz, x, out=g_w[l - 1])
+            d_x += np.einsum("bnm,nm->bm", cz, enc_w[..., l - 1])
             _rotate(cy, cx, *_cos_sin(tan_half[l - 1], cs), work)  # undo rz
-    return g_theta, g_beta, cz
+    return g_theta, g_beta, np.einsum("bnm->nm", cz), g_w, d_x
 
 
 def circuit_expectation(enc_w, enc_b, angles, x):
@@ -264,14 +269,20 @@ def circuit_gradients(enc_w, enc_b, angles, x):
     Returns (f, g_enc, g_ang) with f (B, N, M), g_enc (B, N, M, r) the
     derivative with respect to each encoding gate's total rotation
     angle u_l = w_l x + b_l, and g_ang (B, N, M, r+1, 3) the Euler-angle
-    derivatives from angle_grads.
+    derivatives from angle_grads. Each (sample, edge) pair runs as one
+    edge of a one-row batch, so circuit_adjoint sums single terms.
     """
-    r = enc_w.shape[2]
-    f, tape = circuit_forward(enc_w, enc_b, angles, x)
-    g_theta, g_beta, g_alpha0 = circuit_adjoint(angles, tape, 1.0)
-    g_ang = angle_grads(g_theta, g_beta, g_alpha0,
-                        np.empty(f.shape + (r + 1, 3)))
-    return f, np.moveaxis(g_theta, 0, -1), g_ang
+    (b, m), (n, _, r) = x.shape, enc_w.shape
+    shape, k = (b, n, m), b * n * m
+    rows = [np.broadcast_to(a, (b,) + a.shape).reshape((1, k) + a.shape[2:])
+            for a in (enc_w, enc_b, angles)]
+    x_row = np.broadcast_to(x[:, None], shape).reshape(1, k)
+    f, tape = circuit_forward(*rows, x_row)
+    g_theta, g_beta, g_alpha0, _, _ = circuit_adjoint(
+        rows[0], rows[2], tape, x_row, 1.0)
+    g_ang = angle_grads(g_theta, g_beta, g_alpha0, np.empty((1, k, r + 1, 3)))
+    g_enc = np.moveaxis(g_theta.reshape((r,) + shape), 0, -1)
+    return f.reshape(shape), g_enc, g_ang.reshape(shape + (r + 1, 3))
 
 
 # --- scalar edge API --------------------------------------------------------

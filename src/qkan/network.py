@@ -249,24 +249,23 @@ class QkanLayer(_Stage):
 
         `tape_entry` is the (x, circuit tape) that forward recorded.
         The parameter gradients are written into `out`, arrays shaped
-        like arrays(); the input derivative (B, n_in) is returned.
+        like arrays(), from the batch sums daruan.circuit_adjoint
+        returns; the input derivative (B, n_in) is returned.
         """
         x, circuit_tape = tape_entry
         g_enc_w, g_enc_b, g_angles, g_w_base, g_w_quant, g_out_bias = out
         upq = upstream[:, :, None] * self.w_quant[None]   # (B, n_out, n_in)
-        g_theta, g_beta, g_alpha0 = daruan.circuit_adjoint(
-            self.angles, circuit_tape, upq)
-        daruan.angle_grads(g_theta.sum(axis=1), g_beta.sum(axis=1),
-                           g_alpha0.sum(axis=0), g_angles)
+        g_theta, g_beta, g_alpha0, g_w, d_x = daruan.circuit_adjoint(
+            self.enc_w, self.angles, circuit_tape, x, upq)
+        daruan.angle_grads(g_theta, g_beta, g_alpha0, g_angles)
         # b_l enters theta_l with unit coefficient, as gamma_l does
         g_enc_b[...] = g_angles[:, :, :-1, 2]
-        np.einsum("lbnm,bm->nml", g_theta, x, out=g_enc_w)
+        g_enc_w[...] = np.moveaxis(g_w, 0, -1)
         np.matmul(upstream.T, silu(x), out=g_w_base)
         np.einsum("bn,bnm->nm", upstream, circuit_tape.final[2],
                   out=g_w_quant)
         g_out_bias[...] = upstream.sum(axis=0)[:, None]
-        return (np.einsum("lbnm,nml->bm", g_theta, self.enc_w)
-                + (upstream @ self.w_base) * silu_grad(x))
+        return d_x + (upstream @ self.w_base) * silu_grad(x)
 
     def extend(self, new_r: int) -> None:
         """In-place layer extension with identity-initialized blocks:

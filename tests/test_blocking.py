@@ -344,3 +344,27 @@ class TestBoundedMemory:
                 tracemalloc.stop()
             assert np.isfinite(loss) and np.all(np.isfinite(grad))
         assert peaks[60000] <= 1.25 * peaks[6000] + 2 ** 20
+
+    def test_layer_backward_peak_does_not_grow_with_r(self):
+        # the adjoint sums over the batch as it sweeps, so no (r, B, N, M)
+        # derivative array exists: the peak is a few block arrays, whatever r
+        b, n, m = 64, 16, 16
+        block_array = b * n * m * 8
+        peaks = {}
+        for r in (3, 6, 10):
+            rng = np.random.default_rng(r)
+            layer = network.QkanLayer.init(m, n, r, rng, angle_scale=1.0)
+            x = rng.uniform(-1.0, 1.0, size=(b, m))
+            upstream = rng.normal(size=(b, n))
+            tape = []
+            layer.forward(x, tape)
+            out = [np.empty(a.shape) for a in layer.arrays()]
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                layer.backward(tape[0], upstream, out)
+                peaks[r] = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            assert peaks[r] <= 10 * block_array, (r, peaks[r] / block_array)
+        assert peaks[10] - peaks[3] < block_array

@@ -327,14 +327,45 @@ class TestFusedKernelOracle:
         assert np.max(np.abs(g_enc - enc_want)) <= 1e-12
         assert np.max(np.abs(g_ang - ang_want)) <= 1e-12
 
+    @staticmethod
+    def batch_sums(enc_w, x, weights, g_enc, g_ang):
+        """The five circuit_adjoint outputs as weighted batch sums of
+        per-sample derivatives g_enc (B, N, M, r), g_ang (B, N, M, r+1, 3)."""
+        wg = weights[..., None] * g_enc
+        return (np.moveaxis(wg.sum(axis=0), -1, 0),
+                np.moveaxis((weights[..., None] * g_ang[..., 1]).sum(axis=0),
+                            -1, 0),
+                (weights * g_ang[..., 0, 0]).sum(axis=0),
+                np.moveaxis(np.einsum("bnml,bm->nml", wg, x), -1, 0),
+                np.einsum("bnml,nml->bm", wg, enc_w))
+
+    @pytest.mark.parametrize("r", range(1, 11))
+    def test_reduced_adjoint_matches_oracle_sums(self, r):
+        args = self.random_circuits(r, 80 + r)
+        enc_w, _, angles, x = args
+        _, tape = daruan.circuit_forward(*args)
+        weights = np.random.default_rng(90 + r).normal(
+            size=tape.final[2].shape)
+        _, g_enc, g_ang = complex_kernel.circuit_gradients(*args)
+        want = self.batch_sums(enc_w, x, weights, g_enc, g_ang)
+        got = daruan.circuit_adjoint(enc_w, angles, tape, x, weights)
+        for name, g, w in zip(("g_theta", "g_beta", "g_alpha0", "g_w", "d_x"),
+                              got, want):
+            assert g.shape == w.shape, name
+            assert np.max(np.abs(g - w)) <= 1e-12, name
+
     def test_weighted_adjoint_scales_readout(self):
+        # weights * <Z> summed over the batch: each output is the
+        # weighted batch sum of the unweighted per-sample derivatives
         args = self.random_circuits(4, 60)
+        enc_w, _, angles, x = args
         _, tape = daruan.circuit_forward(*args)
         weights = np.random.default_rng(61).normal(size=tape.final[2].shape)
-        plain = daruan.circuit_adjoint(args[2], tape, 1.0)
-        weighted = daruan.circuit_adjoint(args[2], tape, weights)
+        _, g_enc, g_ang = daruan.circuit_gradients(*args)
+        plain = self.batch_sums(enc_w, x, weights, g_enc, g_ang)
+        weighted = daruan.circuit_adjoint(enc_w, angles, tape, x, weights)
         for g, gw in zip(plain, weighted):
-            np.testing.assert_allclose(gw, weights * g, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(gw, g, rtol=0, atol=1e-14)
 
 
 class TestHalfAngle:
