@@ -236,21 +236,20 @@ def _ratio(num, den):
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
 
-def _power_form(knots, coefs, degree: int):
+def _power_form(knots, coefs, degree: int, scale):
     """Piecewise-polynomial form of E clamped B-splines of one degree.
 
-    knots (E, n) and coefs (E, n - degree - 1). Returns the breakpoints
-    knots[:, degree:n - degree], shape (E, G + 1), and for each of the G
-    pieces its Taylor coefficients about the left breakpoint, shape
-    (E, G, degree + 1), lowest power first. The m-th one is the m-th
-    derivative of the piece over m!: differencing the B-spline
-    coefficients gives the derivative spline, and de Boor's recursion
+    knots (E, n), coefs (E, n - degree - 1) and scale (E, 1), pieces
+    over span. Returns for each of the G pieces its Taylor coefficients
+    in (x - left breakpoint) * scale, shape (E, G, degree + 1), lowest
+    power first. The m-th one is the m-th derivative of the piece over
+    m!: differencing the B-spline coefficients, over knot gaps in piece
+    widths, gives the derivative spline, and de Boor's recursion
     evaluates it at every left breakpoint at once.
     """
     n = knots.shape[1]
     n_pieces = n - 2 * degree - 1
-    breaks = knots[:, degree:n - degree]
-    at = breaks[:, :-1]
+    at = knots[:, degree:n - degree - 1]
     taylor = np.empty((knots.shape[0], n_pieces, degree + 1))
     factorial = 1.0
     for m in range(degree + 1):
@@ -267,22 +266,22 @@ def _power_form(knots, coefs, degree: int):
         factorial *= m + 1
         if p:
             coefs = p * _ratio(np.diff(coefs, axis=1),
-                               t[:, p + 1:-1] - t[:, 1:-p - 1])
-    return breaks, taylor
+                               (t[:, p + 1:-1] - t[:, 1:-p - 1]) * scale)
+    return taylor
 
 
 class _PiecewiseLayer:
     """An n_out x n_in grid of spline edges as stacked tables.
 
-    breaks (N, M, W + 1): each edge's breakpoints, padded with +inf.
-    coefs (N, M, W, D + 1): each piece's power-basis coefficients in
-    x - breaks[..., k], lowest power first, padded with zeros. D is the
-    largest degree in the layer and W the largest piece count.
+    coefs (N, M, W, D + 1): each piece's power-basis coefficients in t,
+    lowest power first, padded with zeros. D is the largest degree in
+    the layer and W the largest piece count.
     lo, hi, w_base (N, M): spline domain and silu weight of each edge.
 
     Every edge's knots are uniform (see _check_knots), so the piece of
     an input comes from one multiply: trunc((x - first breakpoint) *
-    pieces / span), capped at the last piece.
+    pieces / span), capped at the last piece; t is (x - its stored left
+    breakpoint) * pieces / span, in piece widths whatever the span.
     """
 
     def __init__(self, grid):
@@ -303,25 +302,22 @@ class _PiecewiseLayer:
             groups.setdefault(key, []).append(k)
         degree_max = max(d for d, _, _ in groups)
         width = max(n - 2 * d - 1 for d, n, _ in groups)
-        breaks = np.full((len(edges), width + 1), np.inf)
+        left = np.zeros((len(edges), width))
         coefs = np.zeros((len(edges), width, degree_max + 1))
-        first, scale = np.empty(len(edges)), np.empty(len(edges))
+        scale = np.empty(len(edges))
         pieces = np.empty(len(edges), dtype=np.intp)
         for (degree, n, n_coef), rows in groups.items():
             knots = np.array([edges[k].knots for k in rows], dtype=np.float64)
             scale[rows] = _check_knots(knots, degree, n_coef, domain[rows])
-            b, taylor = _power_form(
+            pieces[rows] = g = n - 2 * degree - 1
+            left[rows, :g] = knots[:, degree:n - degree - 1]
+            coefs[rows, :g, :degree + 1] = _power_form(
                 knots, np.array([edges[k].coefficients for k in rows],
-                                dtype=np.float64), degree)
-            breaks[rows, :b.shape[1]] = b
-            coefs[rows, :taylor.shape[1], :degree + 1] = taylor
-            first[rows] = b[:, 0]
-            pieces[rows] = b.shape[1] - 1
-        self.breaks = breaks.reshape(n_out, n_in, width + 1)
+                                dtype=np.float64), degree, scale[rows, None])
         self.coefs = coefs.reshape(n_out, n_in, width, degree_max + 1)
-        self._first = first.reshape(n_out, n_in)
+        self._first = left[:, 0].reshape(n_out, n_in)
         self._scale = scale.reshape(n_out, n_in)
-        self._left = breaks[:, :-1].ravel()
+        self._left = left.ravel()
         self._powers = coefs.reshape(-1, degree_max + 1).T.copy()
         self._base = (np.arange(len(edges)) * width).reshape(n_out, n_in)
         # flat index of each edge's last piece
@@ -343,10 +339,12 @@ class _PiecewiseLayer:
     def _evaluate(self, x):
         """evaluate of a (B, n_in) batch in one piece."""
         x = x[:, None, :]
-        clamped = int(np.count_nonzero((x < self.lo) | (x > self.hi)))
         # fmax/fmin send NaN into the domain too, so the piece index is a
         # finite number; silu(x) below still makes that output NaN
         xc = np.fmin(np.fmax(x, self.lo), self.hi)
+        # the clamp moved the inputs outside their domain, and every NaN
+        clamped = (int(np.count_nonzero(xc != x))
+                   - self.n_out * int(np.count_nonzero(np.isnan(x))))
         # flat index of each sample's piece
         u = xc - self._first
         u *= self._scale
@@ -354,6 +352,7 @@ class _PiecewiseLayer:
         pos += self._base
         np.minimum(pos, self._last, out=pos)
         t = xc - self._left.take(pos)
+        t *= self._scale                       # in piece widths
         y = self._powers[-1].take(pos)
         for c in self._powers[-2::-1]:
             y *= t

@@ -1,19 +1,26 @@
-"""Reference spectrum: a least-squares fit of sampled circuit outputs.
+"""Reference spectrum: a least-squares fit of sampled circuit outputs,
+and the complex-exponential series.
 
-This is how `spectrum.empirical_spectrum` found an edge's Fourier
-coefficients before they were propagated through the circuit in closed
-form. It samples the raw expectation over a period chosen from the
-frequency set, builds the dense |samples| x |F| design matrix
-exp(i x f), refuses an ill-conditioned one and solves it with lstsq.
-The design costs O(|F|^2) memory, so it fits only small edges. It
-serves as the oracle for the closed-form coefficients.
+`empirical_spectrum` here is how `spectrum.empirical_spectrum` found an
+edge's Fourier coefficients before they were propagated through the
+circuit in closed form. It samples the raw expectation over a period
+chosen from the frequency set, builds the dense |samples| x |F| design
+matrix exp(i x f), refuses an ill-conditioned one and solves it with
+lstsq. The design costs O(|F|^2) memory, so it fits only small edges.
+It serves as the oracle for the closed-form coefficients.
+
+`series` and `residual_l2` are the audit as it was before the series
+went through tan(theta / 2): one complex exp per point and frequency,
+a block of AUDIT_BLOCK frequencies at a time. They serve as the oracle
+for `spectrum._series` and the report's residual_l2.
 """
 
 import numpy as np
 
 from qkan.daruan import circuit_expectation
 from qkan.network import QkanLayer
-from qkan.spectrum import DEDUP_TOL, SpectrumReport, enumerate_frequencies
+from qkan.spectrum import (AUDIT_BLOCK, AUDIT_POINTS, DEDUP_TOL,
+                           SpectrumReport, enumerate_frequencies)
 
 #: condition-number ceiling for the basis fit
 COND_LIMIT = 1e12
@@ -59,3 +66,21 @@ def empirical_spectrum(p, frequencies=None):
         coefficients={float(w): complex(c) for w, c in zip(freqs, coeffs)},
         residual_l2=residual_l2,
     )
+
+
+def series(freqs, coeffs):
+    """sum_f c_f exp(i f x) at AUDIT_POINTS, complex."""
+    out = np.zeros(AUDIT_POINTS.size, dtype=complex)
+    for k in range(0, freqs.size, AUDIT_BLOCK):
+        out += np.exp(np.outer(AUDIT_POINTS, 1j * freqs[k:k + AUDIT_BLOCK])) \
+            @ coeffs[k:k + AUDIT_BLOCK]
+    return out
+
+
+def residual_l2(p, freqs, coeffs):
+    """RMS of circuit_expectation minus the series at AUDIT_POINTS."""
+    edge = QkanLayer.of_edge(p)
+    resid = circuit_expectation(edge.enc_w, edge.enc_b, edge.angles,
+                                AUDIT_POINTS[:, None])[:, 0, 0].astype(complex)
+    resid -= series(freqs, coeffs)
+    return float(np.sqrt(np.mean(np.abs(resid) ** 2)))

@@ -149,6 +149,21 @@ class TestEmpiricalSpectrum:
                                       "is inf$"):
             spectrum.verify_spectrum(p, tol=1e-8)
 
+    def test_overflowing_weights_fail_before_any_series_work(self,
+                                                             monkeypatch):
+        p = init_daruan(2, np.random.default_rng(108), geometric=False)
+        p.enc_w = np.array([1e308, 1e308])
+
+        def unreachable(*args):
+            raise AssertionError("ran before the weight check")
+
+        for name in ("_propagate", "circuit_expectation", "_series"):
+            monkeypatch.setattr(spectrum, name, unreachable)
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericalError, match="^spectrum audit: the encoding weights "
+                                      "sum to inf$"):
+            spectrum.empirical_spectrum(p)
+
     def test_report_json(self):
         p = init_daruan(2, np.random.default_rng(107), geometric=False)
         _, report = spectrum.verify_spectrum(p, tol=1e-8)
@@ -157,6 +172,15 @@ class TestEmpiricalSpectrum:
         assert doc["nonzero_count"] == report.nonzero_count
         assert len(doc["coefficients"]) == report.frequencies.size
         assert doc["residual_l2"] == report.residual_l2
+
+
+def trained_like_r10_edge():
+    """Weights 2^l plus noise keep all 3^10 sums apart."""
+    rng = np.random.default_rng(110)
+    p = init_daruan(10, rng, angle_scale=2.0)
+    p.enc_w = 2.0 ** np.arange(10) + rng.normal(0.0, 0.05, size=10)
+    p.enc_b = rng.normal(size=10)
+    return p
 
 
 class TestClosedForm:
@@ -182,13 +206,9 @@ class TestClosedForm:
         assert report.residual_l2 < 1e-12
 
     def test_trained_like_r10_edge_audits_in_small_memory(self):
-        # weights 2^l plus noise keep all 3^10 sums apart; the sampled
-        # fit's design would need 4 * (2 * 3^10 + 1) * 3^10 * 16 bytes,
-        # about 446 GB
-        rng = np.random.default_rng(110)
-        p = init_daruan(10, rng, angle_scale=2.0)
-        p.enc_w = 2.0 ** np.arange(10) + rng.normal(0.0, 0.05, size=10)
-        p.enc_b = rng.normal(size=10)
+        # the sampled fit's design would need 4 * (2 * 3^10 + 1) * 3^10 * 16
+        # bytes, about 446 GB
+        p = trained_like_r10_edge()
         tracemalloc.start()
         try:
             ok, report = spectrum.verify_spectrum(p, tol=1e-8)
@@ -198,3 +218,48 @@ class TestClosedForm:
         assert report.frequencies.size == 3 ** 10
         assert ok, report.residual_l2
         assert peak < 32 * 2 ** 20
+        # the complex-exp series peaked at 11.19 MiB; the tan series must not
+        # take more
+        assert peak <= 11.2 * 2 ** 20
+
+
+def series_case(case):
+    rng = np.random.default_rng(120)
+    if case == "r10-trained-like":
+        return trained_like_r10_edge()
+    if case == "r6-geometric":
+        p = init_daruan(6, rng, angle_scale=2.0)
+    elif case == "weights-near-1e3":
+        # |theta| = |f x| reaches 2 pi * 2e3, about 1.3e4 rad
+        p = init_daruan(2, rng, angle_scale=2.0)
+        p.enc_w = 1e3 + rng.normal(size=2)
+    else:                                  # frequencies 0 and +-w only
+        p = init_daruan(1, rng, angle_scale=2.0)
+        p.enc_w = np.array([1.7])
+    p.enc_b = rng.normal(size=p.enc_w.size)
+    return p
+
+
+class TestSeries:
+    """The tan(theta / 2) series against the complex-exp one of
+    spectrum_oracle."""
+
+    @pytest.mark.parametrize("case", ["r6-geometric", "r10-trained-like",
+                                      "weights-near-1e3", "single-weight"])
+    def test_matches_complex_exp_series(self, case):
+        p = series_case(case)
+        freqs, coeffs = spectrum._propagate(p)
+        if case == "r10-trained-like":
+            assert -(-freqs.size // spectrum.AUDIT_BLOCK) == 58
+        if case == "single-weight":
+            np.testing.assert_array_equal(freqs, [-1.7, 0.0, 1.7])
+        if case == "weights-near-1e3":
+            assert np.max(np.abs(np.outer(spectrum.AUDIT_POINTS,
+                                          freqs))) > 1e4
+        re, im = spectrum._series(freqs, coeffs)
+        want = spectrum_oracle.series(freqs, coeffs)
+        np.testing.assert_allclose(re, want.real, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(im, want.imag, rtol=0.0, atol=1e-13)
+        report = spectrum.empirical_spectrum(p)
+        assert abs(report.residual_l2 - spectrum_oracle.residual_l2(
+            p, freqs, coeffs)) <= 1e-13
