@@ -38,9 +38,13 @@ gets sum_{n,l} w_l d/dtheta_l and gamma_r gets exactly 0. Every parameter
 enters one rotation with unit coefficient, so parameter shift is exact.
 
 Batched routines operate on stacked edge parameters with shape
-(N, M, ...) and inputs (B, M), producing (B, N, M) outputs. A single
-edge is a 1x1 QkanLayer (QkanLayer.of_edge), so the scalar API below
-runs the layer's forward, backward, extension and initialisation.
+(N, M, ...) and inputs (B, M). The kernel keeps the batch last: its
+Bloch vectors, tape and adjoint weights are (N, M, B) arrays, and each
+per-edge value is a (N, M, 1) table entry that broadcasts along the
+contiguous batch axis. circuit_expectation and circuit_gradients return
+(B, N, M, ...) results. A single edge is a 1x1 QkanLayer
+(QkanLayer.of_edge), so the scalar API below runs the layer's forward,
+backward, extension and initialisation.
 """
 
 from __future__ import annotations
@@ -137,7 +141,7 @@ def init_daruan(r: int, rng: np.random.Generator, angle_scale: float = 0.1,
 class CircuitTape(NamedTuple):
     """What the adjoint sweep needs from one forward pass."""
 
-    tan_half: np.ndarray    # (r, B, N, M) tan(theta_l / 2)
+    tan_half: np.ndarray    # (r, N, M, B) tan(theta_l / 2)
     final: tuple            # Bloch vector (v_x, v_y, v_z) after the last gate
 
 
@@ -168,36 +172,48 @@ def _rotate(a, b, c, s, work):
     b += as_
 
 
+def _table(a):
+    """A per-edge table (N, M, k) as a contiguous (k, N, M, 1) array, whose
+    entries broadcast along the batch axis of (N, M, B) arrays."""
+    return a.transpose(2, 0, 1).copy()[..., None]
+
+
+def _cos_sin_tables(beta):
+    """cos and sin of the per-edge angles beta (N, M, k), as tables."""
+    s = _table(beta)
+    return np.cos(s), np.sin(s, out=s)
+
+
 def circuit_forward(enc_w, enc_b, angles, x):
     """Run the batched circuit.
 
     enc_w, enc_b: (N, M, r); angles: (N, M, r+1, 3); x: (B, M).
-    Returns (expectations (B, N, M), the CircuitTape of this pass for
+    Returns (expectations (N, M, B), the CircuitTape of this pass for
     circuit_adjoint). The tape holds the working arrays of the pass, so
     it costs no copy; a caller that needs no gradient drops it.
     """
     r = enc_w.shape[2]
-    alpha, beta = angles[..., 0], angles[..., 1]
+    alpha0 = angles[..., 0, 0, None]                     # (N, M, 1)
     # theta_l / 2 = (w_l / 2) x + (b_l + gamma_l + alpha_{l+1}) / 2, exactly
-    offset = 0.5 * np.moveaxis(enc_b + angles[..., :r, 2] + alpha[..., 1:],
-                               -1, 0)
-    w = 0.5 * np.ascontiguousarray(np.moveaxis(enc_w, -1, 0))   # (r, N, M)
-    tan_half = np.multiply(w[:, None], x[None, :, None, :])     # (r, B, N, M)
-    tan_half += offset[:, None]
+    offset = 0.5 * _table(enc_b + angles[..., :r, 2] + angles[..., 1:, 0])
+    # x.T copied: a contiguous (M, B) x broadcasts over the (r, N, M, 1)
+    # table in longer inner loops than the strided view does
+    tan_half = np.multiply(0.5 * _table(enc_w), x.T.copy())  # (r, N, M, B)
+    tan_half += offset
     np.tan(tan_half, out=tan_half)
-    cb, sb = np.cos(beta), np.sin(beta)                   # (N, M, r+1)
+    cb, sb = _cos_sin_tables(angles[..., 1])             # (r+1, N, M, 1)
 
     shape = tan_half.shape[1:]
-    ca0 = np.cos(alpha[..., 0])
+    ca0 = np.cos(alpha0)
     vx, vy, vz = np.empty(shape), np.empty(shape), np.empty(shape)
-    vx[...] = ca0 * cb[..., 0]
-    vy[...] = np.sin(alpha[..., 0])
-    vz[...] = -ca0 * sb[..., 0]
+    vx[...] = ca0 * cb[0]
+    vy[...] = np.sin(alpha0)
+    vz[...] = -ca0 * sb[0]
     work = (np.empty(shape), np.empty(shape))
     cs = (np.empty(shape), np.empty(shape))
     for l in range(r):
-        _rotate(vx, vy, *_cos_sin(tan_half[l], cs), work)      # rz(theta_l)
-        _rotate(vz, vx, cb[..., l + 1], sb[..., l + 1], work)  # ry(beta_l+1)
+        _rotate(vx, vy, *_cos_sin(tan_half[l], cs), work)    # rz(theta_l)
+        _rotate(vz, vx, cb[l + 1], sb[l + 1], work)          # ry(beta_l+1)
     return vz, CircuitTape(tan_half, (vx, vy, vz))
 
 
@@ -205,7 +221,7 @@ def circuit_adjoint(enc_w, angles, tape: CircuitTape, x, weights):
     """Adjoint sweep over a forward tape, with no second forward pass.
 
     enc_w (N, M, r) and x (B, M) are the forward pass's; weights is an
-    array (B, N, M) or a scalar such as 1.0. Returns the derivatives of
+    array (N, M, B) or a scalar such as 1.0. Returns the derivatives of
     sum_b weights * <Z>, already summed over the batch: g_theta (r, N, M)
     for the merged angles, g_beta (r+1, N, M), g_alpha0 (N, M), g_w
     (r, N, M) = sum_b x_b d/dtheta_l and d_x (B, M) = sum_{n,l} w_l d/dtheta_l.
@@ -215,34 +231,39 @@ def circuit_adjoint(enc_w, angles, tape: CircuitTape, x, weights):
     both taken right after the gate. Rotations preserve cross products,
     so the sweep carries only c = v x lam and undoes each rotation on
     it: d/dtheta_l is c_z and d/dbeta_l is c_y, each summed over the batch
-    at its step by einsum (faster than .sum(0) for small N, M). Undoing
-    rz(theta_l) rebuilds its cos and sin from the tape's tan(theta_l / 2).
+    (the last, contiguous axis) at its step. Undoing rz(theta_l) rebuilds
+    its cos and sin from the tape's tan(theta_l / 2).
     """
     tan_half, (vx, vy, _) = tape
     r = tan_half.shape[0]
-    beta = angles[..., 1]
-    cb, sb = np.cos(beta), np.sin(beta)
+    cb, sb = _cos_sin_tables(angles[..., 1])
     cx, cy, cz = weights * vy, -weights * vx, np.zeros(vx.shape)
     work = (np.empty(vx.shape), np.empty(vx.shape))
     cs = (np.empty(vx.shape), np.empty(vx.shape))
-    g_theta, g_w = np.empty((2, r) + vx.shape[1:])
-    g_beta = np.empty((r + 1,) + vx.shape[1:])
-    d_x = np.zeros(x.shape)
+    g_theta, g_w = np.empty((2, r) + vx.shape[:-1])
+    g_beta = np.empty((r + 1,) + vx.shape[:-1])
+    d_x = np.zeros(x.shape[::-1])         # (M, B), transposed on return
     for l in range(r, -1, -1):
-        np.einsum("bnm->nm", cy, out=g_beta[l])
-        _rotate(cx, cz, cb[..., l], sb[..., l], work)       # undo ry(beta_l)
+        np.add.reduce(cy, axis=-1, out=g_beta[l])
+        _rotate(cx, cz, cb[l], sb[l], work)                 # undo ry(beta_l)
         if l > 0:
-            np.einsum("bnm->nm", cz, out=g_theta[l - 1])
-            np.einsum("bnm,bm->nm", cz, x, out=g_w[l - 1])
-            d_x += np.einsum("bnm,nm->bm", cz, enc_w[..., l - 1])
+            np.add.reduce(cz, axis=-1, out=g_theta[l - 1])
+            np.einsum("nmb,bm->nm", cz, x, out=g_w[l - 1])
+            d_x += np.einsum("nmb,nm->mb", cz, enc_w[..., l - 1])
             _rotate(cy, cx, *_cos_sin(tan_half[l - 1], cs), work)  # undo rz
-    return g_theta, g_beta, np.einsum("bnm->nm", cz), g_w, d_x
+    return g_theta, g_beta, np.add.reduce(cz, axis=-1), g_w, d_x.T.copy()
 
 
 def circuit_expectation(enc_w, enc_b, angles, x):
-    """Batched <Z> of the circuit, shape (B, N, M)."""
+    """Batched <Z> of the circuit, shape (B, N, M): a transposed view of
+    circuit_forward's (N, M, B) output."""
     f, _ = circuit_forward(enc_w, enc_b, angles, x)
-    return f
+    return f.transpose(2, 0, 1)
+
+
+def _to_last(a):
+    """a with its first axis moved last, as a view."""
+    return a.transpose(*range(1, a.ndim), 0)
 
 
 def angle_grads(g_theta, g_beta, g_alpha0, out):
@@ -254,10 +275,10 @@ def angle_grads(g_theta, g_beta, g_alpha0, out):
     theta_l = w_l x + b_l + gamma_l + alpha_{l+1}, so gamma_l and
     alpha_{l+1} both get d/dtheta_l; gamma_r gets exactly 0.
     """
-    g_t = np.moveaxis(g_theta, 0, -1)
+    g_t = _to_last(g_theta)
     out[..., 0, 0] = g_alpha0
     out[..., 1:, 0] = g_t
-    out[..., :, 1] = np.moveaxis(g_beta, 0, -1)
+    out[..., :, 1] = _to_last(g_beta)
     out[..., :-1, 2] = g_t
     out[..., -1, 2] = 0.0
     return out
@@ -281,7 +302,7 @@ def circuit_gradients(enc_w, enc_b, angles, x):
     g_theta, g_beta, g_alpha0, _, _ = circuit_adjoint(
         rows[0], rows[2], tape, x_row, 1.0)
     g_ang = angle_grads(g_theta, g_beta, g_alpha0, np.empty((1, k, r + 1, 3)))
-    g_enc = np.moveaxis(g_theta.reshape((r,) + shape), 0, -1)
+    g_enc = g_theta.reshape((r,) + shape).transpose(1, 2, 3, 0)
     return f.reshape(shape), g_enc, g_ang.reshape(shape + (r + 1, 3))
 
 

@@ -2,7 +2,10 @@
 
 A layer holds one activation edge per (output node, input node) pair,
 with all edge parameters stacked into arrays of leading shape
-(n_out, n_in) so forward/backward vectorize over batch and edges. Node
+(n_out, n_in) so forward/backward vectorize over batch and edges. The
+circuit kernel keeps the batch last: its state and tape are
+(n_out, n_in, B) arrays, along whose contiguous batch axis each edge's
+parameters broadcast. Layer inputs and outputs stay (B, width). Node
 values are sums of incoming edge activations. A network optionally
 wraps the stack with linear encoder/decoder layers (HQKAN).
 
@@ -30,13 +33,13 @@ from . import daruan
 from .daruan import DaruanParams, silu, silu_grad
 
 
-#: bytes of one float64 (rows, n_out, n_in) array of the widest layer; the
-#: circuit's (r, rows, n_out, n_in) working arrays are r times this
+#: bytes of one float64 (n_out, n_in, rows) array of the widest layer; the
+#: circuit's (r, n_out, n_in, rows) tape is r times this
 BLOCK_BYTES = 256 * 1024
 
 
 def block_rows(layers) -> int:
-    """Rows per block: the most whose (rows, n_out, n_in) float64 array
+    """Rows per block: the most whose (n_out, n_in, rows) float64 array
     fits BLOCK_BYTES in the widest of `layers`, and at least one."""
     edges = max(layer.n_out * layer.n_in for layer in layers)
     return max(1, BLOCK_BYTES // (8 * edges))
@@ -238,9 +241,11 @@ class QkanLayer(_Stage):
         if tape is not None:
             tape.append((x, circuit_tape))
         del circuit_tape   # without a tape list, freed before phi is built
-        phi = (self.w_base[None] * silu(x)[:, None, :]
-               + self.w_quant[None] * f
-               + self.out_bias[None])
+        # a contiguous (B, n_out, n_in) phi, which sum reduces over the
+        # inputs in numpy's pairwise order
+        phi = np.multiply(self.w_quant, f.transpose(2, 0, 1), order="C")
+        phi += self.w_base * silu(x)[:, None, :]
+        phi += self.out_bias
         return phi.sum(axis=2)
 
     def backward(self, tape_entry, upstream: np.ndarray,
@@ -254,15 +259,15 @@ class QkanLayer(_Stage):
         """
         x, circuit_tape = tape_entry
         g_enc_w, g_enc_b, g_angles, g_w_base, g_w_quant, g_out_bias = out
-        upq = upstream[:, :, None] * self.w_quant[None]   # (B, n_out, n_in)
+        upq = self.w_quant[..., None] * upstream.T[:, None]   # (n_out, n_in, B)
         g_theta, g_beta, g_alpha0, g_w, d_x = daruan.circuit_adjoint(
             self.enc_w, self.angles, circuit_tape, x, upq)
         daruan.angle_grads(g_theta, g_beta, g_alpha0, g_angles)
         # b_l enters theta_l with unit coefficient, as gamma_l does
         g_enc_b[...] = g_angles[:, :, :-1, 2]
-        g_enc_w[...] = np.moveaxis(g_w, 0, -1)
+        g_enc_w[...] = g_w.transpose(1, 2, 0)
         np.matmul(upstream.T, silu(x), out=g_w_base)
-        np.einsum("bn,bnm->nm", upstream, circuit_tape.final[2],
+        np.einsum("nmb,bn->nm", circuit_tape.final[2], upstream,
                   out=g_w_quant)
         g_out_bias[...] = upstream.sum(axis=0)[:, None]
         return d_x + (upstream @ self.w_base) * silu_grad(x)

@@ -135,7 +135,7 @@ class TestBlockedForward:
         small_blocks(monkeypatch, [layer])
         tape = []
         y = layer.forward(x, tape)
-        assert len(tape) == 1 and tape[0][1].tan_half.shape[1] == BATCH
+        assert len(tape) == 1 and tape[0][1].tan_half.shape[-1] == BATCH
         assert y.shape == (BATCH, layer.n_out)
 
     def test_tape_is_r_plus_3_block_arrays(self):
@@ -151,11 +151,11 @@ class TestBlockedForward:
         arrays = [*circuit_tape.tan_half, *circuit_tape.final]
         assert len(arrays) == layer.r + 3
         for a in arrays:
-            assert a.shape == (BATCH, layer.n_out, layer.n_in)
+            assert a.shape == (layer.n_out, layer.n_in, BATCH)
             assert a.dtype == np.float64
         theta = (layer.enc_w[None] * x[:, None, :, None] + layer.enc_b
                  + layer.angles[..., :-1, 2] + layer.angles[..., 1:, 0])
-        t = np.moveaxis(circuit_tape.tan_half, 0, -1)
+        t = circuit_tape.tan_half.transpose(3, 1, 2, 0)
         c, s = daruan._cos_sin(t, (np.empty(t.shape), np.empty(t.shape)))
         np.testing.assert_allclose(c, np.cos(theta), rtol=0, atol=1e-14)
         np.testing.assert_allclose(s, np.sin(theta), rtol=0, atol=1e-14)
@@ -345,26 +345,37 @@ class TestBoundedMemory:
             assert np.isfinite(loss) and np.all(np.isfinite(grad))
         assert peaks[60000] <= 1.25 * peaks[6000] + 2 ** 20
 
+    @staticmethod
+    def backward_peak(b, n, m, r):
+        """tracemalloc peak of one n x m layer's backward over a b-row
+        block, in float64 (b, n, m) block arrays."""
+        rng = np.random.default_rng(r)
+        layer = network.QkanLayer.init(m, n, r, rng, angle_scale=1.0)
+        x = rng.uniform(-1.0, 1.0, size=(b, m))
+        upstream = rng.normal(size=(b, n))
+        tape = []
+        layer.forward(x, tape)
+        out = [np.empty(a.shape) for a in layer.arrays()]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            layer.backward(tape[0], upstream, out)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        return peak / (b * n * m * 8)
+
     def test_layer_backward_peak_does_not_grow_with_r(self):
         # the adjoint sums over the batch as it sweeps, so no (r, B, N, M)
         # derivative array exists: the peak is a few block arrays, whatever r
-        b, n, m = 64, 16, 16
-        block_array = b * n * m * 8
-        peaks = {}
-        for r in (3, 6, 10):
-            rng = np.random.default_rng(r)
-            layer = network.QkanLayer.init(m, n, r, rng, angle_scale=1.0)
-            x = rng.uniform(-1.0, 1.0, size=(b, m))
-            upstream = rng.normal(size=(b, n))
-            tape = []
-            layer.forward(x, tape)
-            out = [np.empty(a.shape) for a in layer.arrays()]
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                layer.backward(tape[0], upstream, out)
-                peaks[r] = tracemalloc.get_traced_memory()[1] - start
-            finally:
-                tracemalloc.stop()
-            assert peaks[r] <= 10 * block_array, (r, peaks[r] / block_array)
-        assert peaks[10] - peaks[3] < block_array
+        peaks = {r: self.backward_peak(64, 16, 16, r) for r in (3, 6, 10)}
+        for r, peak in peaks.items():
+            assert peak <= 10, (r, peak)
+        assert peaks[10] - peaks[3] < 1
+
+    @pytest.mark.parametrize("b, n, m, r", [(2000, 2, 7, 10), (1000, 2, 2, 3)])
+    def test_small_layer_backward_peak(self, b, n, m, r):
+        # the hqkan-r10 core and the feynman-cli first layer, whose block
+        # arrays are small enough that numpy's iterator buffers and any
+        # copy of x kept through the sweep show in the peak
+        assert self.backward_peak(b, n, m, r) <= 9.7

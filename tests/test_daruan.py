@@ -10,9 +10,11 @@ import warnings
 import numpy as np
 import pytest
 
+import batch_first_kernel
 import statevector_oracle as complex_kernel
 from qkan import daruan
-from qkan.daruan import DaruanParams, init_daruan
+from qkan.daruan import DaruanParams, init_daruan, silu
+from qkan.network import QkanLayer
 
 
 def oracle_rz(a):
@@ -347,7 +349,8 @@ class TestFusedKernelOracle:
         weights = np.random.default_rng(90 + r).normal(
             size=tape.final[2].shape)
         _, g_enc, g_ang = complex_kernel.circuit_gradients(*args)
-        want = self.batch_sums(enc_w, x, weights, g_enc, g_ang)
+        want = self.batch_sums(enc_w, x, weights.transpose(2, 0, 1),
+                               g_enc, g_ang)
         got = daruan.circuit_adjoint(enc_w, angles, tape, x, weights)
         for name, g, w in zip(("g_theta", "g_beta", "g_alpha0", "g_w", "d_x"),
                               got, want):
@@ -362,10 +365,70 @@ class TestFusedKernelOracle:
         _, tape = daruan.circuit_forward(*args)
         weights = np.random.default_rng(61).normal(size=tape.final[2].shape)
         _, g_enc, g_ang = daruan.circuit_gradients(*args)
-        plain = self.batch_sums(enc_w, x, weights, g_enc, g_ang)
+        plain = self.batch_sums(enc_w, x, weights.transpose(2, 0, 1),
+                                g_enc, g_ang)
         weighted = daruan.circuit_adjoint(enc_w, angles, tape, x, weights)
         for g, gw in zip(plain, weighted):
             np.testing.assert_allclose(gw, g, rtol=0, atol=1e-14)
+
+
+class TestBatchFirstOracle:
+    """The batch-last kernel against the batch-first one it replaced
+    (tests/batch_first_kernel.py): the same arithmetic on transposed
+    arrays, so forward values and tape agree bitwise and the adjoint's
+    batch sums up to summation order."""
+
+    @staticmethod
+    def random_layer(b, n, m, r, seed):
+        rng = np.random.default_rng(seed)
+        layer = QkanLayer(rng.uniform(-4.0, 4.0, size=(n, m, r)),
+                          rng.uniform(-np.pi, np.pi, size=(n, m, r)),
+                          rng.uniform(-np.pi, np.pi, size=(n, m, r + 1, 3)),
+                          rng.normal(size=(n, m)), rng.normal(size=(n, m)),
+                          rng.normal(size=(n, m)))
+        return layer, rng.uniform(-3.0, 3.0, size=(b, m)), rng
+
+    SHAPES = [(1000, 2, 2, 3), (1000, 1, 2, 3), (2000, 2, 7, 10),
+              (64, 16, 16, 6), (1, 1, 1, 1), (5, 3, 1, 2)]
+
+    @pytest.mark.parametrize("b, n, m, r", SHAPES)
+    def test_forward_and_tape_bitwise(self, b, n, m, r):
+        layer, x, _ = self.random_layer(b, n, m, r, b + n + m + r)
+        args = (layer.enc_w, layer.enc_b, layer.angles, x)
+        want, want_tape = batch_first_kernel.circuit_forward(*args)
+        got, tape = daruan.circuit_forward(*args)
+        assert got.shape == (n, m, b) and tape.tan_half.shape == (r, n, m, b)
+        np.testing.assert_array_equal(got.transpose(2, 0, 1), want)
+        np.testing.assert_array_equal(tape.tan_half.transpose(0, 3, 1, 2),
+                                      want_tape.tan_half)
+        for v, v_want in zip(tape.final, want_tape.final):
+            np.testing.assert_array_equal(v.transpose(2, 0, 1), v_want)
+        np.testing.assert_array_equal(daruan.circuit_expectation(*args), want)
+
+    @pytest.mark.parametrize("b, n, m, r", SHAPES)
+    def test_adjoint_sums_match(self, b, n, m, r):
+        layer, x, rng = self.random_layer(b, n, m, r, 7 * b + n + m + r)
+        args = (layer.enc_w, layer.enc_b, layer.angles, x)
+        weights = rng.normal(size=(b, n, m))
+        _, want_tape = batch_first_kernel.circuit_forward(*args)
+        want = batch_first_kernel.circuit_adjoint(
+            layer.enc_w, layer.angles, want_tape, x, weights)
+        _, tape = daruan.circuit_forward(*args)
+        got = daruan.circuit_adjoint(layer.enc_w, layer.angles, tape, x,
+                                     weights.transpose(1, 2, 0))
+        for name, g, w in zip(("g_theta", "g_beta", "g_alpha0", "g_w", "d_x"),
+                              got, want):
+            assert g.shape == w.shape, name
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w)), name
+
+    @pytest.mark.parametrize("b, n, m, r", SHAPES)
+    def test_layer_forward_bitwise(self, b, n, m, r):
+        layer, x, _ = self.random_layer(b, n, m, r, 3 * b + n + m + r)
+        f, _ = batch_first_kernel.circuit_forward(
+            layer.enc_w, layer.enc_b, layer.angles, x)
+        phi = (layer.w_base[None] * silu(x)[:, None, :]
+               + layer.w_quant[None] * f + layer.out_bias[None])
+        np.testing.assert_array_equal(layer.forward(x), phi.sum(axis=2))
 
 
 class TestHalfAngle:
