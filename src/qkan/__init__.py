@@ -12,7 +12,7 @@ from .daruan import (DaruanGrad, DaruanParams, backward, extend, forward,
 from .data import (Dataset, FEYNMAN_SPECS, gen_regression, gen_sinc, get_spec,
                    read_csv, read_idx, sinc20, write_csv)
 from .distill import (SplineModel, SplineNetwork, calibrate_domains,
-                      distill_edge, distill_network, fit_spline)
+                      distill_network)
 from .errors import (ConfigError, DataError, FitError, NumericalError,
                      QkanError)
 from .network import (LinearLayer, QkanLayer, QkanNetwork, latent_dim,
@@ -31,8 +31,8 @@ __all__ = [
     "LinearLayer", "NumericalError", "QkanError", "QkanLayer", "QkanNetwork",
     "SpectrumReport", "SplineModel", "SplineNetwork", "TrainConfig",
     "TrainResult", "adam_step", "backward", "calibrate_domains",
-    "distill_edge", "distill_network", "empirical_spectrum",
-    "enumerate_frequencies", "extend", "fit_spline", "forward",
+    "distill_network", "empirical_spectrum", "enumerate_frequencies",
+    "extend", "forward",
     "gen_regression", "gen_sinc", "get_spec", "init_daruan", "latent_dim",
     "lbfgs_minimize", "load_checkpoint", "make_hqkan",
     "mse_loss", "param_count", "parameter_shift_grad", "raw_expectation",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from contextlib import contextmanager
 
@@ -177,29 +178,34 @@ def network_to_dict(net: QkanNetwork, provenance: dict | None = None) -> dict:
     return doc
 
 
-def _linear(doc: dict, key: str) -> LinearLayer | None:
-    if doc.get(key) is None:
-        return None
-    n_in, n_out = positive_ints(doc, key, "checkpoint", 2)
-    return LinearLayer(np.zeros((n_out, n_in)), np.zeros(n_out))
-
-
 def network_from_dict(doc: dict) -> QkanNetwork:
-    """Rebuild a network; every malformed field raises DataError."""
+    """Rebuild a network; every malformed field raises DataError. The
+    parameter count that the stage sizes declare is compared with the
+    length of params before any stage is allocated."""
     check_object(doc, CHECKPOINT_KEYS, DataError, "checkpoint")
     check_version(doc, FORMAT_VERSION, "checkpoint")
     shape = positive_ints(doc, "shape", "checkpoint")
     if len(shape) < 2:
         raise DataError(f"checkpoint shape {shape} needs at least two widths")
     rs = positive_ints(doc, "r", "checkpoint", len(shape) - 1)
-    layers = [QkanLayer.zeros(shape[i], shape[i + 1], r)
+    # (stage class, sizes) of each stage; the encoder's and decoder's
+    # sizes are (n_in, n_out)
+    layers = [(QkanLayer, (shape[i], shape[i + 1], r))
               for i, r in enumerate(rs)]
+    linear = {key: (LinearLayer, positive_ints(doc, key, "checkpoint", 2))
+              for key in ("encoder", "decoder") if doc.get(key) is not None}
     params = finite_array(doc, "params", "checkpoint")
     if not isinstance(doc.get("provenance", {}), dict):
         raise DataError("checkpoint field 'provenance' must be an object")
+    declared = sum(math.prod(s) for cls, sizes in [*layers, *linear.values()]
+                   for s in cls.shapes(*sizes))
+    if declared != params.size:
+        raise DataError(f"checkpoint parameter block: expected {declared} "
+                        f"parameters, got {params.size}")
     try:
-        net = QkanNetwork(layers=layers, encoder=_linear(doc, "encoder"),
-                          decoder=_linear(doc, "decoder"))
+        net = QkanNetwork(layers=[cls.zeros(*sizes) for cls, sizes in layers],
+                          **{key: cls.zeros(*sizes)
+                             for key, (cls, sizes) in linear.items()})
         net.set_param_vector(params)
     except ValueError as exc:
         raise DataError(f"checkpoint parameter block: {exc}") from None

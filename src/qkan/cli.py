@@ -405,8 +405,7 @@ def run_mnist_demo(data_dir: str, n_samples: int = 2000, epochs: int = 50,
         x, y = (datamod.read_idx(paths[f"{split}_{kind}"])
                 for kind in ("images", "labels"))
         mask = (y == 0) | (y == 1)
-        if not (x.ndim == 2 and x.shape[1] and y.shape == x.shape[:1]
-                and mask.any()):
+        if not (x.ndim == 2 and y.shape == x.shape[:1] and mask.any()):
             raise DataError(f"{data_dir}: the {split} images {x.shape} and "
                             f"labels {y.shape} pair no image with a 0 or 1")
         x, y = x[mask][:limit], y[mask][:limit]

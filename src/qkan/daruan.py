@@ -184,6 +184,13 @@ def _cos_sin_tables(beta):
     return np.cos(s), np.sin(s, out=s)
 
 
+def theta_offsets(enc_b, angles):
+    """b_l + gamma_l + alpha_{l+1} for l < r: the part of each merged
+    angle theta_l that does not depend on x, for enc_b (..., r) and
+    angles (..., r+1, 3) of any common leading shape."""
+    return enc_b + angles[..., :-1, 2] + angles[..., 1:, 0]
+
+
 def circuit_forward(enc_w, enc_b, angles, x):
     """Run the batched circuit.
 
@@ -195,7 +202,7 @@ def circuit_forward(enc_w, enc_b, angles, x):
     r = enc_w.shape[2]
     alpha0 = angles[..., 0, 0, None]                     # (N, M, 1)
     # theta_l / 2 = (w_l / 2) x + (b_l + gamma_l + alpha_{l+1}) / 2, exactly
-    offset = 0.5 * _table(enc_b + angles[..., :r, 2] + angles[..., 1:, 0])
+    offset = 0.5 * _table(theta_offsets(enc_b, angles))
     # x.T copied: a contiguous (M, B) x broadcasts over the (r, N, M, 1)
     # table in longer inner loops than the strided view does
     tan_half = np.multiply(0.5 * _table(enc_w), x.T.copy())  # (r, N, M, B)

@@ -218,7 +218,7 @@ def read_idx(path) -> np.ndarray:
     if len(blob) < header_len:
         raise DataError(f"{path}: truncated IDX header at byte {len(blob)}")
     dims = struct.unpack(f">{n_dims}I", blob[4:header_len])
-    expected = header_len + int(np.prod(dims))
+    expected = header_len + math.prod(dims)
     if len(blob) != expected:
         raise DataError(f"{path}: expected {expected} bytes, file ends at "
                         f"byte {len(blob)}")
@@ -226,5 +226,7 @@ def read_idx(path) -> np.ndarray:
     if magic == IDX_LABELS_MAGIC:
         return raw.astype(np.int64)
     n = dims[0]
+    if not raw.size:    # (0, rows * cols) may be too big a shape for numpy
+        raise DataError(f"{path}: IDX images of shape {dims} hold no pixels")
     pixels = raw.reshape(n, dims[1] * dims[2]).astype(np.float64) / 255.0
     return (pixels - 0.5) / 0.5

@@ -5,9 +5,9 @@ Each edge is sampled on a grid, and the quantum part of its output
 coefficients on a clamped uniform knot vector. The silu residual path
 is carried over symbolically, so the spline only has to fit the smooth
 bounded circuit output. Out-of-domain evaluation clamps to the nearest
-boundary. A layer is distilled as a whole: one circuit call samples all
-of its edges, and the edges that share a domain share one design matrix
-and one least-squares solve.
+boundary. The inputs are checked before any circuit runs; then one
+circuit call samples all of a layer's edges, and the edges that share a
+domain share one design matrix and one least-squares solve.
 
 Cox-de Boor evaluation (`bspline_basis`) builds the least-squares
 design matrix only. For evaluation, each layer of edges is converted
@@ -27,10 +27,10 @@ import numpy as np
 from . import daruan
 from .checkpoint import (check_object, check_version, finite_array,
                          parse_json, write_json)
-from .daruan import DaruanParams, silu
+from .daruan import silu
 from .errors import DataError, FitError, NumericalError
-from .network import (LinearLayer, QkanLayer, QkanNetwork, _as_batch,
-                      block_rows, row_blocks)
+from .network import (LinearLayer, QkanNetwork, _as_batch, block_rows,
+                      row_blocks)
 
 SPLINE_FORMAT = "qkan-spline-network"
 SPLINE_FORMAT_VERSION = 1
@@ -130,45 +130,12 @@ class SplineModel:
                    domain=tuple(domain.tolist()), **scalars)
 
 
-def fit_spline(xs, ys, grid_size: int, degree: int = 3,
-               domain: tuple | None = None) -> SplineModel:
-    """Least-squares B-spline fit of (xs, ys)."""
-    ys = np.asarray(ys, dtype=np.float64)
-    return _fit_columns(xs, ys[:, None], grid_size, degree, domain)[0]
-
-
-def distill_edge(p: DaruanParams, lo: float, hi: float, grid_size: int = 20,
-                 degree: int = 3, samples: int = 256) -> SplineModel:
-    return _distill_edges(QkanLayer.of_edge(p),
-                          np.array([[lo, hi]], dtype=np.float64),
-                          grid_size, degree, samples)[0]
-
-
-def _sample_edges(row: QkanLayer, lo, hi, count: int):
-    """Samples of w_quant * <Z> + out_bias for a 1 x K layer of edges,
-    edge k at `count` uniform points of [lo[k], hi[k]], from one circuit
-    call.
-
-    Returns xs and ys, both (count, K).
-    """
-    if count < 2:
-        raise ValueError("count must be >= 2")
-    xs = np.linspace(lo, hi, count)
-    raw = daruan.circuit_expectation(row.enc_w, row.enc_b, row.angles, xs)
-    return xs, (row.w_quant * raw + row.out_bias)[:, 0]
-
-
-def _fit_columns(xs, ys, grid_size: int, degree: int,
-                 domain: tuple | None = None) -> list:
-    """Least-squares B-spline fit of every column of ys (S, K) at the
-    common sample points xs (S,): one design matrix and one solve.
-    Returns K SplineModels."""
-    xs = np.asarray(xs, dtype=np.float64)
+def _fit_columns(xs, ys, grid_size: int, degree: int, domain: tuple) -> list:
+    """Least-squares B-spline fit on `domain` of every column of ys (S, K)
+    at the common sample points xs (S,): one design matrix and one
+    solve. Returns K SplineModels; a rank-deficient design raises
+    FitError."""
     n_coef = grid_size + degree
-    if xs.size < n_coef:
-        raise FitError(f"need at least {n_coef} samples, got {xs.size}")
-    if domain is None:
-        domain = (float(xs.min()), float(xs.max()))
     knots = make_knots(domain[0], domain[1], grid_size, degree)
     design = bspline_basis(knots, degree, np.clip(xs, *domain))
     coef, _, rank, _ = np.linalg.lstsq(design, ys, rcond=None)
@@ -181,54 +148,6 @@ def _fit_columns(xs, ys, grid_size: int, degree: int,
     return [SplineModel(degree=degree, knots=knots.copy(), coefficients=c,
                         domain=domain, fit_max_err=e_max, fit_rms_err=e_rms)
             for c, e_max, e_rms in zip(coef.T.copy(), max_err, rms_err)]
-
-
-def _distill_edges(row: QkanLayer, bounds, grid_size: int, degree: int,
-                   samples: int, edge_name=None) -> list:
-    """Distill a 1 x K layer of edges with domains bounds (K, 2).
-
-    One circuit call samples every edge, and the edges whose domains
-    are bitwise equal share one design matrix and one least-squares
-    solve. Errors are those of fitting the edges one at a time in
-    order: only the edges before the first domain without lo < hi are
-    fitted, the groups are solved in the order of their first edge, and
-    a FitError names that edge through `edge_name(k)`. An edge whose
-    circuit samples or fitted coefficients are not finite raises a
-    NumericalError named the same way.
-    """
-    def named(k: int, message: str) -> str:
-        return message if edge_name is None else f"{edge_name(k)}: {message}"
-
-    valid = bounds[:, 0] < bounds[:, 1]
-    n = len(bounds) if valid.all() else int(np.argmin(valid))
-    xs, ys = _sample_edges(QkanLayer(*(a[:, :n] for a in row.arrays())),
-                           bounds[:n, 0], bounds[:n, 1], samples)
-    # keyed by bit pattern, so that -0.0 and 0.0 give their own knots
-    groups: dict = {}
-    for k, key in enumerate(map(tuple, bounds[:n].view(np.int64).tolist())):
-        groups.setdefault(key, []).append(k)
-    models = [None] * n
-    for cols in groups.values():
-        lo, hi = bounds[cols[0]].tolist()
-        finite = np.isfinite(ys[:, cols]).all(axis=0)
-        if not finite.all():
-            raise NumericalError(named(cols[int(np.argmin(finite))],
-                                       "circuit samples are not finite"))
-        try:
-            fitted = _fit_columns(xs[:, cols[0]], ys[:, cols], grid_size,
-                                  degree, (lo, hi))
-        except FitError as exc:
-            raise FitError(named(cols[0], str(exc))) from exc
-        for k, model in zip(cols, fitted):
-            if not np.isfinite(model.coefficients).all():
-                raise NumericalError(named(
-                    k, "fitted spline coefficients are not finite"))
-            model.w_base = float(row.w_base[0, k])
-            model.out_bias = float(row.out_bias[0, k])
-            models[k] = model
-    if n < len(bounds):
-        raise ValueError("lo must be below hi")
-    return models
 
 
 def _ratio(num, den):
@@ -273,9 +192,9 @@ def _power_form(knots, coefs, degree: int, scale):
 class _PiecewiseLayer:
     """An n_out x n_in grid of spline edges as stacked tables.
 
-    coefs (N, M, W, D + 1): each piece's power-basis coefficients in t,
-    lowest power first, padded with zeros. D is the largest degree in
-    the layer and W the largest piece count.
+    _powers (D + 1, N * M * W): row m holds the t^m coefficient of every
+    piece of every edge, W pieces per edge, padded with zeros. D is the
+    largest degree in the layer and W the largest piece count.
     lo, hi, w_base (N, M): spline domain and silu weight of each edge.
 
     Every edge's knots are uniform (see _check_knots), so the piece of
@@ -314,7 +233,6 @@ class _PiecewiseLayer:
             coefs[rows, :g, :degree + 1] = _power_form(
                 knots, np.array([edges[k].coefficients for k in rows],
                                 dtype=np.float64), degree, scale[rows, None])
-        self.coefs = coefs.reshape(n_out, n_in, width, degree_max + 1)
         self._first = left[:, 0].reshape(n_out, n_in)
         self._scale = scale.reshape(n_out, n_in)
         self._left = left.ravel()
@@ -545,22 +463,61 @@ def distill_network(net: QkanNetwork, domains: dict, grid_size: int = 20,
                     degree: int = 3, samples: int = 256):
     """Distill every edge; returns (SplineNetwork, per-edge fit report).
 
-    Each layer is sampled by one circuit call, and its edges that share
-    a domain are fitted by one least-squares solve.
+    Before any circuit runs, every domain must satisfy lo < hi
+    (ValueError) and `samples` must reach grid_size + degree, an edge's
+    coefficient count (FitError). Then one circuit call samples each
+    layer at `samples` uniform points of every edge's domain, and edges
+    with bitwise equal domains share one least-squares solve, in the
+    order of their first edge. Non-finite samples or coefficients
+    (NumericalError) and a rank-deficient design (FitError) name the edge.
     """
-    grids = []
-    report = {}
+    n_coef = grid_size + degree
+    if samples < n_coef:
+        raise FitError(f"need at least {n_coef} samples, got {samples}")
+    bounds = []
     for li, layer in enumerate(net.layers):
-        n_out, n_in = layer.n_out, layer.n_in
-        bounds = np.array([domains[(li, j, i)] for j in range(n_out)
-                           for i in range(n_in)], dtype=np.float64)
-        if bounds.shape != (n_out * n_in, 2):
+        b = np.array([domains[(li, j, i)] for j in range(layer.n_out)
+                      for i in range(layer.n_in)], dtype=np.float64)
+        if b.shape != (layer.n_out * layer.n_in, 2):
             raise ValueError("each domain must be a (lo, hi) pair")
-        models = _distill_edges(
-            layer.as_row(), bounds, grid_size, degree, samples,
-            edge_name=lambda k: f"edge (layer {li}, out {k // n_in}, "
-                                f"in {k % n_in})")
-        grids.append([models[j * n_in:(j + 1) * n_in] for j in range(n_out)])
+        if not np.all(b[:, 0] < b[:, 1]):
+            raise ValueError("lo must be below hi")
+        bounds.append(b)
+    grids, report = [], {}
+    for li, (layer, b) in enumerate(zip(net.layers, bounds)):
+        n_in = layer.n_in
+
+        def named(k: int, what: str) -> str:
+            return f"edge (layer {li}, out {k // n_in}, in {k % n_in}): {what}"
+
+        row = layer.as_row()
+        xs = np.linspace(b[:, 0], b[:, 1], samples)            # (S, K)
+        ys = (row.w_quant * daruan.circuit_expectation(
+            row.enc_w, row.enc_b, row.angles, xs) + row.out_bias)[:, 0]
+        finite = np.isfinite(ys).all(axis=0)
+        if not finite.all():
+            raise NumericalError(named(int(np.argmin(finite)),
+                                       "circuit samples are not finite"))
+        # keyed by bit pattern, so that -0.0 and 0.0 give their own knots
+        groups: dict = {}
+        for k, key in enumerate(map(tuple, b.view(np.int64).tolist())):
+            groups.setdefault(key, []).append(k)
+        models = [None] * len(b)
+        for cols in groups.values():
+            try:
+                fitted = _fit_columns(xs[:, cols[0]], ys[:, cols], grid_size,
+                                      degree, tuple(b[cols[0]].tolist()))
+            except FitError as exc:
+                raise FitError(named(cols[0], str(exc))) from exc
+            for k, model in zip(cols, fitted):
+                if not np.isfinite(model.coefficients).all():
+                    raise NumericalError(named(
+                        k, "fitted spline coefficients are not finite"))
+                model.w_base = float(row.w_base[0, k])
+                model.out_bias = float(row.out_bias[0, k])
+                models[k] = model
+        del xs, ys  # freed before the next layer's circuit call, the peak
+        grids.append([models[j:j + n_in] for j in range(0, len(b), n_in)])
         for k, model in enumerate(models):
             report[(li, k // n_in, k % n_in)] = {"max_err": model.fit_max_err,
                                                  "rms_err": model.fit_rms_err}

@@ -140,6 +140,12 @@ class _Stage:
 
     PARAMS: tuple[str, ...]
 
+    @classmethod
+    def zeros(cls, *sizes):
+        """A stage of these sizes with every parameter 0; each subclass's
+        shapes(*sizes) gives the shapes of its arrays() in PARAMS order."""
+        return cls(*map(np.zeros, cls.shapes(*sizes)))
+
     def arrays(self) -> list[np.ndarray]:
         return [getattr(self, name) for name in self.PARAMS]
 
@@ -177,10 +183,10 @@ class QkanLayer(_Stage):
     def r(self) -> int:
         return self.enc_w.shape[2]
 
-    @classmethod
-    def zeros(cls, n_in: int, n_out: int, r: int) -> "QkanLayer":
+    @staticmethod
+    def shapes(n_in: int, n_out: int, r: int) -> list[tuple]:
         edge_shapes = ((r,), (r,), (r + 1, 3), (), (), ())
-        return cls(*(np.zeros((n_out, n_in) + s) for s in edge_shapes))
+        return [(n_out, n_in) + s for s in edge_shapes]
 
     @classmethod
     def init(cls, n_in: int, n_out: int, r: int, rng: np.random.Generator,
@@ -294,6 +300,10 @@ class LinearLayer(_Stage):
     bias: np.ndarray     # (n_out,)
 
     PARAMS = ("weight", "bias")
+
+    @staticmethod
+    def shapes(n_in: int, n_out: int) -> list[tuple]:
+        return [(n_out, n_in), (n_out,)]
 
     @property
     def n_in(self) -> int:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import write_json
-from .daruan import DaruanParams, _cos_sin, circuit_expectation
+from .daruan import (DaruanParams, _cos_sin, circuit_expectation,
+                     theta_offsets)
 from .errors import NumericalError
 from .network import QkanLayer
 
@@ -64,8 +65,7 @@ def _propagate(p: DaruanParams):
     O(|F|) memory; rz(alpha_0) acts as an rz(theta) with w = 0. After each
     rz a sum within DEDUP_TOL of the sorted sum below it joins that run,
     which keeps its first sum and adds up its coefficients."""
-    alpha = p.angles[:, 0]
-    offsets = np.append(alpha[0], p.enc_b + p.angles[:-1, 2] + alpha[1:])
+    offsets = np.append(p.angles[0, 0], theta_offsets(p.enc_b, p.angles))
     freqs, v = np.zeros(1), np.array([[1.0], [0.0], [0.0]], dtype=complex)
     for w, off, beta in zip(np.append(0.0, p.enc_w), offsets, p.angles[:, 1]):
         up = 0.5 * np.exp(1j * off) * (v[0] + 1j * v[1])     # to F + w

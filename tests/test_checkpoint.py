@@ -127,13 +127,16 @@ class TestValidation:
         lambda doc: doc["params"].__setitem__(3, 10 ** 400),
         lambda doc: doc.update(comment="an unknown key"),
         lambda doc: doc.update(provenance=[1]),
+        lambda doc: doc.update(shape=[200000, 200000, 1], r=[100, 1]),
+        lambda doc: doc.update(shape=[2 ** 40, 2 ** 40, 1]),
     ], ids=["no-format_version", "no-shape", "no-r", "no-params",
             "shape-string", "shape-short", "shape-zero", "r-float",
             "r-count", "r-scalar", "params-string", "params-null",
             "params-nested", "params-nan", "params-inf", "encoder-short",
             "encoder-mismatch", "format_version-true", "format_version-1.0",
             "format_version-string", "params-infinity", "params-overflow",
-            "unknown-key", "provenance-list"])
+            "unknown-key", "provenance-list", "shape-29-TiB",
+            "shape-too-big-for-numpy"])
     def test_malformed_document_is_data_error(self, tmp_path, mutate):
         net = QkanNetwork.init([2, 3, 1], 2, np.random.default_rng(306))
         path = tmp_path / "ckpt.json"

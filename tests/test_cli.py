@@ -638,6 +638,10 @@ _FILE_MUTATIONS = [
         ">IIII", 0x00000803, 4, 2, 0))),
     ("idx", "no-0-or-1-labels", _idx(_TRAIN_LABELS, lambda b: b[:8] + b"\x07"
                                      * (len(b) - 8))),
+    ("idx", "size-wraps-int64", _idx(_TRAIN_IMAGES, lambda b: struct.pack(
+        ">IIII", 0x00000803, 2 ** 21, 2 ** 21, 2 ** 22))),
+    ("idx", "no-images-huge-width", _idx(_TRAIN_IMAGES, lambda b: struct.pack(
+        ">IIII", 0x00000803, 0, 2 ** 31, 2 ** 31))),
     ("checkpoint", "truncated", _text("ckpt.json", lambda t: t[:len(t) // 2])),
     ("checkpoint", "nan-token",
      _doc("ckpt.json", lambda d: d["params"].__setitem__(3, float("nan")))),
@@ -652,6 +656,11 @@ _FILE_MUTATIONS = [
     ("checkpoint", "provenance-list",
      _doc("ckpt.json", lambda d: d.update(provenance=[1]))),
     ("checkpoint", "shape-deleted", _doc("ckpt.json", lambda d: d.pop("shape"))),
+    ("checkpoint", "shape-29-TiB",
+     _doc("ckpt.json", lambda d: d.update(shape=[200000, 200000, 1],
+                                          r=[100, 1]))),
+    ("checkpoint", "shape-too-big-for-numpy",
+     _doc("ckpt.json", lambda d: d.update(shape=[2 ** 40, 2 ** 40, 1]))),
     ("checkpoint", "unknown-key",
      _doc("ckpt.json", lambda d: d.update(comment="an unknown key"))),
     ("checkpoint", "version-true",

@@ -201,6 +201,22 @@ class TestIdx:
         with pytest.raises(DataError, match="byte"):
             dm.read_idx(path)
 
+    def test_header_size_beyond_int64_rejected(self, tmp_path):
+        # 2^21 * 2^21 * 2^22 pixels is 0 when multiplied in int64
+        path = tmp_path / "huge"
+        path.write_bytes(struct.pack(">IIII", 0x00000803, 2 ** 21, 2 ** 21,
+                                     2 ** 22))
+        with pytest.raises(DataError,
+                           match=": expected 18446744073709551632 bytes"):
+            dm.read_idx(path)
+
+    @pytest.mark.parametrize("dims", [(0, 2 ** 31, 2 ** 31), (4, 2, 0)])
+    def test_images_without_pixels_rejected(self, tmp_path, dims):
+        path = tmp_path / "empty"
+        path.write_bytes(struct.pack(">IIII", 0x00000803, *dims))
+        with pytest.raises(DataError, match="hold no pixels"):
+            dm.read_idx(path)
+
 
 class TestDataset:
     def test_row_mismatch(self):

@@ -16,7 +16,7 @@ import pytest
 from qkan import daruan, distill
 from qkan.daruan import init_daruan
 from qkan.errors import DataError, FitError, NumericalError
-from qkan.network import QkanNetwork, make_hqkan
+from qkan.network import QkanLayer, QkanNetwork, make_hqkan
 
 import distill_oracle
 import spline_oracle
@@ -57,36 +57,51 @@ class TestBasis:
             distill.bspline_basis(knots, 3, 1.5)
 
 
+def distill_one_edge(p, lo, hi, **kw):
+    """The spline that distill_network gives edge p as a 1x1 network on
+    the domain [lo, hi]."""
+    net = QkanNetwork(layers=[QkanLayer.of_edge(p)])
+    snet, _ = distill.distill_network(net, {(0, 0, 0): (lo, hi)}, **kw)
+    return snet.edges[0][0][0]
+
+
 class TestFit:
     def test_recovers_polynomial_exactly(self):
         # a cubic lies in the span of degree-3 splines on any grid
         xs = np.linspace(-1.0, 1.0, 80)
         ys = 2.0 - xs + 0.5 * xs ** 2 - 0.25 * xs ** 3
-        model = distill.fit_spline(xs, ys, grid_size=6, degree=3)
+        model, = distill._fit_columns(xs, ys[:, None], 6, 3, (-1.0, 1.0))
         assert model.fit_max_err < 1e-10
         np.testing.assert_allclose(model.eval(xs), ys, atol=1e-10)
 
     def test_error_decreases_with_grid(self):
         xs = np.linspace(0.0, 2.0 * np.pi, 400)
-        ys = np.sin(3.0 * xs)
-        errs = [distill.fit_spline(xs, ys, grid_size=g).fit_rms_err
-                for g in (5, 10, 20, 40)]
+        ys = np.sin(3.0 * xs)[:, None]
+        errs = [distill._fit_columns(xs, ys, g, 3, (0.0, 2.0 * np.pi))[0]
+                .fit_rms_err for g in (5, 10, 20, 40)]
         assert errs[0] > errs[1] > errs[2] > errs[3]
 
     def test_too_few_samples_rejected(self):
-        with pytest.raises(FitError):
-            distill.fit_spline(np.linspace(0, 1, 5), np.zeros(5), grid_size=10)
+        p = init_daruan(2, np.random.default_rng(200))
+        with pytest.raises(FitError, match="^need at least 13 samples, "
+                                           "got 12$"):
+            distill_one_edge(p, 0.0, 1.0, grid_size=10, samples=12)
 
     def test_clustered_samples_rank_deficient(self):
         # all samples in one knot interval cannot determine 13 coefficients
         xs = np.full(40, 0.05) + np.linspace(0, 1e-4, 40)
-        with pytest.raises(FitError):
-            distill.fit_spline(xs, np.sin(xs), grid_size=10,
-                               domain=(0.0, 1.0))
+        with pytest.raises(FitError, match="^rank-deficient"):
+            distill._fit_columns(xs, np.sin(xs)[:, None], 10, 3, (0.0, 1.0))
+        # a domain four floats wide holds five distinct sample points
+        p = init_daruan(2, np.random.default_rng(200))
+        with pytest.raises(FitError, match=r"^edge \(layer 0, out 0, in 0\): "
+                                           r"rank-deficient"):
+            distill_one_edge(p, 1.0, 1.0 + 4 * np.spacing(1.0), grid_size=10)
 
     def test_model_round_trip(self):
         xs = np.linspace(0.0, 1.0, 60)
-        model = distill.fit_spline(xs, np.cos(4 * xs), grid_size=8)
+        model, = distill._fit_columns(xs, np.cos(4 * xs)[:, None], 8, 3,
+                                      (0.0, 1.0))
         clone = distill.SplineModel.from_dict(model.to_dict())
         np.testing.assert_allclose(clone.eval(xs), model.eval(xs), atol=0.0)
 
@@ -97,14 +112,14 @@ class TestEdgeDistillation:
         p = init_daruan(3, rng, angle_scale=1.0)
         p.enc_b = rng.normal(size=3)
         p.w_base, p.w_quant, p.out_bias = 0.4, 1.2, -0.1
-        model = distill.distill_edge(p, -1.0, 1.0, grid_size=25)
+        model = distill_one_edge(p, -1.0, 1.0, grid_size=25)
         xs = np.linspace(-1.0, 1.0, 201)
         ref = np.array([daruan.forward(p, float(x)) for x in xs])
         np.testing.assert_allclose(model.eval(xs), ref, atol=1e-3)
 
     def test_out_of_domain_clamps(self):
         p = init_daruan(2, np.random.default_rng(202))
-        model = distill.distill_edge(p, 0.0, 1.0)
+        model = distill_one_edge(p, 0.0, 1.0)
         # silu path keeps moving, the spline part freezes at the boundary
         inside = model.eval(1.0) - model.w_base * float(daruan.silu(1.0))
         outside = model.eval(5.0) - model.w_base * float(daruan.silu(5.0))
@@ -219,8 +234,9 @@ def mixed_grid(degree=None):
                                             (17, 3, 0.5, 0.75),
                                             (8, 2, -40.0, 7.0)]):
             xs = np.linspace(lo, hi, 90)
-            edge = distill.fit_spline(xs, np.sin((j + 1) * xs + i),
-                                      grid_size=g + j, degree=degree or d)
+            edge = distill_oracle.fit_spline(xs, np.sin((j + 1) * xs + i),
+                                             grid_size=g + j,
+                                             degree=degree or d)
             edge.w_base = 0.3 * i - 0.2 * j
             row.append(edge)
         grid.append(row)
@@ -271,8 +287,8 @@ class TestStackedKernel:
     def test_edges_of_mixed_grid_size_and_degree(self):
         # a hand-made spline.json whose edges differ in grid and degree
         xs = np.linspace(-1.0, 2.0, 90)
-        grid = [[distill.fit_spline(xs, np.sin((j + 1) * xs + i), grid_size=g,
-                                    degree=d)
+        grid = [[distill_oracle.fit_spline(xs, np.sin((j + 1) * xs + i),
+                                           grid_size=g, degree=d)
                  for i, (g, d) in enumerate([(3, 1), (17, 3), (8, 2)])]
                 for j in range(2)]
         for j, row in enumerate(grid):
@@ -280,10 +296,10 @@ class TestStackedKernel:
                 edge.w_base = 0.3 * i - 0.2 * j
         snet = distill.SplineNetwork.from_json(
             distill.SplineNetwork(edges=[grid]).to_json())
-        layer = snet._layers[0]
-        assert layer.coefs.shape == (2, 3, 17, 4)  # W = the most pieces
-        assert not layer.coefs[0, 0, 3:].any()
-        assert not layer.coefs[0, 0, :, 2:].any()
+        # (powers, out, in, piece); W = 17, the most pieces
+        powers = snet._layers[0]._powers.reshape(4, 2, 3, 17)
+        assert not powers[:, 0, 0, 3:].any()
+        assert not powers[2:, 0, 0].any()
         probe = np.concatenate([xs, [-3.0, 5.0, -1.0, 2.0]])
         assert_matches_oracle(snet, np.stack([probe, probe[::-1], probe + 0.1],
                                              axis=1))
@@ -348,7 +364,7 @@ class TestStackedKernel:
 
     def test_scalar_and_array_edge_eval(self):
         xs = np.linspace(0.0, 1.0, 40)
-        model = distill.fit_spline(xs, np.exp(xs), grid_size=5)
+        model = distill_oracle.fit_spline(xs, np.exp(xs), grid_size=5)
         model.w_base = 0.7
         assert np.ndim(model.eval(0.5)) == 0
         grid = xs.reshape(5, 8) * 1.4 - 0.2
@@ -358,7 +374,7 @@ class TestStackedKernel:
 
     def test_malformed_edges_rejected(self):
         xs = np.linspace(0.0, 1.0, 40)
-        good = distill.fit_spline(xs, xs ** 2, grid_size=4)
+        good = distill_oracle.fit_spline(xs, xs ** 2, grid_size=4)
         unclamped = distill.SplineModel.from_dict(
             dict(good.to_dict(), knots=list(np.linspace(0.0, 1.0, 11))))
         wide = distill.SplineModel.from_dict(
@@ -379,7 +395,7 @@ class TestStackedKernel:
 
     def test_non_finite_coefficient_not_serialized(self):
         xs = np.linspace(0.0, 1.0, 40)
-        model = distill.fit_spline(xs, xs, grid_size=4)
+        model = distill_oracle.fit_spline(xs, xs, grid_size=4)
         model.coefficients[2] = np.nan
         with pytest.raises(NumericalError):
             distill.SplineNetwork(edges=[[[model]]]).to_json()
@@ -561,60 +577,41 @@ class TestBatchedDistillation:
         assert_distilled_like_oracle(net, domains, 3.0 * calib, grid_size=12,
                                      samples=97)
 
-    def test_one_edge_api_matches_per_edge_loop(self):
-        rng = np.random.default_rng(250)
-        p = init_daruan(4, rng, angle_scale=1.0)
-        p.enc_b = rng.normal(size=4)
-        p.w_base, p.w_quant, p.out_bias = -0.3, 1.7, 0.2
-        xs, ys = distill_oracle.sample_activation(p, -1.5, 0.5, 64)
-        for got, want in (
-                (distill.fit_spline(xs, ys, 9, degree=2),
-                 distill_oracle.fit_spline(xs, ys, 9, degree=2)),
-                (distill.distill_edge(p, -1.5, 0.5, grid_size=11, samples=64),
-                 distill_oracle.distill_edge(p, -1.5, 0.5, grid_size=11,
-                                             samples=64))):
-            assert np.array_equal(got.knots, want.knots)
-            assert got.domain == want.domain
-            assert (got.w_base, got.out_bias) == (want.w_base, want.out_bias)
-            np.testing.assert_allclose(got.coefficients, want.coefficients,
-                                       rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(got.fit_rms_err, want.fit_rms_err,
-                                       rtol=1e-12, atol=1e-15)
-        with pytest.raises(FitError, match="^need at least 23 samples"):
-            distill.distill_edge(p, -1.5, 0.5, samples=22)
-
-    def errors_of(self, net, domains, **kw):
-        raised = []
-        for distil in (distill_oracle.distill_network,
-                       distill.distill_network):
-            with pytest.raises((FitError, ValueError)) as info:
-                distil(net, domains, **kw)
-            raised.append((type(info.value), str(info.value)))
-        assert raised[0] == raised[1]
-        return raised[1]
-
-    def test_error_paths_match_per_edge_loop(self):
+    def test_input_errors_raise_before_any_circuit(self, monkeypatch):
+        """A short sample count, then a bad domain in any layer, raise
+        before any circuit runs; a good call runs one per layer."""
         rng = np.random.default_rng(260)
         net = QkanNetwork.init([2, 3, 2], 2, rng)
         domains = distill.calibrate_domains(net, rng.uniform(size=(50, 2)))
-        too_few = dict(grid_size=10, degree=3, samples=12)
-        kind, msg = self.errors_of(net, domains, **too_few)
-        assert kind is FitError
-        assert msg.startswith("edge (layer 0, out 0, in 0): need at least 13")
-        assert self.errors_of(net, domains, samples=1)[0] is ValueError
+        calls = []
+        forward = daruan.circuit_forward
 
-        empty = dict(domains)
-        empty[(1, 0, 2)] = (0.5, 0.5)          # layer 0 fits, layer 1 fails
-        assert self.errors_of(net, empty) == (ValueError,
-                                              "lo must be below hi")
-        empty[(0, 2, 1)] = (1.0, -1.0)
-        assert self.errors_of(net, empty)[0] is ValueError
-        # an earlier edge's fit failure is raised before the empty domain
-        kind, msg = self.errors_of(net, empty, **too_few)
-        assert kind is FitError
-        assert msg.startswith("edge (layer 0, out 0, in 0)")
-        empty[(0, 0, 0)] = (np.nan, 1.0)
-        assert self.errors_of(net, empty, **too_few)[0] is ValueError
+        def counted(*args):
+            calls.append(args[3].shape)
+            return forward(*args)
+
+        monkeypatch.setattr(daruan, "circuit_forward", counted)
+        too_few = dict(grid_size=10, degree=3, samples=12)
+        with pytest.raises(FitError, match="^need at least 13 samples, "
+                                           "got 12$"):
+            distill.distill_network(net, domains, **too_few)
+        with pytest.raises(FitError, match="^need at least 23 samples"):
+            distill.distill_network(net, domains, samples=1)
+        for lo_hi in [(0.5, 0.5), (1.0, -1.0), (np.nan, 1.0)]:
+            bad = dict(domains)
+            bad[(1, 1, 2)] = lo_hi              # the last layer's last edge
+            with pytest.raises(ValueError, match="^lo must be below hi$"):
+                distill.distill_network(net, bad)
+            # the sample count is checked first
+            with pytest.raises(FitError, match="^need at least 13"):
+                distill.distill_network(net, bad, **too_few)
+        bad = {k: (0.0, 1.0, 2.0) if k[0] == 1 else v
+               for k, v in domains.items()}
+        with pytest.raises(ValueError, match=r"^each domain must be a \(lo"):
+            distill.distill_network(net, bad)
+        assert calls == []
+        distill.distill_network(net, domains, samples=40)
+        assert calls == [(40, 6), (40, 6)]
 
     def test_non_finite_edge_is_named(self):
         rng = np.random.default_rng(261)
