@@ -5,9 +5,10 @@ Each edge is sampled on a grid, and the quantum part of its output
 coefficients on a clamped uniform knot vector. The silu residual path
 is carried over symbolically, so the spline only has to fit the smooth
 bounded circuit output. Out-of-domain evaluation clamps to the nearest
-boundary. The inputs are checked before any circuit runs; then one
-circuit call samples all of a layer's edges, and the edges that share a
-domain share one design matrix and one least-squares solve.
+boundary. The inputs are checked before any circuit runs; then all of
+a layer's edges are sampled together, one circuit call per row block of
+sample points, and the edges that share a domain share one design
+matrix and one least-squares solve.
 
 Cox-de Boor evaluation (`bspline_basis`) builds the least-squares
 design matrix only. For evaluation, each layer of edges is converted
@@ -463,14 +464,18 @@ def distill_network(net: QkanNetwork, domains: dict, grid_size: int = 20,
                     degree: int = 3, samples: int = 256):
     """Distill every edge; returns (SplineNetwork, per-edge fit report).
 
-    Before any circuit runs, every domain must satisfy lo < hi
-    (ValueError) and `samples` must reach grid_size + degree, an edge's
-    coefficient count (FitError). Then one circuit call samples each
-    layer at `samples` uniform points of every edge's domain, and edges
-    with bitwise equal domains share one least-squares solve, in the
-    order of their first edge. Non-finite samples or coefficients
-    (NumericalError) and a rank-deficient design (FitError) name the edge.
+    Before any circuit runs, grid_size and degree must be >= 1 and every
+    domain must satisfy lo < hi (ValueError), and `samples` must reach
+    grid_size + degree, an edge's coefficient count (FitError). Then
+    each layer is sampled at `samples` uniform points of every edge's
+    domain, in the row blocks of block_rows (so the circuit's working
+    memory is bounded by network.BLOCK_BYTES), and edges with bitwise
+    equal domains share one least-squares solve, in the order of their
+    first edge. Non-finite samples or coefficients (NumericalError) and
+    a rank-deficient design (FitError) name the edge.
     """
+    if grid_size < 1 or degree < 1:
+        raise ValueError("grid_size and degree must be >= 1")
     n_coef = grid_size + degree
     if samples < n_coef:
         raise FitError(f"need at least {n_coef} samples, got {samples}")
@@ -492,8 +497,11 @@ def distill_network(net: QkanNetwork, domains: dict, grid_size: int = 20,
 
         row = layer.as_row()
         xs = np.linspace(b[:, 0], b[:, 1], samples)            # (S, K)
-        ys = (row.w_quant * daruan.circuit_expectation(
-            row.enc_w, row.enc_b, row.angles, xs) + row.out_bias)[:, 0]
+        ys = np.empty_like(xs)
+        for rows in row_blocks(samples, block_rows([row])):
+            z = daruan.circuit_expectation(row.enc_w, row.enc_b, row.angles,
+                                           xs[rows])
+            ys[rows] = (row.w_quant * z + row.out_bias)[:, 0]
         finite = np.isfinite(ys).all(axis=0)
         if not finite.all():
             raise NumericalError(named(int(np.argmin(finite)),
@@ -516,7 +524,7 @@ def distill_network(net: QkanNetwork, domains: dict, grid_size: int = 20,
                 model.w_base = float(row.w_base[0, k])
                 model.out_bias = float(row.out_bias[0, k])
                 models[k] = model
-        del xs, ys  # freed before the next layer's circuit call, the peak
+        del xs, ys  # freed before the next layer is sampled
         grids.append([models[j:j + n_in] for j in range(0, len(b), n_in)])
         for k, model in enumerate(models):
             report[(li, k // n_in, k % n_in)] = {"max_err": model.fit_max_err,

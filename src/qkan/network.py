@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,22 +102,35 @@ if hasattr(os, "register_at_fork"):
 
 
 def map_blocks(fn, blocks: list):
-    """An iterator over fn(block) for each of `blocks`, in block order.
+    """A generator of fn(block) for each of `blocks`, in block order.
 
     Up to _workers() blocks run at once on the module's thread pool,
     each under the caller's numpy error state. The calls run serially
     for one block, on one usable CPU, or when made from a pool worker,
-    so nested calls cannot deadlock.
+    so nested calls cannot deadlock. Each result is dropped once it is
+    taken. A caller that stops early closes the generator: the blocks
+    not started are cancelled and the running ones waited for, so no
+    block outlives the pass (the next pass may rewrite the parameters
+    in place).
     """
     if len(blocks) == 1 or _workers() == 1 or getattr(_worker, "active", False):
-        return map(fn, blocks)
+        yield from map(fn, blocks)
+        return
     err = np.geterr()
 
     def run(block):
         with np.errstate(**err):
             return fn(block)
 
-    return _executor().map(run, blocks)
+    pool = _executor()
+    pending = deque(pool.submit(run, block) for block in blocks)
+    try:
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+        wait(pending)
 
 
 def _as_batch(x, dim: int, what: str) -> tuple[np.ndarray, bool]:

@@ -5,13 +5,23 @@ L-BFGS uses the two-loop recursion with a strong-Wolfe line search
 the full batch. Curvature pairs with s.y <= 1e-12 are rejected, falling
 back to steepest descent when no history remains. Adam is the standard
 bias-corrected update. Runs are deterministic given (seed, config).
+
+The loss closure is fg(params, bound=inf) -> (loss, gradient). The line
+search passes its start loss as the bound, and fg may answer a trial
+whose loss is above it with (inf, None), stopping the pass as soon as
+its running loss is past the bound: the search rejects such a trial
+without reading its gradient, so every step, loss and event is the same
+as with full passes. Every other call keeps the infinite default.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -75,16 +85,23 @@ def _wolfe_search(fg, x, d, f0, g0, events: list | None = None):
     search records an event and returns the trial with the lowest
     finite loss below f0, without evaluating fg again, or the zero step
     (0, f0, g0) when no trial lowered the loss.
+
+    When dg0 <= 0, a trial whose loss is above f0 fails sufficient
+    decrease before its gradient is read. So each trial is then
+    fg(x + alpha * d, f0), and fg may return (inf, None) for such a
+    trial; the search treats that as a non-finite trial and takes the
+    same steps as with full trials. Otherwise the trials pass no bound.
     """
     dg0 = float(d @ g0)
+    bound = f0 if dg0 <= 0 else math.inf
     evals = 0
     best = (0.0, f0, g0)
 
     def phi(alpha):
         nonlocal evals, best
         evals += 1
-        f, g = fg(x + alpha * d)
-        dg = float(d @ g)
+        f, g = fg(x + alpha * d, bound)
+        dg = math.nan if g is None else float(d @ g)
         if not (np.isfinite(f) and np.isfinite(dg)):
             f = np.inf   # fails every sufficient-decrease test below
         elif f < best[1]:
@@ -138,7 +155,12 @@ def _wolfe_search(fg, x, d, f0, g0, events: list | None = None):
 
 def lbfgs_minimize(fg, x0: np.ndarray, max_iter: int, history: int = 10,
                    callback=None):
-    """Two-loop-recursion L-BFGS. fg(x) -> (loss, grad).
+    """Two-loop-recursion L-BFGS. fg(x, bound=inf) -> (loss, grad).
+
+    The line search passes its start loss as `bound`: fg may then return
+    (inf, None) for a point whose loss is above the bound instead of
+    computing its gradient. An fg that ignores the bound gives the same
+    run. The first fg call passes no bound.
 
     A zero step from the line search clears the curvature history, so
     the next iteration searches along steepest descent; when the failed
@@ -209,6 +231,12 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
+        if type(self.history) is not int or self.history < 0:
+            raise ValueError(f"history must be an integer >= 0, got "
+                             f"{self.history!r}")
+        if not isinstance(self.lr, (int, float)) or not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be a finite number > 0, got "
+                             f"{self.lr!r}")
 
 
 @dataclass
@@ -221,7 +249,7 @@ class TrainResult:
 
 
 def _loss_closure(net: QkanNetwork, dataset: Dataset):
-    """fg(params) -> (MSE loss, its flat gradient) on the dataset.
+    """fg(params, bound=inf) -> (MSE loss, its flat gradient) on the dataset.
 
     The loss is a sum over samples, so the batch streams through the
     network in the row blocks of network.batch_blocks: each block runs
@@ -230,26 +258,44 @@ def _loss_closure(net: QkanNetwork, dataset: Dataset):
     the first block's in block order, so the result is bitwise that of
     running the same blocks one after another, on any number of CPUs. A
     batch of one block runs exactly the unblocked pass.
+
+    A finite `bound` lets fg drop a pass whose loss cannot be at most
+    the bound: the block losses are non-negative, so once their running
+    sum over y.size is past it (or NaN), fg stops and returns (inf,
+    None); a block whose own loss is past it skips its backward. An
+    infinite or NaN bound, the default, never stops a pass.
     """
     x, y = dataset.inputs, dataset.targets
     scale = 2.0 / y.size
     blocks = batch_blocks(len(x), net.layers)
 
-    def block_fg(rows):
+    def past(loss: float, bound: float) -> bool:
+        return bound < math.inf and not loss / y.size <= bound
+
+    def block_fg(rows, bound):
         tape: list = []
         resid = net.forward(x[rows], tape) - y[rows]
+        loss = float(np.sum(resid ** 2))
+        if past(loss, bound):
+            return loss, None   # the pass stops at this block
         grad = net.grad_vector(net.backward(x[rows], scale * resid, tape))
-        return float(np.sum(resid ** 2)), grad
+        return loss, grad
 
-    def fg(params: np.ndarray):
+    def fg(params: np.ndarray, bound: float = math.inf):
         net.set_param_vector(params)
         total, grad = 0.0, None
-        for block_loss, block_grad in map_blocks(block_fg, blocks):
-            total += block_loss
-            if grad is None:
-                grad = block_grad
-            else:
-                grad += block_grad
+        with closing(map_blocks(partial(block_fg, bound=bound),
+                                blocks)) as results:
+            for block_loss, block_grad in results:
+                total += block_loss
+                # a block that skipped its backward is past the bound,
+                # and so is any sum that includes it
+                if past(total, bound):
+                    return math.inf, None
+                if grad is None:
+                    grad = block_grad
+                else:
+                    grad += block_grad
         return total / y.size, grad
 
     return fg

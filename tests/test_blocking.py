@@ -16,6 +16,7 @@ import signal
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -312,6 +313,133 @@ class TestThreadedBlocks:
             net.forward(x)
 
 
+class TestBoundedPasses:
+    """fg(params, bound) drops a pass once its running loss over the
+    batch is past a finite bound, and skips the backward of a block
+    whose own loss is."""
+
+    @staticmethod
+    def problem(monkeypatch):
+        rng = np.random.default_rng(37)
+        net = make_plain(rng)
+        ds = Dataset(rng.normal(size=(BATCH, net.in_dim)),
+                     rng.normal(size=(BATCH, net.out_dim)))
+        small_blocks(monkeypatch, net.layers)
+        return net, ds, tr._loss_closure(net, ds)
+
+    @staticmethod
+    def count_calls(monkeypatch, net) -> dict:
+        """Patch net's forward and backward to count their calls."""
+        calls = {"forward": 0, "backward": 0}
+
+        def counted(name):
+            method = getattr(net, name)
+
+            def call(*args):
+                calls[name] += 1
+                return method(*args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(net, name, counted(name))
+        return calls
+
+    def test_stopped_pass_runs_fewer_blocks_and_backwards(self, monkeypatch):
+        net, ds, fg = self.problem(monkeypatch)
+        monkeypatch.setattr(network, "_workers", lambda: 1)
+        params = net.param_vector()
+        blocks = network.batch_blocks(BATCH, net.layers)
+        block_losses = [float(np.sum((net.forward(ds.inputs[rows])
+                                      - ds.targets[rows]) ** 2))
+                        for rows in blocks]
+        calls = self.count_calls(monkeypatch, net)
+        loss, grad = fg(params)
+        assert calls == {"forward": len(blocks), "backward": len(blocks)}
+        bound = 0.4 * loss
+        running = np.cumsum(block_losses) / ds.targets.size
+        stop = int(np.argmax(running > bound))
+        assert 0 < stop < len(blocks) - 1
+        calls.update(forward=0, backward=0)
+        assert fg(params, bound) == (np.inf, None)
+        own_past = block_losses[stop] / ds.targets.size > bound
+        assert calls == {"forward": stop + 1,
+                         "backward": stop + (0 if own_past else 1)}
+        # a block whose own loss is past the bound skips its backward
+        calls.update(forward=0, backward=0)
+        assert fg(params, 0.0) == (np.inf, None)
+        assert calls == {"forward": 1, "backward": 0}
+
+    def test_bound_at_the_loss_gives_the_full_pass(self, monkeypatch):
+        net, ds, fg = self.problem(monkeypatch)
+        two_workers(monkeypatch)
+        params = net.param_vector()
+        loss, grad = fg(params)
+        grad = grad.copy()
+        got_loss, got_grad = fg(params, loss)
+        assert got_loss == loss
+        np.testing.assert_array_equal(got_grad, grad)
+        # one ulp below the loss: the last block's sum passes the bound
+        calls = self.count_calls(monkeypatch, net)
+        assert fg(params, np.nextafter(loss, 0.0)) == (np.inf, None)
+        blocks = len(network.batch_blocks(BATCH, net.layers))
+        assert calls == {"forward": blocks, "backward": blocks}
+
+    def test_only_a_finite_bound_stops_a_nan_pass(self, monkeypatch):
+        net, ds, fg = self.problem(monkeypatch)
+        params = net.param_vector()
+        params[0] = np.nan
+        with np.errstate(invalid="ignore"):
+            loss, grad = fg(params)
+            assert np.isnan(loss) and grad.shape == params.shape
+            loss, grad = fg(params, np.nan)
+            assert np.isnan(loss) and grad is not None
+            assert fg(params, 1e300) == (np.inf, None)
+
+    def test_no_block_outlives_a_stopped_pass(self, monkeypatch):
+        # blocks sleep, so the second block is still running when the
+        # first one stops the pass; fg must wait for it, since the next
+        # pass rewrites the parameters it reads
+        net, ds, fg = self.problem(monkeypatch)
+        two_workers(monkeypatch)
+        lock = threading.Lock()
+        state = {"running": 0, "started": 0, "threads": set()}
+        forward = net.forward
+
+        def slow(x, tape=None):
+            with lock:
+                state["running"] += 1
+                state["started"] += 1
+                state["threads"].add(threading.current_thread().name)
+            try:
+                time.sleep(0.05)
+                return forward(x, tape)
+            finally:
+                with lock:
+                    state["running"] -= 1
+
+        monkeypatch.setattr(net, "forward", slow)
+        results = []
+        caller = threading.Thread(
+            target=lambda: results.append(fg(net.param_vector(), 0.0)))
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive()
+        assert results == [(np.inf, None)]
+        assert state["running"] == 0
+        assert pool_threads(state["threads"])
+        assert state["started"] < len(network.batch_blocks(BATCH, net.layers))
+
+    def test_map_blocks_drops_each_result_once_taken(self, monkeypatch):
+        two_workers(monkeypatch)
+        results = network.map_blocks(lambda k: np.full(4, float(k)), range(6))
+        first = next(results)
+        ref = weakref.ref(first)
+        del first
+        assert next(results)[0] == 1.0
+        assert ref() is None
+        assert [a[0] for a in results] == [2.0, 3.0, 4.0, 5.0]
+
+
 def test_only_network_runs_threads():
     """network.py holds the one thread pool and its rules (block order,
     worker count, no nesting); a module that imports threading or
@@ -344,6 +472,38 @@ class TestBoundedMemory:
                 tracemalloc.stop()
             assert np.isfinite(loss) and np.all(np.isfinite(grad))
         assert peaks[60000] <= 1.25 * peaks[6000] + 2 ** 20
+
+    def test_distill_sampling_peak_does_not_grow_with_samples(self,
+                                                              monkeypatch):
+        # the circuit samples each layer in row blocks; the fits are cut
+        # to 64 samples each, so only sampling grows with `samples`, and
+        # its (S, K) sample arrays xs and ys are left out of the peak
+        rng = np.random.default_rng(43)
+        net = QkanNetwork.init([8, 4], 6, rng, angle_scale=1.0)
+        k = 32
+        monkeypatch.setattr(network, "BLOCK_BYTES", 8 * k * 64)
+        domains = {(0, j, i): (-1.0 - 0.1 * (4 * i + j), 1.0)
+                   for j in range(4) for i in range(8)}
+        fit = distill._fit_columns
+
+        def thinned(xs, ys, *args):
+            step = len(xs) // 64
+            return fit(xs[::step], ys[::step], *args)
+
+        monkeypatch.setattr(distill, "_fit_columns", thinned)
+        excess = {}
+        for samples in (256, 4096):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                distill.distill_network(net, domains, samples=samples)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            excess[samples] = peak - 2 * 8 * samples * k
+        # one (S, K) float64 array at 4096 samples is 1 MiB; a layer
+        # sampled in one piece adds r + 3 of them
+        assert excess[4096] <= excess[256] + 2 ** 17, excess
 
     @staticmethod
     def backward_peak(b, n, m, r):

@@ -578,8 +578,9 @@ class TestBatchedDistillation:
                                      samples=97)
 
     def test_input_errors_raise_before_any_circuit(self, monkeypatch):
-        """A short sample count, then a bad domain in any layer, raise
-        before any circuit runs; a good call runs one per layer."""
+        """A grid size or degree below 1, a short sample count, then a
+        bad domain in any layer, raise before any circuit runs; a good
+        call runs one per layer."""
         rng = np.random.default_rng(260)
         net = QkanNetwork.init([2, 3, 2], 2, rng)
         domains = distill.calibrate_domains(net, rng.uniform(size=(50, 2)))
@@ -591,6 +592,11 @@ class TestBatchedDistillation:
             return forward(*args)
 
         monkeypatch.setattr(daruan, "circuit_forward", counted)
+        for bad_size in [dict(grid_size=0), dict(degree=0),
+                         dict(grid_size=-1, samples=1)]:
+            with pytest.raises(ValueError, match="^grid_size and degree "
+                                                 "must be >= 1$"):
+                distill.distill_network(net, domains, **bad_size)
         too_few = dict(grid_size=10, degree=3, samples=12)
         with pytest.raises(FitError, match="^need at least 13 samples, "
                                            "got 12$"):

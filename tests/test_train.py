@@ -1,12 +1,13 @@
 """Tests for losses, Adam, L-BFGS and the training loop."""
 
 import importlib
+import math
 
 import numpy as np
 import pytest
 
-from qkan import daruan
-from qkan.data import Dataset
+from qkan import daruan, network
+from qkan.data import Dataset, gen_regression, get_spec
 from qkan.errors import NumericalError
 from qkan.network import QkanNetwork, make_hqkan
 
@@ -53,7 +54,7 @@ class TestLbfgs:
     def test_quadratic_bowl(self):
         a = np.diag([1.0, 10.0, 100.0])
 
-        def fg(x):
+        def fg(x, bound=math.inf):
             return 0.5 * float(x @ a @ x), a @ x
 
         x, losses, events = tr.lbfgs_minimize(fg, np.array([1.0, 1.0, 1.0]),
@@ -63,7 +64,7 @@ class TestLbfgs:
         assert events == []
 
     def test_rosenbrock(self):
-        def fg(v):
+        def fg(v, bound=math.inf):
             x, y = v
             f = (1 - x) ** 2 + 100.0 * (y - x ** 2) ** 2
             g = np.array([-2 * (1 - x) - 400.0 * x * (y - x ** 2),
@@ -77,7 +78,7 @@ class TestLbfgs:
     def test_one_iteration_per_epoch(self):
         calls = []
 
-        def fg(x):
+        def fg(x, bound=math.inf):
             return float(x @ x), 2.0 * x
 
         tr.lbfgs_minimize(fg, np.array([1.0]), max_iter=7,
@@ -191,6 +192,21 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             tr.TrainConfig(epochs=-1)
 
+    @pytest.mark.parametrize("history", [-1, 1.5, 2.0, True, "3", None])
+    def test_history_must_be_a_nonnegative_int(self, history):
+        with pytest.raises(ValueError, match="^history must be an integer"):
+            tr.TrainConfig(history=history)
+
+    @pytest.mark.parametrize("lr", [-1.0, 0.0, 0, np.nan, np.inf, "0.1", None])
+    def test_lr_must_be_finite_and_positive(self, lr):
+        # checked for L-BFGS too, so a bad value never waits for an Adam run
+        with pytest.raises(ValueError, match="^lr must be a finite number"):
+            tr.TrainConfig(lr=lr)
+
+    def test_edge_values_accepted(self):
+        assert tr.TrainConfig(history=0, lr=1).history == 0
+        assert tr.TrainConfig(optimizer="adam", lr=1e-300).lr == 1e-300
+
 
 class TestLossClosure:
     @pytest.mark.parametrize("make", [
@@ -229,13 +245,13 @@ class TestLineSearchSafeguards:
     G0 = np.array([1.0, 0.0])
 
     @staticmethod
-    def nan_away_from_start(x):
+    def nan_away_from_start(x, bound=math.inf):
         if np.any(x != 0.0):
             return np.nan, np.full(2, np.nan)
         return 1.0, np.array([1.0, 0.0])
 
     @staticmethod
-    def rising(x):
+    def rising(x, bound=math.inf):
         # the reported gradient points the wrong way: every step along
         # -gradient raises the loss
         return 1.0 + float(x @ x), 2.0 * x + np.array([1.0, 0.0])
@@ -257,7 +273,7 @@ class TestLineSearchSafeguards:
         # after the too-long first step bisects [0, 1]
         trials = []
 
-        def fg(x):
+        def fg(x, bound=math.inf):
             a = -float(x[0])
             trials.append((a, 1.0 - 0.5 * np.sin(np.pi * a * a)))
             return trials[-1][1], self.G0.copy()
@@ -285,7 +301,7 @@ class TestLineSearchSafeguards:
         a = np.diag([1.0, 10.0])
         calls = []
 
-        def fg(x):
+        def fg(x, bound=math.inf):
             calls.append(1)
             if len(calls) > 8:     # the loss turns NaN after a few steps
                 return np.nan, np.full(2, np.nan)
@@ -297,6 +313,110 @@ class TestLineSearchSafeguards:
         assert all(b <= a_ for a_, b in zip(losses, losses[1:]))
         assert any("restarting from steepest descent" in e for e in events)
         assert events[-1].endswith("stopping")
+
+
+class TestBoundedSearch:
+    """The line search passes its start loss f0 as fg's bound, and the
+    loss closure drops a trial pass once its running loss is past it.
+    The oracle is the same training with an fg that ignores the bound:
+    every parameter, loss and event must be bitwise the same."""
+
+    @staticmethod
+    def multi_block(monkeypatch):
+        # 8 row blocks of at most 5 rows, run two at a time
+        rng = np.random.default_rng(51)
+        net = QkanNetwork.init([3, 4, 2, 1], 2, rng, angle_scale=1.0)
+        monkeypatch.setattr(network, "BLOCK_BYTES", 8 * 12 * 10)
+        monkeypatch.setattr(network, "_workers", lambda: 2)
+        ds = Dataset(rng.normal(size=(37, 3)), 3.0 * rng.normal(size=(37, 1)))
+        assert len(network.batch_blocks(37, net.layers)) == 8
+        return net, ds, ds, 10
+
+    @staticmethod
+    def feynman(monkeypatch):
+        # I.12.11 on [2, 2, 1], r = 3: the whole batch is one block
+        train_ds, test_ds = gen_regression(get_spec("I.12.11"), n_train=400,
+                                           n_test=200, seed=0)
+        net = QkanNetwork.init([2, 2, 1], 3, np.random.default_rng(7))
+        assert len(network.batch_blocks(400, net.layers)) == 1
+        return net, train_ds, test_ds, 40
+
+    @pytest.mark.parametrize("problem", ["multi_block", "feynman"])
+    def test_same_run_as_an_fg_that_ignores_the_bound(self, problem,
+                                                      monkeypatch):
+        net, train_ds, test_ds, epochs = getattr(self, problem)(monkeypatch)
+        closure = tr._loss_closure
+        trials = []
+
+        def recording(net, ds):
+            fg = closure(net, ds)
+
+            def bounded(params, bound=math.inf):
+                loss, grad = fg(params, bound)
+                trials.append((bound, grad is None))
+                return loss, grad
+
+            return bounded
+
+        def ignoring(net, ds):
+            fg = closure(net, ds)
+            return lambda params, bound=math.inf: fg(params)
+
+        runs = []
+        for make_fg in (recording, ignoring):
+            monkeypatch.setattr(tr, "_loss_closure", make_fg)
+            trained = net.copy()
+            result = tr.train(trained, train_ds, test_ds,
+                              tr.TrainConfig(epochs=epochs))
+            rows = [(r["epoch"], r["train_rmse"], r["test_rmse"])
+                    for r in result.trace]
+            runs.append((rows, result, trained.param_vector()))
+        (rows, result, final), (want_rows, want, want_final) = runs
+        assert len(rows) == epochs
+        assert rows == want_rows
+        np.testing.assert_array_equal(result.best_params, want.best_params)
+        np.testing.assert_array_equal(final, want_final)
+        assert result.best_epoch == want.best_epoch
+        assert result.events == want.events
+        # the first fg passes no bound; some trials were dropped
+        assert trials[0] == (math.inf, False)
+        assert any(stopped for _, stopped in trials)
+        assert all(np.isfinite(bound) for bound, _ in trials[1:])
+
+    def test_search_takes_the_oracles_steps(self):
+        # a bound-aware fg that drops every trial above f0 gives the
+        # search of one that computes them all
+        a = np.diag([1.0, 50.0])
+
+        def full(x, bound=math.inf):
+            return 0.5 * float(x @ a @ x), a @ x
+
+        dropped = []
+
+        def dropping(x, bound=math.inf):
+            f, g = full(x)
+            if f > bound:
+                dropped.append(f)
+                return math.inf, None
+            return f, g
+
+        x0 = np.array([1.0, 1.0])
+        got = tr.lbfgs_minimize(dropping, x0, max_iter=30)
+        want = tr.lbfgs_minimize(full, x0, max_iter=30)
+        assert dropped
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1:] == want[1:]
+
+    def test_no_bound_when_d_is_not_a_descent_direction(self):
+        # above f0 is not rejected by sufficient decrease when d . g0 > 0
+        bounds = []
+
+        def fg(x, bound=math.inf):
+            bounds.append(bound)
+            return 1.0 + float(x @ x), 2.0 * x
+
+        tr._wolfe_search(fg, np.zeros(1), np.ones(1), 1.0, np.ones(1))
+        assert bounds and all(b == math.inf for b in bounds)
 
 
 class TestTraceCsv:
