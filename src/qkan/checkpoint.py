@@ -115,12 +115,21 @@ def check_version(doc: dict, version: int, what: str,
                         f"build reads the integer {version}")
 
 
+def _number_type(t: type) -> bool:
+    """A float (np.float64 included) or an exact int, never a bool."""
+    return t is int or issubclass(t, float)
+
+
 def _numeric(value, ndim: int) -> bool:
-    """Whether `value` nests lists `ndim` deep around JSON numbers."""
+    """Whether `value` nests lists `ndim` deep around JSON numbers. The
+    innermost lists are checked by the set of their element types."""
     if ndim == 0:
-        return isinstance(value, float) or type(value) is int
-    return isinstance(value, list) and all(_numeric(v, ndim - 1)
-                                           for v in value)
+        return _number_type(type(value))
+    if not isinstance(value, list):
+        return False
+    if ndim == 1:
+        return all(map(_number_type, set(map(type, value))))
+    return all(_numeric(v, ndim - 1) for v in value)
 
 
 def finite_array(doc: dict, key: str, what: str,

@@ -17,6 +17,7 @@ prints its one error line and nothing else.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -448,7 +449,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process, on first
+    use, so that main can run one command after another in process. It
+    keeps no state between parses: each parse fills a new namespace, and
+    no default is mutable. A subcommand names its cmd_* handler as a
+    string, which main looks up when it runs the command, so a handler
+    replaced on this module after the first parse is the one called."""
     parser = _Parser(
         prog="qkan",
         description="Data re-uploading activations and quantum-inspired "
@@ -457,9 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, help_text, fields, func in (
             ("gen-data", "generate a benchmark dataset", _GEN_DATA_FIELDS,
-             cmd_gen_data),
+             "cmd_gen_data"),
             ("train", "train a network, one run per seed", _TRAIN_FIELDS,
-             cmd_train)):
+             "cmd_train")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config",
                        help="JSON config file; flags win on conflict")
@@ -471,12 +479,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func="cmd_eval")
 
     p = sub.add_parser("spectrum", help="frequency-spectrum report")
     p.add_argument("--checkpoint")
     p.add_argument("--layer", type=_nonnegative_int, default=0)
-    p.add_argument("--edge", type=_nonnegative_int, nargs=2, default=[0, 0],
+    p.add_argument("--edge", type=_nonnegative_int, nargs=2, default=(0, 0),
                    metavar=("OUT", "IN"))
     p.add_argument("--r", type=_positive_int, default=4)
     p.add_argument("--weights", type=_weights, default="geometric",
@@ -484,13 +492,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--tol", type=_positive_float, default=1e-8)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_spectrum)
+    p.set_defaults(func="cmd_spectrum")
 
     p = sub.add_parser("extend", help="deepen a checkpoint, outputs unchanged")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--new-r", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_extend)
+    p.set_defaults(func="cmd_extend")
 
     p = sub.add_parser("distill", help="distill a checkpoint to B-splines")
     p.add_argument("--checkpoint", required=True)
@@ -499,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-size", type=_positive_int, default=20)
     p.add_argument("--degree", type=_positive_int, default=3)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_distill)
+    p.set_defaults(func="cmd_distill")
 
     p = sub.add_parser("mnist-demo", help="two-class HQKAN MNIST demo")
     p.add_argument("--data-dir", required=True)
@@ -507,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=_nonnegative_int, default=50)
     p.add_argument("--lr", type=_positive_float, default=1e-3)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.set_defaults(func=cmd_mnist_demo)
+    p.set_defaults(func="cmd_mnist_demo")
 
     return parser
 
@@ -518,7 +526,7 @@ def main(argv=None) -> int:
         # a non-finite result is reported once, by the check that finds it,
         # not also by numpy's RuntimeWarnings on the way
         with np.errstate(all="ignore"):
-            return args.func(args)
+            return globals()[args.func](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,7 @@ noisy.
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -147,20 +147,40 @@ def gen_sinc(n_train: int = 1000, n_test: int = 1000, noise_std: float = 0.1,
 
 
 def write_csv(dataset: Dataset, path) -> None:
-    """Header x1..xn,y1..ym; values at 17 significant digits. Written
-    atomically: a failed write leaves no partial file."""
+    """Header x1..xn,y1..ym; values at 17 significant digits, one record
+    per CRLF-ended line, the bytes csv.writer writes (no value needs
+    quoting). Written atomically: a failed write leaves no partial file."""
     n_x = dataset.inputs.shape[1]
     n_y = dataset.targets.shape[1]
     header = [f"x{i + 1}" for i in range(n_x)] + [f"y{i + 1}" for i in range(n_y)]
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for xi, yi in zip(dataset.inputs, dataset.targets):
-        writer.writerow([f"{v:.17g}" for v in xi] + [f"{v:.17g}" for v in yi])
-    atomic_write_text(path, buf.getvalue())
+    values = np.hstack([dataset.inputs, dataset.targets])
+    record = ",".join(["{:.17g}"] * len(header)) + "\r\n"
+    text = ",".join(header) + "\r\n" \
+        + (record * len(values)).format(*values.ravel().tolist())
+    atomic_write_text(path, text)
+
+
+def _first_bad_record(path, rows, width: int) -> None:
+    """Raise the DataError of the first of `rows` (the records after the
+    header) that is not `width` finite numbers; return if none is. Within
+    a record, the column count is checked first, then the number syntax,
+    then finiteness."""
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != width:
+            raise DataError(f"{path}:{lineno}: expected {width} "
+                            f"columns, got {len(row)}")
+        try:
+            values = [float(v) for v in row]
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        if not all(map(math.isfinite, values)):
+            raise DataError(f"{path}:{lineno}: non-finite value in {row}")
 
 
 def read_csv(path) -> Dataset:
+    """A CSV of header x1..xn,y1..ym and records of n + m finite numbers.
+    All cells are converted and checked at once; only a file that fails
+    is scanned record by record, for its first offending record."""
     with reading(path, DataError, "CSV") as fh:
         reader = csv.reader(fh)
         try:
@@ -172,21 +192,25 @@ def read_csv(path) -> Dataset:
         if n_x + n_y != len(header) or n_x == 0 or n_y == 0:
             raise DataError(f"{path}: header must be x1..xn,y1..ym, "
                             f"got {header}")
+        width = n_x + n_y
         rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != n_x + n_y:
-                raise DataError(f"{path}:{lineno}: expected {n_x + n_y} "
-                                f"columns, got {len(row)}")
-            try:
-                values = [float(v) for v in row]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            if not all(math.isfinite(v) for v in values):
-                raise DataError(f"{path}:{lineno}: non-finite value in {row}")
-            rows.append(values)
+        try:
+            for row in reader:
+                rows.append(row)
+        except (csv.Error, OSError, UnicodeDecodeError):
+            # a bad record read before the failure is reported first
+            _first_bad_record(path, rows, width)
+            raise
     if not rows:
         raise DataError(f"{path}: no data rows")
-    arr = np.array(rows)
+    try:
+        arr = np.array(list(map(float, itertools.chain.from_iterable(rows))))
+    except ValueError:
+        arr = None
+    if (arr is None or set(map(len, rows)) != {width}
+            or not np.all(np.isfinite(arr))):
+        _first_bad_record(path, rows, width)   # raises: some record is bad
+    arr = arr.reshape(len(rows), width)
     return Dataset(arr[:, :n_x], arr[:, n_x:])
 
 

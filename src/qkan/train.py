@@ -229,8 +229,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in ("lbfgs", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
+        if type(self.epochs) is not int or self.epochs < 0:
+            raise ValueError(f"epochs must be an integer >= 0, got "
+                             f"{self.epochs!r}")
         if type(self.history) is not int or self.history < 0:
             raise ValueError(f"history must be an integer >= 0, got "
                              f"{self.history!r}")

@@ -116,6 +116,9 @@ class TestValidation:
         lambda doc: doc.update(params="0.1"),
         lambda doc: doc.update(params=[None] * len(doc["params"])),
         lambda doc: doc["params"].__setitem__(0, [0.1]),
+        lambda doc: doc["params"].__setitem__(3, True),
+        lambda doc: doc["params"].__setitem__(3, "0.1"),
+        lambda doc: doc["params"].__setitem__(3, None),
         lambda doc: doc["params"].__setitem__(3, float("nan")),
         lambda doc: doc["params"].__setitem__(3, float("-inf")),
         lambda doc: doc.update(encoder=[4]),
@@ -132,7 +135,8 @@ class TestValidation:
     ], ids=["no-format_version", "no-shape", "no-r", "no-params",
             "shape-string", "shape-short", "shape-zero", "r-float",
             "r-count", "r-scalar", "params-string", "params-null",
-            "params-nested", "params-nan", "params-inf", "encoder-short",
+            "params-nested", "params-bool-item",
+            "params-string-item", "params-null-item", "params-nan", "params-inf", "encoder-short",
             "encoder-mismatch", "format_version-true", "format_version-1.0",
             "format_version-string", "params-infinity", "params-overflow",
             "unknown-key", "provenance-list", "shape-29-TiB",
@@ -173,6 +177,28 @@ class TestValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             ck.load_checkpoint(tmp_path / "nope.json")
+
+
+class TestFiniteArray:
+    @pytest.mark.parametrize("value, shape", [
+        (1.5, ()), (2, ()), (np.float64(0.5), ()),
+        ([0.5, 2, np.float64(-1.0)], (None,)),
+        ([[1, 2.5], [np.float64(3.0), 4]], (None, None)),
+    ])
+    def test_accepts_floats_and_exact_ints(self, value, shape):
+        arr = ck.finite_array({"v": value}, "v", "test", shape)
+        np.testing.assert_array_equal(arr, np.array(value, dtype=np.float64))
+
+    @pytest.mark.parametrize("value, shape", [
+        (True, ()), ("1.5", ()), (None, ()), ([1.5], ()),
+        ([0.5, True], (None,)), ([0.5, "2"], (None,)), ([0.5, None], (None,)),
+        ([0.5, [1.0]], (None,)), (0.5, (None,)),
+        ([[1.0, False]], (None, None)), ([[1.0], 2.0], (None, None)),
+        ([1.0, 2.0], (None, None)), ([[[1.0]]], (None, None)),
+    ])
+    def test_rejects_other_elements_and_nesting(self, value, shape):
+        with pytest.raises(DataError, match="^test field 'v' must be"):
+            ck.finite_array({"v": value}, "v", "test", shape)
 
 
 class TestAtomicWrite:

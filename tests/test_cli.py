@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qkan import QkanNetwork, SplineNetwork, daruan, read_csv, rmse
-from qkan import spectrum
+from qkan import cli, spectrum
 from qkan.checkpoint import load_checkpoint, save_checkpoint
 from qkan.cli import _GEN_DATA_FIELDS, _TRAIN_FIELDS, main
 from qkan.errors import DataError
@@ -293,6 +293,58 @@ class TestParser:
         if command in tables:
             assert flags == {"--help", "--config"} | {
                 f"--{field}" for field in tables[command]}
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_handler_is_looked_up_when_the_command_runs(self, workspace,
+                                                        monkeypatch, capsys):
+        # after a first command has built the parser, a handler replaced
+        # on the module (as a test or a tracer replaces it) is the one run
+        assert run("spectrum", "--r", "2") == 0
+        argv = ("eval", "--checkpoint", str(workspace / "run" / "best.json"),
+                "--data", str(workspace / "data" / "test.csv"))
+        seen = []
+        monkeypatch.setattr(cli, "cmd_eval",
+                            lambda args: seen.append(args.data) or 0)
+        capsys.readouterr()
+        assert run(*argv) == 0
+        assert seen == [argv[-1]] and capsys.readouterr().out == ""
+        monkeypatch.undo()
+        assert run(*argv) == 0
+        assert seen == [argv[-1]]
+        assert json.loads(capsys.readouterr().out)["n_samples"] == 100
+
+    def test_an_option_does_not_carry_over_to_the_next_call(self, workspace,
+                                                            capsys):
+        net, _ = load_checkpoint(workspace / "run" / "best.json")
+        checkpoint = ("--checkpoint", str(workspace / "run" / "best.json"))
+        reports = []
+        for edge in (("--edge", "1", "0"), ()):
+            capsys.readouterr()
+            assert run("spectrum", *checkpoint, *edge) == 0
+            out = capsys.readouterr().out
+            reports.append(json.loads(out[:out.rindex("}") + 1]))
+        for (j, i), report in zip([(1, 0), (0, 0)], reports):
+            assert report["weights"] \
+                == net.layers[0].get_edge(j, i).enc_w.tolist()
+        assert reports[0]["weights"] != reports[1]["weights"]
+
+    def test_repeated_calls_write_identical_files(self, workspace, tmp_path):
+        checkpoint = str(workspace / "run" / "best.json")
+        for k in (0, 1):
+            assert run("gen-data", "--equation", "I.12.11", "--n-train", "50",
+                       "--n-test", "20", "--out", str(tmp_path / f"d{k}")) == 0
+            assert run("eval", "--checkpoint", checkpoint,
+                       "--data", str(tmp_path / "d0" / "test.csv"),
+                       "--out", str(tmp_path / f"eval{k}.json")) == 0
+            assert run("spectrum", "--checkpoint", checkpoint,
+                       "--edge", "1", "1",
+                       "--out", str(tmp_path / f"spectrum{k}.json")) == 0
+        for name in ("d{}/train.csv", "d{}/test.csv", "d{}/meta.json",
+                     "eval{}.json", "spectrum{}.json"):
+            assert (tmp_path / name.format(0)).read_bytes() \
+                == (tmp_path / name.format(1)).read_bytes()
 
 
 # gen-data/train options, each run once as flags and once as config

@@ -1,11 +1,13 @@
 """Tests for dataset generation, CSV round trips and the IDX reader."""
 
+import csv
 import os
 import struct
 
 import numpy as np
 import pytest
 
+import csv_oracle
 from qkan import data as dm
 from qkan.errors import DataError
 
@@ -95,6 +97,104 @@ class TestRegressionGenerator:
                                    atol=1e-15)
         resid = train.targets - dm.sinc20(train.inputs)
         assert np.std(resid) > 0.05   # training split really is noisy
+
+
+# CSV texts the bulk reader must read exactly as the record-by-record
+# oracle does
+VALID_CSV = {
+    "quoted": 'x1,y1\r\n"0.5","1.25"\r\n"-3e-5",2\r\n',
+    "padded": "x1,x2,y1\n 1.5 ,\t2 , 3\n-1 ,  0.25,7\t\n",
+    "underscores": "x1,y1\n1_000,2_0.5\n",
+    "negative-zero": "x1,y1\n-0.0,0.0\n-0,0\n",
+    "subnormal": "x1,y1\n5e-324,-2.2250738585072014e-309\n"
+                 "4.9406564584124654e-324,1e-310\n",
+    "extremes": "x1,y1\n1.7976931348623157e308,-1.7976931348623157e+308\n",
+    "quoted-newline": 'x1,y1\n"1\n",2\n3,4\n',
+    "cr-only": "x1,y1\r1,2\r3,4\r",
+    "no-final-newline": "x1,y1\n1,2\n3,4",
+    "wide": "x1,x2,x3,y1,y2\n1,2,3,4,5\n6,7,8,9,10\n",
+}
+
+# malformed CSV texts; each must give the oracle's DataError message
+MALFORMED_CSV = {
+    "empty": "",
+    "bad-header": "a,b\n1,2\n",
+    "no-targets": "x1,x2\n1,2\n",
+    "no-rows": "x1,y1\n",
+    "blank-line": "x1,y1\n1,2\n\n3,4\n",
+    "short-row": "x1,y1\n1,2\n3\n",
+    "long-row": "x1,y1\n1,2,3\n",
+    "bad-token": "x1,y1\n1,2\n1,abc\n",
+    "empty-cell": "x1,y1\n1,\n",
+    "nan": "x1,y1\nnan,1\n",
+    "-Infinity": "x1,y1\n1,2\n1,-Infinity\n",
+    "overflow": "x1,y1\n1e999,1\n",
+    # the first offending record is reported, whatever a later one holds
+    "nan-then-short": "x1,y1\n1,2\n1,nan\n2\n",
+    "token-then-short": "x1,y1\n1,abc\n2\n",
+    "inf-then-token": "x1,y1\n1,inf\n2,abc\n",
+    # within a record: column count, then number syntax, then finiteness
+    "token-and-nan": "x1,x2,y1\nnan,abc,1\n",
+    "long-and-token": "x1,y1\nabc,1,2\n",
+    "token-before-oversize-field": "x1,y1\n1,abc\n1," + "1" * 200_000 + "\n",
+}
+
+
+def _read(reader, path):
+    """reader(path), or the type and message of the error it raises."""
+    try:
+        ds = reader(path)
+    except (DataError, csv.Error) as exc:
+        return type(exc), str(exc)
+    return (ds.inputs.shape, ds.inputs.tobytes(),
+            ds.targets.shape, ds.targets.tobytes())
+
+
+class TestCsvMatchesOracle:
+    @pytest.mark.parametrize("text", VALID_CSV.values(), ids=VALID_CSV)
+    def test_valid_file_reads_bitwise_as_the_oracle(self, tmp_path, text):
+        path = tmp_path / "ds.csv"
+        path.write_bytes(text.encode())
+        got = _read(dm.read_csv, path)
+        assert got == _read(csv_oracle.read_csv, path)
+        assert got[0][0] >= 1    # a dataset, not an error
+
+    @pytest.mark.parametrize("text", MALFORMED_CSV.values(), ids=MALFORMED_CSV)
+    def test_malformed_file_gives_the_oracles_error(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        got = _read(dm.read_csv, path)
+        assert got == _read(csv_oracle.read_csv, path)
+        assert got[0] is DataError
+
+    def test_oversize_field_alone_is_the_csv_modules_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,y1\n1,2\n1," + "1" * 200_000 + "\n")
+        got = _read(dm.read_csv, path)
+        assert got == _read(csv_oracle.read_csv, path)
+        assert got[0] is csv.Error
+
+    def test_undecodable_bytes_after_a_bad_record(self, tmp_path):
+        # the decoder fails chunks after the bad record: it is reported
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"x1,y1\n1,abc\n" + b"1,2\n" * 5000 + b"\xff\n")
+        got = _read(dm.read_csv, path)
+        assert got == _read(csv_oracle.read_csv, path)
+        assert got[0] is DataError and ":2:" in got[1]
+
+    @pytest.mark.parametrize("n_rows, n_x, n_y", [(0, 1, 1), (1, 2, 1),
+                                                  (50, 3, 2), (300, 1, 1)])
+    def test_written_bytes_equal_the_oracles(self, tmp_path, n_rows, n_x, n_y):
+        rng = np.random.default_rng(n_rows + 10 * n_x + 100 * n_y)
+        values = rng.uniform(-1.0, 1.0, size=(n_rows, n_x + n_y)) \
+            * 10.0 ** rng.integers(-320, 309, size=(n_rows, n_x + n_y))
+        specials = [1e308, -1e308, -0.0, 0.0, 5e-324, -2.5e-310, 1.0, -1.0]
+        values.flat[:len(specials)] = specials[:values.size]
+        ds = dm.Dataset(values[:, :n_x], values[:, n_x:])
+        dm.write_csv(ds, tmp_path / "new.csv")
+        csv_oracle.write_csv(ds, tmp_path / "old.csv")
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "old.csv").read_bytes())
 
 
 class TestCsv:

@@ -189,8 +189,11 @@ class TestTrainLoop:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             tr.TrainConfig(optimizer="sgd")
-        with pytest.raises(ValueError):
-            tr.TrainConfig(epochs=-1)
+
+    @pytest.mark.parametrize("epochs", [-1, 2.5, 2.0, True, "3", None])
+    def test_epochs_must_be_a_nonnegative_int(self, epochs):
+        with pytest.raises(ValueError, match="^epochs must be an integer"):
+            tr.TrainConfig(epochs=epochs)
 
     @pytest.mark.parametrize("history", [-1, 1.5, 2.0, True, "3", None])
     def test_history_must_be_a_nonnegative_int(self, history):
