@@ -180,13 +180,17 @@ def _first_bad_record(path, rows, width: int) -> None:
 def read_csv(path) -> Dataset:
     """A CSV of header x1..xn,y1..ym and records of n + m finite numbers.
     All cells are converted and checked at once; only a file that fails
-    is scanned record by record, for its first offending record."""
+    is scanned record by record, for its first offending record. A line
+    the csv module refuses (a field over its size limit) is a DataError
+    naming path:line, after any bad record before it."""
     with reading(path, DataError, "CSV") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty CSV file") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
         n_x = sum(1 for h in header if h.startswith("x"))
         n_y = sum(1 for h in header if h.startswith("y"))
         if n_x + n_y != len(header) or n_x == 0 or n_y == 0:
@@ -197,10 +201,12 @@ def read_csv(path) -> Dataset:
         try:
             for row in reader:
                 rows.append(row)
-        except (csv.Error, OSError, UnicodeDecodeError):
+        except (csv.Error, OSError, UnicodeDecodeError) as exc:
             # a bad record read before the failure is reported first
             _first_bad_record(path, rows, width)
-            raise
+            if not isinstance(exc, csv.Error):
+                raise                          # `reading` names the file
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     try:

@@ -12,11 +12,14 @@ matrix and one least-squares solve.
 
 Cox-de Boor evaluation (`bspline_basis`) builds the least-squares
 design matrix only. For evaluation, each layer of edges is converted
-once to piecewise-polynomial tables (per-edge breakpoints and Taylor
-coefficients of every piece, stacked over the layer). Every edge's
-knots must be the uniform ones of `make_knots`, so an input's piece is
-one multiply away, and a layer is that multiply, a gather and a Horner
-sweep over the (rows, n_out, n_in) grid of each row block.
+once to piecewise-polynomial tables (breakpoints and Taylor
+coefficients of every piece). Every edge's knots must be the uniform
+ones of `make_knots`, so an input's piece is one multiply away. The
+outputs whose edges share each input's knots form a class (a calibrated
+layer is one class). For each row block and class, the piece and the
+offset t in it are computed once per (row, input); one gather of
+(input, piece) coefficient blocks and one contraction with
+(1, t, .., t^D, silu(x)) give every output of the class.
 """
 
 from __future__ import annotations
@@ -191,17 +194,33 @@ def _power_form(knots, coefs, degree: int, scale):
 
 
 class _PiecewiseLayer:
-    """An n_out x n_in grid of spline edges as stacked tables.
+    """An n_out x n_in grid of spline edges as per-class tables.
 
-    _powers (D + 1, N * M * W): row m holds the t^m coefficient of every
-    piece of every edge, W pieces per edge, padded with zeros. D is the
-    largest degree in the layer and W the largest piece count.
-    lo, hi, w_base (N, M): spline domain and silu weight of each edge.
+    The outputs fall into K classes. In a class, the edges of each input
+    share one domain and one knot span and piece count (first, last, G),
+    compared by bit pattern, so they share the input's piece index;
+    their degrees may differ. A calibrated layer is one class; edges
+    with ranges of their own give up to n_out. D is the largest degree
+    in the layer and W the largest piece count.
+
+    lo, hi, _first, _scale (K, 1, n_in): domain, first breakpoint and
+    pieces over span of each class's edges, broadcast over rows.
+    _left (K * n_in * W,): the left breakpoints of the pieces of each
+    (class, input), padded with zeros; class k starts at _offset[k].
+    _base (n_in,), _last (K, 1, n_in): index of an input's first and
+    last piece within its class.
+    _classes: (outputs, table) of each class. table (n_in * W, D + 2,
+    n_c) holds for each (input, piece) the coefficients of t^0 .. t^D of
+    the edges from that input to the class's outputs, then their w_base,
+    the coefficient of silu(x). Padded pieces and degrees hold zeros.
 
     Every edge's knots are uniform (see _check_knots), so the piece of
     an input comes from one multiply: trunc((x - first breakpoint) *
     pieces / span), capped at the last piece; t is (x - its stored left
-    breakpoint) * pieces / span, in piece widths whatever the span.
+    breakpoint) * pieces / span, in piece widths whatever the span. Both
+    are computed once per (class, row, input). Each class then gathers
+    one coefficient block per (row, input) and contracts the blocks with
+    (1, t, .., t^D, silu(x)).
     """
 
     def __init__(self, grid):
@@ -212,10 +231,6 @@ class _PiecewiseLayer:
         self.n_out, self.n_in = n_out, n_in
         edges = [edge for row in grid for edge in row]
         domain = np.array([edge.domain for edge in edges], dtype=np.float64)
-        self.lo = domain[:, 0].reshape(n_out, n_in)
-        self.hi = domain[:, 1].reshape(n_out, n_in)
-        self.w_base = np.array([edge.w_base for edge in edges],
-                               dtype=np.float64).reshape(n_out, n_in)
         groups: dict = {}
         for k, edge in enumerate(edges):
             key = (int(edge.degree), len(edge.knots), len(edge.coefficients))
@@ -223,24 +238,44 @@ class _PiecewiseLayer:
         degree_max = max(d for d, _, _ in groups)
         width = max(n - 2 * d - 1 for d, n, _ in groups)
         left = np.zeros((len(edges), width))
-        coefs = np.zeros((len(edges), width, degree_max + 1))
+        coefs = np.zeros((len(edges), width, degree_max + 2))
         scale = np.empty(len(edges))
-        pieces = np.empty(len(edges), dtype=np.intp)
+        # first knot, last knot and piece count, which with the degree
+        # give the knots
+        span = np.empty((len(edges), 3))
         for (degree, n, n_coef), rows in groups.items():
             knots = np.array([edges[k].knots for k in rows], dtype=np.float64)
             scale[rows] = _check_knots(knots, degree, n_coef, domain[rows])
-            pieces[rows] = g = n - 2 * degree - 1
+            g = n - 2 * degree - 1
+            span[rows] = np.column_stack([knots[:, 0], knots[:, -1],
+                                          np.full(len(rows), g)])
             left[rows, :g] = knots[:, degree:n - degree - 1]
             coefs[rows, :g, :degree + 1] = _power_form(
                 knots, np.array([edges[k].coefficients for k in rows],
                                 dtype=np.float64), degree, scale[rows, None])
-        self._first = left[:, 0].reshape(n_out, n_in)
-        self._scale = scale.reshape(n_out, n_in)
-        self._left = left.ravel()
-        self._powers = coefs.reshape(-1, degree_max + 1).T.copy()
-        self._base = (np.arange(len(edges)) * width).reshape(n_out, n_in)
-        # flat index of each edge's last piece
-        self._last = self._base + pieces.reshape(n_out, n_in) - 1
+            coefs[rows, :g, -1] = [[edges[k].w_base] for k in rows]
+        # keyed by bit pattern, so that -0.0 and 0.0 give their own class
+        key = np.hstack([domain, span]).reshape(n_out, -1)
+        classes: dict = {}
+        for j, row in enumerate(key):
+            classes.setdefault(row.tobytes(), []).append(j)
+        self._classes = []
+        for outputs in map(np.array, classes.values()):
+            # (n_c, n_in, W, D + 2) -> (n_in, W, D + 2, n_c), contiguous so
+            # that take does not copy it first
+            table = np.moveaxis(coefs[outputs[:, None] * n_in
+                                      + np.arange(n_in)], 0, -1).copy()
+            self._classes.append((outputs, table.reshape(
+                n_in * width, degree_max + 2, len(outputs))))
+        # the edges of each class's first output
+        ref = (np.array([outputs[0] for outputs, _ in self._classes])
+               [:, None, None] * n_in + np.arange(n_in))
+        self.lo, self.hi = domain[ref, 0], domain[ref, 1]
+        self._first, self._scale = left[ref, 0], scale[ref]
+        self._left = left[ref].ravel()
+        self._offset = np.arange(len(ref))[:, None, None] * (n_in * width)
+        self._base = np.arange(n_in) * width
+        self._last = self._base + span[ref, 2].astype(np.intp) - 1
 
     def evaluate(self, x):
         """x (B, n_in) -> (outputs (B, n_out), number of inputs outside
@@ -257,27 +292,41 @@ class _PiecewiseLayer:
 
     def _evaluate(self, x):
         """evaluate of a (B, n_in) batch in one piece."""
-        x = x[:, None, :]
+        n_rows = len(x)
         # fmax/fmin send NaN into the domain too, so the piece index is a
-        # finite number; silu(x) below still makes that output NaN
-        xc = np.fmin(np.fmax(x, self.lo), self.hi)
+        # finite number; silu(x) still makes that output NaN
+        xc = np.fmin(np.fmax(x, self.lo), self.hi)         # (K, B, n_in)
         # the clamp moved the inputs outside their domain, and every NaN
-        clamped = (int(np.count_nonzero(xc != x))
-                   - self.n_out * int(np.count_nonzero(np.isnan(x))))
-        # flat index of each sample's piece
+        moved = xc != x
+        # index of each input's piece within its class
         u = xc - self._first
         u *= self._scale
         pos = u.astype(np.intp)
         pos += self._base
         np.minimum(pos, self._last, out=pos)
-        t = xc - self._left.take(pos)
+        t = xc - self._left.take(pos + self._offset)
         t *= self._scale                       # in piece widths
-        y = self._powers[-1].take(pos)
-        for c in self._powers[-2::-1]:
-            y *= t
-            y += c.take(pos)
-        y += self.w_base * silu(x)
-        return y.sum(axis=2), clamped
+        n_powers = self._classes[0][1].shape[1]
+        powers = np.empty(t.shape + (n_powers,))
+        powers[..., 0] = 1.0
+        powers[..., 1] = t
+        for m in range(2, n_powers - 1):
+            np.multiply(powers[..., m - 1], t, out=powers[..., m])
+        powers[..., -1] = silu(x)
+        k = self.n_in * n_powers
+        y = np.empty((n_rows, self.n_out))
+        # each moved input counts once per output of its class
+        clamped = -self.n_out * int(np.count_nonzero(np.isnan(x)))
+        for c, (outputs, table) in enumerate(self._classes):
+            clamped += len(outputs) * int(np.count_nonzero(moved[c]))
+            # einsum("bk,bkj->bj") as the batched matmul that
+            # einsum(optimize=True) would run; einsum's own loop over the
+            # class's outputs is 2-4 times slower
+            y[:, outputs] = np.matmul(
+                powers[c].reshape(n_rows, 1, k),
+                table.take(pos[c], axis=0).reshape(n_rows, k, len(outputs))
+            )[:, 0]
+        return y, clamped
 
 
 def _check_knots(knots, degree: int, n_coef: int, domain) -> np.ndarray:

@@ -507,6 +507,8 @@ _FLAG_CASES = [
     # inputs that cannot be read or decoded
     ("eval-csv-missing", ["eval", *_CKPT, "--data", "{tmp}/missing.csv"], 3),
     ("eval-csv-undecodable", ["eval", *_CKPT, "--data", "{undecodable}"], 3),
+    ("eval-csv-oversize-field", ["eval", *_CKPT, "--data", "{big}"], 3, None,
+     "big.csv:3: field larger than field limit"),
     ("eval-checkpoint-undecodable",
      ["eval", "--checkpoint", "{undecodable}", "--data", "{csv}/x2y1.csv"], 3),
     ("train-config-undecodable", ["train", "--config", "{undecodable}"], 2),
@@ -559,6 +561,8 @@ def hostile_inputs(workspace):
     (unopenable / "train-images-idx3-ubyte").mkdir()
     taken = workspace / "taken"
     taken.write_text("a file, not a directory\n")
+    big = workspace / "big.csv"
+    big.write_text("x1,x2,y1\n0.5,0.5,0.5\n0.5,0.5," + "5" * 200_000 + "\n")
     undecodable = workspace / "undecodable"
     undecodable.write_bytes(b"\xff\xfe" + "x1,y1\n".encode("utf-16-le"))
     # finite parameters whose forward pass overflows: each output of
@@ -574,7 +578,7 @@ def hostile_inputs(workspace):
     edge_overflow = workspace / "edge-overflow.json"
     save_checkpoint(net, edge_overflow, doc["provenance"])
     return {"csv": csv_dir, "idx": idx_dir, "idx_unopenable": unopenable,
-            "file": taken, "undecodable": undecodable,
+            "file": taken, "undecodable": undecodable, "big": big,
             "ckpt": workspace / "run" / "best.json", "overflow": overflow,
             "edge_overflow": edge_overflow,
             "data": workspace / "data"}

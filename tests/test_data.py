@@ -150,6 +150,13 @@ def _read(reader, path):
             ds.targets.shape, ds.targets.tobytes())
 
 
+def assert_oversize_field_at(path, line):
+    with pytest.raises(DataError) as exc:
+        dm.read_csv(path)
+    assert str(exc.value).startswith(
+        f"{path}:{line}: field larger than field limit")
+
+
 class TestCsvMatchesOracle:
     @pytest.mark.parametrize("text", VALID_CSV.values(), ids=VALID_CSV)
     def test_valid_file_reads_bitwise_as_the_oracle(self, tmp_path, text):
@@ -167,12 +174,18 @@ class TestCsvMatchesOracle:
         assert got == _read(csv_oracle.read_csv, path)
         assert got[0] is DataError
 
-    def test_oversize_field_alone_is_the_csv_modules_error(self, tmp_path):
+    def test_oversize_field_alone_is_a_data_error(self, tmp_path):
+        # the oracle lets the csv module's error escape; read_csv names
+        # the line instead
         path = tmp_path / "bad.csv"
         path.write_text("x1,y1\n1,2\n1," + "1" * 200_000 + "\n")
-        got = _read(dm.read_csv, path)
-        assert got == _read(csv_oracle.read_csv, path)
-        assert got[0] is csv.Error
+        assert _read(csv_oracle.read_csv, path)[0] is csv.Error
+        assert_oversize_field_at(path, 3)
+
+    def test_oversize_header_field_is_a_data_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,y" + "1" * 200_000 + "\n1,2\n")
+        assert_oversize_field_at(path, 1)
 
     def test_undecodable_bytes_after_a_bad_record(self, tmp_path):
         # the decoder fails chunks after the bad record: it is reported

@@ -2,9 +2,9 @@
 
 scipy.interpolate.BSpline serves as the independent oracle for the
 Cox-de Boor basis evaluation; the per-edge loop in `spline_oracle`
-is the oracle for the stacked piecewise-polynomial network kernel, and
-the edge-by-edge loop in `distill_oracle` the oracle for the
-layer-batched distillation.
+and the Horner kernel in `horner_spline_kernel` are the oracles for the
+per-class spline-layer kernel, and the edge-by-edge loop in
+`distill_oracle` the oracle for the layer-batched distillation.
 """
 
 import json
@@ -19,6 +19,7 @@ from qkan.errors import DataError, FitError, NumericalError
 from qkan.network import QkanLayer, QkanNetwork, make_hqkan
 
 import distill_oracle
+import horner_spline_kernel
 import spline_oracle
 
 scipy_interp = pytest.importorskip("scipy.interpolate")
@@ -190,6 +191,14 @@ class TestNetworkDistillation:
         assert snet.clamp_count(calib + 10.0) > 0
 
 
+def assert_matches_horner(snet, x, out, count):
+    """out and count agree with the Horner kernel: elementwise to
+    rounding, NaN where it has NaN, and the clamp count exactly."""
+    ref, ref_count = horner_spline_kernel.evaluate(snet, x)
+    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-14)
+    assert count == ref_count
+
+
 def assert_matches_oracle(snet, x):
     ref, ref_count = spline_oracle.evaluate(snet, x)
     out, count = snet.evaluate(x)
@@ -197,6 +206,7 @@ def assert_matches_oracle(snet, x):
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert count == ref_count
     assert type(count) is int
+    assert_matches_horner(snet, x, out, count)
 
 
 def assert_close_to_oracle(snet, x):
@@ -208,6 +218,7 @@ def assert_close_to_oracle(snet, x):
         out, count = snet.evaluate(x)
     np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-14)
     assert count == ref_count
+    assert_matches_horner(snet, x, out, count)
     return out, count
 
 
@@ -244,7 +255,8 @@ def mixed_grid(degree=None):
 
 
 class TestStackedKernel:
-    """The stacked tables against one Cox-de Boor evaluation per edge."""
+    """The layer kernel against one Cox-de Boor evaluation per edge and
+    against the Horner kernel."""
 
     @pytest.mark.parametrize("degree", [1, 2, 3])
     @pytest.mark.parametrize("hqkan", [False, True])
@@ -296,10 +308,13 @@ class TestStackedKernel:
                 edge.w_base = 0.3 * i - 0.2 * j
         snet = distill.SplineNetwork.from_json(
             distill.SplineNetwork(edges=[grid]).to_json())
-        # (powers, out, in, piece); W = 17, the most pieces
-        powers = snet._layers[0]._powers.reshape(4, 2, 3, 17)
-        assert not powers[:, 0, 0, 3:].any()
-        assert not powers[2:, 0, 0].any()
+        # one class: (in, piece, power, out); W = 17, the most pieces,
+        # and D + 2 = 5 rows, t^0 .. t^3 and the silu weight
+        [(outputs, table)] = snet._layers[0]._classes
+        assert outputs.tolist() == [0, 1]
+        table = table.reshape(3, 17, 5, 2)
+        assert not table[0, 3:, :, 0].any()
+        assert not table[0, :, 2:4, 0].any()
         probe = np.concatenate([xs, [-3.0, 5.0, -1.0, 2.0]])
         assert_matches_oracle(snet, np.stack([probe, probe[::-1], probe + 0.1],
                                              axis=1))
@@ -344,8 +359,8 @@ class TestStackedKernel:
         ends = np.where(x == np.inf, hi, np.where(x == -np.inf, lo, x))
         # silu(+-inf) is +-inf or NaN, so only the spline part can show
         # the clamp
-        monkeypatch.setattr(distill, "silu", np.zeros_like)
-        monkeypatch.setattr(spline_oracle, "silu", np.zeros_like)
+        for module in (distill, spline_oracle, horner_spline_kernel):
+            monkeypatch.setattr(module, "silu", np.zeros_like)
         out, count = assert_close_to_oracle(snet, x)
         assert np.array_equal(out, snet.evaluate(ends)[0])
         assert count == 2 * 5
@@ -399,6 +414,79 @@ class TestStackedKernel:
         model.coefficients[2] = np.nan
         with pytest.raises(NumericalError):
             distill.SplineNetwork(edges=[[[model]]]).to_json()
+
+    @pytest.mark.parametrize("hqkan", [False, True])
+    def test_empty_batch(self, hqkan):
+        rng = np.random.default_rng(295)
+        net = (make_hqkan(5, 2, r=2, hidden_shape=(3,), rng=rng)
+               if hqkan else QkanNetwork.init([3, 4, 2], 2, rng))
+        calib = rng.uniform(-1.0, 1.0, size=(50, net.in_dim))
+        snet, _ = distill.distill_network(
+            net, distill.calibrate_domains(net, calib), grid_size=5)
+        out, count = snet.evaluate(np.empty((0, net.in_dim)))
+        assert out.shape == (0, net.out_dim)
+        assert count == 0 and type(count) is int
+        edge = snet.edges[-1][0][0]
+        assert edge.eval(np.empty(0)).shape == (0,)
+        assert edge.eval(np.empty((0, 3))).shape == (0, 3)
+
+
+def layer_classes(snet):
+    """The outputs of each class of each layer of `snet`."""
+    return [[outputs.tolist() for outputs, _ in layer._classes]
+            for layer in snet._layers]
+
+
+class TestKernelClasses:
+    """Outputs whose edges share each input's domain and knots share one
+    piece index per input: one class. Every split matches both
+    oracles."""
+
+    @pytest.mark.parametrize("hqkan", [False, True])
+    def test_calibrated_layers_are_one_class(self, hqkan):
+        rng = np.random.default_rng(296)
+        net = (make_hqkan(5, 2, r=2, hidden_shape=(3,), rng=rng,
+                          angle_scale=1.0) if hqkan
+               else QkanNetwork.init([3, 4, 2], 2, rng, angle_scale=1.0))
+        calib = rng.uniform(-1.0, 1.0, size=(100, net.in_dim))
+        snet, _ = distill.distill_network(
+            net, distill.calibrate_domains(net, calib), grid_size=7)
+        assert layer_classes(snet) == [[list(range(layer.n_out))]
+                                       for layer in net.layers]
+        assert_close_to_oracle(snet, np.vstack([calib, 3.0 * calib]))
+
+    def test_hand_built_domains_give_a_class_per_output(self):
+        rng = np.random.default_rng(297)
+        net = QkanNetwork.init([3, 4, 2], 2, rng, angle_scale=1.0)
+        snet, _ = distill.distill_network(
+            net, hand_built_domains(net, rng), grid_size=7)
+        assert layer_classes(snet) == [[[0], [1], [2], [3]], [[0], [1]]]
+        probe = rng.uniform(-3.0, 2.0, size=(200, 3))
+        _, count = assert_close_to_oracle(snet, probe)
+        assert count > 0
+
+    def test_mixed_layer(self):
+        rng = np.random.default_rng(298)
+        net = QkanNetwork.init([3, 4, 2], 2, rng, angle_scale=1.0)
+        calib = rng.uniform(-1.0, 1.0, size=(100, 3))
+        domains = distill.calibrate_domains(net, calib)
+        domains[(0, 2, 1)] = (-3.0, 2.0)      # output 2 leaves its class
+        # equal as numbers, but not as bit patterns
+        domains[(1, 0, 0)], domains[(1, 1, 0)] = (0.0, 4.0), (-0.0, 4.0)
+        snet, _ = distill.distill_network(net, domains, grid_size=7)
+        assert layer_classes(snet) == [[[0, 1, 3], [2]], [[0], [1]]]
+        _, count = assert_close_to_oracle(
+            snet, np.vstack([calib, 3.0 * calib]))
+        assert count > 0
+
+    def test_degrees_may_differ_within_a_class(self):
+        xs = np.linspace(-1.0, 2.0, 90)
+        grid = [[distill_oracle.fit_spline(xs, np.sin((j + 1) * xs + i),
+                                           grid_size=6, degree=d)
+                 for i in range(2)] for j, d in enumerate([1, 3, 2])]
+        snet = distill.SplineNetwork(edges=[grid])
+        assert layer_classes(snet) == [[[0, 1, 2]]]
+        assert_close_to_oracle(snet, breakpoint_probe(grid))
 
 
 def _hqkan_spline_doc():
