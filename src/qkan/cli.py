@@ -357,6 +357,12 @@ def cmd_extend(args) -> int:
 
 
 def cmd_distill(args) -> int:
+    n_coef = args.grid_size + args.degree
+    if n_coef > distillmod.SAMPLES:
+        raise ConfigError(f"--grid-size {args.grid_size} with --degree "
+                          f"{args.degree} needs {n_coef} coefficients per "
+                          f"edge, more than the {distillmod.SAMPLES} "
+                          f"samples it is fitted to")
     net, _ = load_checkpoint(args.checkpoint)
     dataset = _read_data_for(net, args.data)
     calibrated = distillmod._calibrated(net, dataset.inputs)

@@ -150,14 +150,17 @@ def write_csv(dataset: Dataset, path) -> None:
     """Header x1..xn,y1..ym; values at 17 significant digits, one record
     per CRLF-ended line, the bytes csv.writer writes (no value needs
     quoting). Written atomically: a failed write leaves no partial file."""
-    n_x = dataset.inputs.shape[1]
-    n_y = dataset.targets.shape[1]
-    header = [f"x{i + 1}" for i in range(n_x)] + [f"y{i + 1}" for i in range(n_y)]
+    header = _header(dataset.inputs.shape[1], dataset.targets.shape[1])
     values = np.hstack([dataset.inputs, dataset.targets])
     record = ",".join(["{:.17g}"] * len(header)) + "\r\n"
     text = ",".join(header) + "\r\n" \
         + (record * len(values)).format(*values.ravel().tolist())
     atomic_write_text(path, text)
+
+
+def _header(n_x: int, n_y: int) -> list[str]:
+    """The CSV header x1..xn,y1..ym of n inputs and m targets."""
+    return [f"x{i + 1}" for i in range(n_x)] + [f"y{i + 1}" for i in range(n_y)]
 
 
 def _first_bad_record(path, rows, width: int) -> None:
@@ -178,9 +181,10 @@ def _first_bad_record(path, rows, width: int) -> None:
 
 
 def read_csv(path) -> Dataset:
-    """A CSV of header x1..xn,y1..ym and records of n + m finite numbers.
-    All cells are converted and checked at once; only a file that fails
-    is scanned record by record, for its first offending record. A line
+    """A CSV of header exactly x1..xn,y1..ym (n, m >= 1) and records of
+    n + m finite numbers. All cells are converted and checked at once;
+    only a file that fails is scanned record by record, for its first
+    offending record. A line
     the csv module refuses (a field over its size limit) is a DataError
     naming path:line, after any bad record before it."""
     with reading(path, DataError, "CSV") as fh:
@@ -192,8 +196,8 @@ def read_csv(path) -> Dataset:
         except csv.Error as exc:
             raise DataError(f"{path}:{reader.line_num}: {exc}") from None
         n_x = sum(1 for h in header if h.startswith("x"))
-        n_y = sum(1 for h in header if h.startswith("y"))
-        if n_x + n_y != len(header) or n_x == 0 or n_y == 0:
+        n_y = len(header) - n_x
+        if n_x == 0 or n_y == 0 or header != _header(n_x, n_y):
             raise DataError(f"{path}: header must be x1..xn,y1..ym, "
                             f"got {header}")
         width = n_x + n_y

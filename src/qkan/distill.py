@@ -5,21 +5,20 @@ Each edge is sampled on a grid, and the quantum part of its output
 coefficients on a clamped uniform knot vector. The silu residual path
 is carried over symbolically, so the spline only has to fit the smooth
 bounded circuit output. Out-of-domain evaluation clamps to the nearest
-boundary. The inputs are checked before any circuit runs; then all of
-a layer's edges are sampled together, one circuit call per row block of
-sample points, and the edges that share a domain share one design
-matrix and one least-squares solve.
+boundary. A domain, and with it the knots, belongs to a layer input:
+every edge fed by one input shares them. The inputs are checked before
+any circuit runs; then all of a layer's edges are sampled together, one
+circuit call per row block of sample points, and each input's edges
+share one design matrix and one least-squares solve.
 
 Cox-de Boor evaluation (`bspline_basis`) builds the least-squares
 design matrix only. For evaluation, each layer of edges is converted
-once to piecewise-polynomial tables (breakpoints and Taylor
+once to a piecewise-polynomial table (breakpoints and Taylor
 coefficients of every piece). Every edge's knots must be the uniform
-ones of `make_knots`, so an input's piece is one multiply away. The
-outputs whose edges share each input's knots form a class (a calibrated
-layer is one class). For each row block and class, the piece and the
-offset t in it are computed once per (row, input); one gather of
-(input, piece) coefficient blocks and one contraction with
-(1, t, .., t^D, silu(x)) give every output of the class.
+ones of `make_knots`, so an input's piece is one multiply away. For
+each row block, the piece and the offset t in it are computed once per
+(row, input); one gather of (input, piece) coefficient blocks and one
+contraction with (1, t, .., t^D, silu(x)) give every output.
 """
 
 from __future__ import annotations
@@ -42,6 +41,8 @@ SPLINE_KEYS = ("format", "format_version", "encoder", "decoder", "layers")
 
 #: calibrate_domains widens each observed input range by this fraction of it
 CALIBRATION_WIDEN = 0.1
+#: sample points per input domain that distill_network fits by default
+SAMPLES = 256
 
 
 def make_knots(lo: float, hi: float, grid_size: int, degree: int) -> np.ndarray:
@@ -194,33 +195,30 @@ def _power_form(knots, coefs, degree: int, scale):
 
 
 class _PiecewiseLayer:
-    """An n_out x n_in grid of spline edges as per-class tables.
+    """An n_out x n_in grid of spline edges as one table.
 
-    The outputs fall into K classes. In a class, the edges of each input
-    share one domain and one knot span and piece count (first, last, G),
-    compared by bit pattern, so they share the input's piece index;
-    their degrees may differ. A calibrated layer is one class; edges
-    with ranges of their own give up to n_out. D is the largest degree
-    in the layer and W the largest piece count.
+    The edges fed by one input share that input's domain and knot span
+    and piece count (first, last, G), compared by bit pattern, so they
+    share its piece index; their degrees may differ. D is the largest
+    degree in the layer and W the largest piece count.
 
-    lo, hi, _first, _scale (K, 1, n_in): domain, first breakpoint and
-    pieces over span of each class's edges, broadcast over rows.
-    _left (K * n_in * W,): the left breakpoints of the pieces of each
-    (class, input), padded with zeros; class k starts at _offset[k].
-    _base (n_in,), _last (K, 1, n_in): index of an input's first and
-    last piece within its class.
-    _classes: (outputs, table) of each class. table (n_in * W, D + 2,
-    n_c) holds for each (input, piece) the coefficients of t^0 .. t^D of
-    the edges from that input to the class's outputs, then their w_base,
-    the coefficient of silu(x). Padded pieces and degrees hold zeros.
+    lo, hi, _first, _scale (n_in,): domain, first breakpoint and pieces
+    over span of each input's edges.
+    _left (n_in * W,): the left breakpoints of each input's pieces,
+    padded with zeros.
+    _base, _last (n_in,): index of an input's first and last piece.
+    _table (n_in * W, D + 2, n_out): for each (input, piece), the
+    coefficients of t^0 .. t^D of the edges from that input to every
+    output, then their w_base, the coefficient of silu(x). Padded
+    pieces and degrees hold zeros.
 
     Every edge's knots are uniform (see _check_knots), so the piece of
     an input comes from one multiply: trunc((x - first breakpoint) *
     pieces / span), capped at the last piece; t is (x - its stored left
     breakpoint) * pieces / span, in piece widths whatever the span. Both
-    are computed once per (class, row, input). Each class then gathers
-    one coefficient block per (row, input) and contracts the blocks with
-    (1, t, .., t^D, silu(x)).
+    are computed once per (row, input). One gather of a coefficient
+    block per (row, input) and one contraction with
+    (1, t, .., t^D, silu(x)) give every output.
     """
 
     def __init__(self, grid):
@@ -254,28 +252,22 @@ class _PiecewiseLayer:
                 knots, np.array([edges[k].coefficients for k in rows],
                                 dtype=np.float64), degree, scale[rows, None])
             coefs[rows, :g, -1] = [[edges[k].w_base] for k in rows]
-        # keyed by bit pattern, so that -0.0 and 0.0 give their own class
-        key = np.hstack([domain, span]).reshape(n_out, -1)
-        classes: dict = {}
-        for j, row in enumerate(key):
-            classes.setdefault(row.tobytes(), []).append(j)
-        self._classes = []
-        for outputs in map(np.array, classes.values()):
-            # (n_c, n_in, W, D + 2) -> (n_in, W, D + 2, n_c), contiguous so
-            # that take does not copy it first
-            table = np.moveaxis(coefs[outputs[:, None] * n_in
-                                      + np.arange(n_in)], 0, -1).copy()
-            self._classes.append((outputs, table.reshape(
-                n_in * width, degree_max + 2, len(outputs))))
-        # the edges of each class's first output
-        ref = (np.array([outputs[0] for outputs, _ in self._classes])
-               [:, None, None] * n_in + np.arange(n_in))
-        self.lo, self.hi = domain[ref, 0], domain[ref, 1]
-        self._first, self._scale = left[ref, 0], scale[ref]
-        self._left = left[ref].ravel()
-        self._offset = np.arange(len(ref))[:, None, None] * (n_in * width)
+        # compared by bit pattern, so that -0.0 and 0.0 differ
+        key = np.hstack([domain, span]).view(np.int64).reshape(n_out, n_in, 5)
+        differ = np.any(key != key[0], axis=(0, 2))
+        if differ.any():
+            raise ValueError(f"the edges of input {int(np.argmax(differ))} "
+                             f"differ in domain or knot span")
+        # (n_out, n_in, W, D + 2) -> (n_in, W, D + 2, n_out), contiguous so
+        # that take does not copy it first
+        self._table = np.moveaxis(
+            coefs.reshape(n_out, n_in, width, degree_max + 2), 0, -1
+        ).copy().reshape(n_in * width, degree_max + 2, n_out)
+        self.lo, self.hi = domain[:n_in, 0], domain[:n_in, 1]
+        self._first, self._scale = left[:n_in, 0], scale[:n_in]
+        self._left = left[:n_in].ravel()
         self._base = np.arange(n_in) * width
-        self._last = self._base + span[ref, 2].astype(np.intp) - 1
+        self._last = self._base + span[:n_in, 2].astype(np.intp) - 1
 
     def evaluate(self, x):
         """x (B, n_in) -> (outputs (B, n_out), number of inputs outside
@@ -295,18 +287,19 @@ class _PiecewiseLayer:
         n_rows = len(x)
         # fmax/fmin send NaN into the domain too, so the piece index is a
         # finite number; silu(x) still makes that output NaN
-        xc = np.fmin(np.fmax(x, self.lo), self.hi)         # (K, B, n_in)
-        # the clamp moved the inputs outside their domain, and every NaN
-        moved = xc != x
-        # index of each input's piece within its class
+        xc = np.fmin(np.fmax(x, self.lo), self.hi)
+        # the clamp moved the inputs outside their domain, and every NaN;
+        # each moved input counts once per output
+        clamped = self.n_out * int(np.count_nonzero(xc != x)
+                                   - np.count_nonzero(np.isnan(x)))
         u = xc - self._first
         u *= self._scale
         pos = u.astype(np.intp)
         pos += self._base
         np.minimum(pos, self._last, out=pos)
-        t = xc - self._left.take(pos + self._offset)
+        t = xc - self._left.take(pos)
         t *= self._scale                       # in piece widths
-        n_powers = self._classes[0][1].shape[1]
+        n_powers = self._table.shape[1]
         powers = np.empty(t.shape + (n_powers,))
         powers[..., 0] = 1.0
         powers[..., 1] = t
@@ -314,19 +307,13 @@ class _PiecewiseLayer:
             np.multiply(powers[..., m - 1], t, out=powers[..., m])
         powers[..., -1] = silu(x)
         k = self.n_in * n_powers
-        y = np.empty((n_rows, self.n_out))
-        # each moved input counts once per output of its class
-        clamped = -self.n_out * int(np.count_nonzero(np.isnan(x)))
-        for c, (outputs, table) in enumerate(self._classes):
-            clamped += len(outputs) * int(np.count_nonzero(moved[c]))
-            # einsum("bk,bkj->bj") as the batched matmul that
-            # einsum(optimize=True) would run; einsum's own loop over the
-            # class's outputs is 2-4 times slower
-            y[:, outputs] = np.matmul(
-                powers[c].reshape(n_rows, 1, k),
-                table.take(pos[c], axis=0).reshape(n_rows, k, len(outputs))
-            )[:, 0]
-        return y, clamped
+        # einsum("bk,bkj->bj") as the batched matmul that
+        # einsum(optimize=True) would run; einsum's own loop over the
+        # outputs is 2-4 times slower
+        y = np.matmul(powers.reshape(n_rows, 1, k),
+                      self._table.take(pos, axis=0).reshape(n_rows, k,
+                                                            self.n_out))
+        return y[:, 0], clamped
 
 
 def _check_knots(knots, degree: int, n_coef: int, domain) -> np.ndarray:
@@ -464,14 +451,15 @@ def _linear_from_dict(doc: dict, key: str) -> LinearLayer | None:
     return LinearLayer(weight=weight, bias=bias)
 
 
-def calibrate_domains(net: QkanNetwork, inputs) -> dict:
-    """Observed per-edge input ranges over a calibration set, widened by
+def calibrate_domains(net: QkanNetwork, inputs) -> list:
+    """Observed input ranges over a calibration set, widened by
     CALIBRATION_WIDEN of the range (split evenly between the two ends);
     an input that never varies gets 0.5 on each side.
 
-    Keys are (layer_index, out_node, in_node); every edge fed by one
-    input gets that input's range. A layer whose inputs give no finite
-    domain lo < hi raises NumericalError.
+    Returns one float64 (n_in, 2) array of (lo, hi) per QKAN layer: the
+    range of each of its inputs, which every edge fed by that input
+    shares. A layer whose inputs give no finite domain lo < hi raises
+    NumericalError.
     """
     return next(_calibrated(net, inputs))
 
@@ -485,17 +473,15 @@ def _calibrated(net: QkanNetwork, inputs):
                      "calibration inputs")
     if net.encoder is not None:
         x = net.encoder.forward(x)
-    domains = {}
+    domains = []
     for li, layer in enumerate(net.layers):
         lo, hi = x.min(axis=0), x.max(axis=0)
         span = hi - lo
         pad = np.where(span > 0, 0.5 * CALIBRATION_WIDEN * span, 0.5)
-        lo, hi = (lo - pad).tolist(), (hi + pad).tolist()
-        if not all(-np.inf < a < b < np.inf for a, b in zip(lo, hi)):
+        lo, hi = lo - pad, hi + pad
+        if not np.all((-np.inf < lo) & (lo < hi) & (hi < np.inf)):
             raise NumericalError(f"layer {li}: no finite calibration domain")
-        for i in range(layer.n_in):
-            for j in range(layer.n_out):
-                domains[(li, j, i)] = (lo[i], hi[i])
+        domains.append(np.column_stack([lo, hi]))
         if li + 1 < len(net.layers):
             x = layer.forward(x)
     yield domains
@@ -509,75 +495,77 @@ def _calibrated(net: QkanNetwork, inputs):
     yield x
 
 
-def distill_network(net: QkanNetwork, domains: dict, grid_size: int = 20,
-                    degree: int = 3, samples: int = 256):
+def distill_network(net: QkanNetwork, domains: list, grid_size: int = 20,
+                    degree: int = 3, samples: int = SAMPLES):
     """Distill every edge; returns (SplineNetwork, per-edge fit report).
 
-    Before any circuit runs, grid_size and degree must be >= 1 and every
-    domain must satisfy lo < hi (ValueError), and `samples` must reach
-    grid_size + degree, an edge's coefficient count (FitError). Then
-    each layer is sampled at `samples` uniform points of every edge's
-    domain, in the row blocks of block_rows (so the circuit's working
-    memory is bounded by network.BLOCK_BYTES), and edges with bitwise
-    equal domains share one least-squares solve, in the order of their
-    first edge. Non-finite samples or coefficients (NumericalError) and
-    a rank-deficient design (FitError) name the edge.
+    `domains` holds one (n_in, 2) array of (lo, hi) per QKAN layer, as
+    calibrate_domains gives it: every edge fed by one input is fitted
+    on that input's domain. Before any circuit runs, grid_size and
+    degree must be >= 1, the domains must have those shapes and satisfy
+    lo < hi (ValueError), and `samples` must reach grid_size + degree,
+    an edge's coefficient count (FitError). Then each layer is sampled
+    at `samples` uniform points of every input's domain, in the row
+    blocks of block_rows (so the circuit's working memory is bounded by
+    network.BLOCK_BYTES), and each input gets one least-squares solve,
+    with the samples of its n_out edges as right-hand sides. The report
+    has one entry per edge, keyed (layer, out, in). Non-finite samples
+    or coefficients (NumericalError) and a rank-deficient design
+    (FitError) name the edge.
     """
     if grid_size < 1 or degree < 1:
         raise ValueError("grid_size and degree must be >= 1")
     n_coef = grid_size + degree
     if samples < n_coef:
         raise FitError(f"need at least {n_coef} samples, got {samples}")
-    bounds = []
-    for li, layer in enumerate(net.layers):
-        b = np.array([domains[(li, j, i)] for j in range(layer.n_out)
-                      for i in range(layer.n_in)], dtype=np.float64)
-        if b.shape != (layer.n_out * layer.n_in, 2):
-            raise ValueError("each domain must be a (lo, hi) pair")
-        if not np.all(b[:, 0] < b[:, 1]):
-            raise ValueError("lo must be below hi")
-        bounds.append(b)
+    if len(domains) != len(net.layers):
+        raise ValueError(f"domains must hold one array per layer "
+                         f"({len(net.layers)}), got {len(domains)}")
+    domains = [np.asarray(b, dtype=np.float64) for b in domains]
+    for li, (layer, b) in enumerate(zip(net.layers, domains)):
+        if b.shape != (layer.n_in, 2):
+            raise ValueError(f"layer {li} domains must have shape "
+                             f"({layer.n_in}, 2), got {b.shape}")
+    if not all(np.all(b[:, 0] < b[:, 1]) for b in domains):
+        raise ValueError("lo must be below hi")
     grids, report = [], {}
-    for li, (layer, b) in enumerate(zip(net.layers, bounds)):
-        n_in = layer.n_in
+    for li, (layer, b) in enumerate(zip(net.layers, domains)):
 
-        def named(k: int, what: str) -> str:
-            return f"edge (layer {li}, out {k // n_in}, in {k % n_in}): {what}"
+        def named(j: int, i: int, what: str) -> str:
+            return f"edge (layer {li}, out {j}, in {i}): {what}"
 
-        row = layer.as_row()
-        xs = np.linspace(b[:, 0], b[:, 1], samples)            # (S, K)
-        ys = np.empty_like(xs)
-        for rows in row_blocks(samples, block_rows([row])):
-            z = daruan.circuit_expectation(row.enc_w, row.enc_b, row.angles,
-                                           xs[rows])
-            ys[rows] = (row.w_quant * z + row.out_bias)[:, 0]
-        finite = np.isfinite(ys).all(axis=0)
+        xs = np.linspace(b[:, 0], b[:, 1], samples)         # (S, n_in)
+        ys = np.empty((layer.n_out, layer.n_in, samples))
+        for rows in row_blocks(samples, block_rows([layer])):
+            z, _ = daruan.circuit_forward(layer.enc_w, layer.enc_b,
+                                          layer.angles, xs[rows])
+            z *= layer.w_quant[..., None]
+            z += layer.out_bias[..., None]
+            ys[..., rows] = z
+        finite = np.isfinite(ys).all(axis=2)
         if not finite.all():
-            raise NumericalError(named(int(np.argmin(finite)),
-                                       "circuit samples are not finite"))
-        # keyed by bit pattern, so that -0.0 and 0.0 give their own knots
-        groups: dict = {}
-        for k, key in enumerate(map(tuple, b.view(np.int64).tolist())):
-            groups.setdefault(key, []).append(k)
-        models = [None] * len(b)
-        for cols in groups.values():
+            j, i = np.unravel_index(np.argmin(finite), finite.shape)
+            raise NumericalError(named(j, i, "circuit samples are not finite"))
+        columns = []
+        for i in range(layer.n_in):
             try:
-                fitted = _fit_columns(xs[:, cols[0]], ys[:, cols], grid_size,
-                                      degree, tuple(b[cols[0]].tolist()))
+                fitted = _fit_columns(xs[:, i], ys[:, i].T, grid_size,
+                                      degree, tuple(b[i].tolist()))
             except FitError as exc:
-                raise FitError(named(cols[0], str(exc))) from exc
-            for k, model in zip(cols, fitted):
+                raise FitError(named(0, i, str(exc))) from exc
+            for j, model in enumerate(fitted):
                 if not np.isfinite(model.coefficients).all():
                     raise NumericalError(named(
-                        k, "fitted spline coefficients are not finite"))
-                model.w_base = float(row.w_base[0, k])
-                model.out_bias = float(row.out_bias[0, k])
-                models[k] = model
+                        j, i, "fitted spline coefficients are not finite"))
+                model.w_base = float(layer.w_base[j, i])
+                model.out_bias = float(layer.out_bias[j, i])
+            columns.append(fitted)
         del xs, ys  # freed before the next layer is sampled
-        grids.append([models[j:j + n_in] for j in range(0, len(b), n_in)])
-        for k, model in enumerate(models):
-            report[(li, k // n_in, k % n_in)] = {"max_err": model.fit_max_err,
-                                                 "rms_err": model.fit_rms_err}
+        grids.append([list(row) for row in zip(*columns)])
+        for j, row in enumerate(grids[-1]):
+            for i, model in enumerate(row):
+                report[(li, j, i)] = {"max_err": model.fit_max_err,
+                                      "rms_err": model.fit_rms_err}
     spline_net = SplineNetwork(
         edges=grids,
         encoder=net.encoder.copy() if net.encoder else None,

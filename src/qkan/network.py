@@ -222,13 +222,6 @@ class QkanLayer(_Stage):
         return cls(*(np.asarray(getattr(p, name))[None, None]
                      for name in cls.PARAMS))
 
-    def as_row(self) -> "QkanLayer":
-        """The same edges as a 1 x (n_out * n_in) layer of reshape views,
-        in row-major (out, in) order."""
-        k = self.n_out * self.n_in
-        return type(self)(*(a.reshape((1, k) + a.shape[2:])
-                            for a in self.arrays()))
-
     def get_edge(self, j: int, i: int) -> DaruanParams:
         values = (a[j, i] for a in self.arrays())
         return DaruanParams(*(v.copy() if v.ndim else float(v)

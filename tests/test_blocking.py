@@ -477,13 +477,14 @@ class TestBoundedMemory:
                                                               monkeypatch):
         # the circuit samples each layer in row blocks; the fits are cut
         # to 64 samples each, so only sampling grows with `samples`, and
-        # its (S, K) sample arrays xs and ys are left out of the peak
+        # its sample points xs (S, n_in) and samples ys (S, K) are left
+        # out of the peak
         rng = np.random.default_rng(43)
         net = QkanNetwork.init([8, 4], 6, rng, angle_scale=1.0)
-        k = 32
+        n_in, k = 8, 32
         monkeypatch.setattr(network, "BLOCK_BYTES", 8 * k * 64)
-        domains = {(0, j, i): (-1.0 - 0.1 * (4 * i + j), 1.0)
-                   for j in range(4) for i in range(8)}
+        domains = [np.column_stack([-1.0 - 0.4 * np.arange(n_in),
+                                    np.ones(n_in)])]
         fit = distill._fit_columns
 
         def thinned(xs, ys, *args):
@@ -500,7 +501,7 @@ class TestBoundedMemory:
                 peak = tracemalloc.get_traced_memory()[1] - start
             finally:
                 tracemalloc.stop()
-            excess[samples] = peak - 2 * 8 * samples * k
+            excess[samples] = peak - 8 * samples * (n_in + k)
         # one (S, K) float64 array at 4096 samples is 1 MiB; a layer
         # sampled in one piece adds r + 3 of them
         assert excess[4096] <= excess[256] + 2 ** 17, excess

@@ -437,6 +437,16 @@ _FLAG_CASES = [
      ["distill", *_CKPT, "--data", "{csv}/x2y1.csv", "--grid-size", "0"], 2),
     ("distill-degree-0",
      ["distill", *_CKPT, "--data", "{csv}/x2y1.csv", "--degree", "0"], 2),
+    # more coefficients than distill's 256 samples: refused before the
+    # (here missing) checkpoint is read
+    ("distill-grid-size-over-samples",
+     ["distill", "--checkpoint", "{tmp}/missing.json", "--data",
+      "{csv}/x2y1.csv", "--grid-size", "254"], 2, None,
+     "--grid-size 254 with --degree 3 needs 257 coefficients per edge, "
+     "more than the 256 samples"),
+    ("distill-degree-over-samples",
+     ["distill", *_CKPT, "--data", "{csv}/x2y1.csv", "--grid-size", "200",
+      "--degree", "57"], 2),
     ("extend-same-r",
      ["extend", *_CKPT, "--new-r", "2", "--out", "{tmp}/deeper.json"], 2),
     ("extend-lower-r",
@@ -448,6 +458,8 @@ _FLAG_CASES = [
     ("mnist-lr-nan", ["mnist-demo", "--data-dir", "{idx}", "--lr", "nan"], 2),
     ("eval-csv-inputs", ["eval", *_CKPT, "--data", "{csv}/x3y1.csv"], 3),
     ("eval-csv-targets", ["eval", *_CKPT, "--data", "{csv}/x2y2.csv"], 3),
+    ("eval-csv-header-order", ["eval", *_CKPT, "--data", "{csv}/y1x1x2.csv"],
+     3, None, "header must be x1..xn,y1..ym, got ['y1', 'x1', 'x2']"),
     ("distill-csv-inputs", ["distill", *_CKPT, "--data", "{csv}/x3y1.csv"], 3),
     ("distill-csv-targets", ["distill", *_CKPT, "--data", "{csv}/x2y2.csv"],
      3),
@@ -546,6 +558,8 @@ def hostile_inputs(workspace):
         rows = [",".join(["0.5"] * (n_x + n_y))] * 4
         (csv_dir / f"x{n_x}y{n_y}.csv").write_text(
             "\n".join([",".join(header), *rows]) + "\n")
+    # the columns of x2y1.csv, but the target first
+    (csv_dir / "y1x1x2.csv").write_text("y1,x1,x2\n" + "0.5,0.5,0.5\n" * 4)
     idx_dir = workspace / "idx"
     idx_dir.mkdir()
     for split in ("train", "t10k"):

@@ -258,6 +258,19 @@ class TestCsv:
         with pytest.raises(DataError):
             dm.read_csv(path)
 
+    @pytest.mark.parametrize("header", ["y1,x1,x2", "x2,x1,y1", "x1,y2",
+                                        "x1,x1,y1", "x1,y1,x2", "x1 ,y1",
+                                        "X1,Y1"])
+    def test_header_must_be_x1_to_xn_then_y1_to_ym(self, tmp_path, header):
+        # the former rule, kept in csv_oracle, counted the cells that
+        # start with x or y; it read all of these but X1,Y1, and read
+        # y1,x1,x2 with the target as input x1
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n1,2,3\n")
+        with pytest.raises(DataError, match=r"header must be x1\.\.xn,"
+                                            r"y1\.\.ym, got \["):
+            dm.read_csv(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

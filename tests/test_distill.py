@@ -3,7 +3,7 @@
 scipy.interpolate.BSpline serves as the independent oracle for the
 Cox-de Boor basis evaluation; the per-edge loop in `spline_oracle`
 and the Horner kernel in `horner_spline_kernel` are the oracles for the
-per-class spline-layer kernel, and the edge-by-edge loop in
+one-table spline-layer kernel, and the edge-by-edge loop in
 `distill_oracle` the oracle for the layer-batched distillation.
 """
 
@@ -62,7 +62,7 @@ def distill_one_edge(p, lo, hi, **kw):
     """The spline that distill_network gives edge p as a 1x1 network on
     the domain [lo, hi]."""
     net = QkanNetwork(layers=[QkanLayer.of_edge(p)])
-    snet, _ = distill.distill_network(net, {(0, 0, 0): (lo, hi)}, **kw)
+    snet, _ = distill.distill_network(net, [np.array([[lo, hi]])], **kw)
     return snet.edges[0][0][0]
 
 
@@ -166,7 +166,7 @@ class TestNetworkDistillation:
         calib = np.random.default_rng(206).uniform(0.0, 1.0, size=(100, 2))
         domains = distill.calibrate_domains(net, calib)
         assert distill.CALIBRATION_WIDEN == 0.1
-        lo, hi = domains[(0, 0, 0)]
+        lo, hi = domains[0][0]
         xmin, xmax = calib[:, 0].min(), calib[:, 0].max()
         span = xmax - xmin
         np.testing.assert_allclose(lo, xmin - 0.05 * span, atol=1e-12)
@@ -236,8 +236,9 @@ def breakpoint_probe(grid):
 
 
 def mixed_grid(degree=None):
-    """Two outputs by three inputs whose edges differ in grid size,
-    domain and, unless `degree` is given, degree; one fit per edge."""
+    """Two outputs by three inputs, whose edges differ from input to
+    input in grid size and domain and, unless `degree` is given, from
+    edge to edge in degree; one fit per edge."""
     grid = []
     for j in range(2):
         row = []
@@ -246,8 +247,8 @@ def mixed_grid(degree=None):
                                             (8, 2, -40.0, 7.0)]):
             xs = np.linspace(lo, hi, 90)
             edge = distill_oracle.fit_spline(xs, np.sin((j + 1) * xs + i),
-                                             grid_size=g + j,
-                                             degree=degree or d)
+                                             grid_size=g,
+                                             degree=degree or (d + j) % 3 + 1)
             edge.w_base = 0.3 * i - 0.2 * j
             row.append(edge)
         grid.append(row)
@@ -308,11 +309,9 @@ class TestStackedKernel:
                 edge.w_base = 0.3 * i - 0.2 * j
         snet = distill.SplineNetwork.from_json(
             distill.SplineNetwork(edges=[grid]).to_json())
-        # one class: (in, piece, power, out); W = 17, the most pieces,
+        # one table: (in, piece, power, out); W = 17, the most pieces,
         # and D + 2 = 5 rows, t^0 .. t^3 and the silu weight
-        [(outputs, table)] = snet._layers[0]._classes
-        assert outputs.tolist() == [0, 1]
-        table = table.reshape(3, 17, 5, 2)
+        table = snet._layers[0]._table.reshape(3, 17, 5, 2)
         assert not table[0, 3:, :, 0].any()
         assert not table[0, :, 2:4, 0].any()
         probe = np.concatenate([xs, [-3.0, 5.0, -1.0, 2.0]])
@@ -431,19 +430,35 @@ class TestStackedKernel:
         assert edge.eval(np.empty((0, 3))).shape == (0, 3)
 
 
-def layer_classes(snet):
-    """The outputs of each class of each layer of `snet`."""
-    return [[outputs.tolist() for outputs, _ in layer._classes]
-            for layer in snet._layers]
+def input_edge_grid(change=None):
+    """Two outputs by two inputs fitted on [0, 1] with G = 4. `change`
+    makes edge (out 1, in 1) differ from edge (out 0, in 1) in its
+    domain alone (its knots stay), in its grid size, or in the sign of
+    its zero lower end alone (domain and first knot)."""
+    xs = np.linspace(0.0, 1.0, 40)
+    grid = [[distill_oracle.fit_spline(xs, np.sin((j + 1) * xs + i),
+                                       grid_size=4, domain=(0.0, 1.0))
+             for i in range(2)] for j in range(2)]
+    ys = np.sin(2 * xs + 1)
+    if change == "domain":
+        grid[1][1].domain = (0.0, 0.5)
+    elif change == "grid size":
+        grid[1][1] = distill_oracle.fit_spline(xs, ys, grid_size=5,
+                                               domain=(0.0, 1.0))
+    elif change == "signed zero":
+        grid[1][1] = distill_oracle.fit_spline(xs, ys, grid_size=4,
+                                               domain=(-0.0, 1.0))
+    return grid
 
 
-class TestKernelClasses:
-    """Outputs whose edges share each input's domain and knots share one
-    piece index per input: one class. Every split matches both
-    oracles."""
+class TestOneTable:
+    """Every edge fed by one input shares that input's domain and knots,
+    so a layer is one table and each input has one piece index; degrees
+    may differ. Layers match both oracles, and an input whose edges
+    differ is refused."""
 
     @pytest.mark.parametrize("hqkan", [False, True])
-    def test_calibrated_layers_are_one_class(self, hqkan):
+    def test_calibrated_layers_are_one_table(self, hqkan):
         rng = np.random.default_rng(296)
         net = (make_hqkan(5, 2, r=2, hidden_shape=(3,), rng=rng,
                           angle_scale=1.0) if hqkan
@@ -451,42 +466,33 @@ class TestKernelClasses:
         calib = rng.uniform(-1.0, 1.0, size=(100, net.in_dim))
         snet, _ = distill.distill_network(
             net, distill.calibrate_domains(net, calib), grid_size=7)
-        assert layer_classes(snet) == [[list(range(layer.n_out))]
-                                       for layer in net.layers]
-        assert_close_to_oracle(snet, np.vstack([calib, 3.0 * calib]))
-
-    def test_hand_built_domains_give_a_class_per_output(self):
-        rng = np.random.default_rng(297)
-        net = QkanNetwork.init([3, 4, 2], 2, rng, angle_scale=1.0)
-        snet, _ = distill.distill_network(
-            net, hand_built_domains(net, rng), grid_size=7)
-        assert layer_classes(snet) == [[[0], [1], [2], [3]], [[0], [1]]]
-        probe = rng.uniform(-3.0, 2.0, size=(200, 3))
-        _, count = assert_close_to_oracle(snet, probe)
+        # (n_in * G, D + 2, n_out): t^0 .. t^3 and the silu weight
+        assert [layer._table.shape for layer in snet._layers] == [
+            (layer.n_in * 7, 5, layer.n_out) for layer in net.layers]
+        _, count = assert_close_to_oracle(snet, np.vstack([calib,
+                                                           3.0 * calib]))
         assert count > 0
 
-    def test_mixed_layer(self):
-        rng = np.random.default_rng(298)
-        net = QkanNetwork.init([3, 4, 2], 2, rng, angle_scale=1.0)
-        calib = rng.uniform(-1.0, 1.0, size=(100, 3))
-        domains = distill.calibrate_domains(net, calib)
-        domains[(0, 2, 1)] = (-3.0, 2.0)      # output 2 leaves its class
-        # equal as numbers, but not as bit patterns
-        domains[(1, 0, 0)], domains[(1, 1, 0)] = (0.0, 4.0), (-0.0, 4.0)
-        snet, _ = distill.distill_network(net, domains, grid_size=7)
-        assert layer_classes(snet) == [[[0, 1, 3], [2]], [[0], [1]]]
-        _, count = assert_close_to_oracle(
-            snet, np.vstack([calib, 3.0 * calib]))
-        assert count > 0
-
-    def test_degrees_may_differ_within_a_class(self):
+    def test_degrees_may_differ_per_edge(self):
         xs = np.linspace(-1.0, 2.0, 90)
         grid = [[distill_oracle.fit_spline(xs, np.sin((j + 1) * xs + i),
                                            grid_size=6, degree=d)
                  for i in range(2)] for j, d in enumerate([1, 3, 2])]
         snet = distill.SplineNetwork(edges=[grid])
-        assert layer_classes(snet) == [[[0, 1, 2]]]
+        assert snet._layers[0]._table.shape == (2 * 6, 5, 3)
         assert_close_to_oracle(snet, breakpoint_probe(grid))
+
+    @pytest.mark.parametrize("change", ["domain", "grid size", "signed zero"])
+    def test_edges_of_one_input_must_share_domain_and_knots(self, change):
+        text = distill.SplineNetwork(edges=[input_edge_grid()]).to_json()
+        grid = input_edge_grid(change)
+        with pytest.raises(ValueError, match="^the edges of input 1 differ"):
+            distill.SplineNetwork(edges=[grid])
+        doc = json.loads(text)
+        doc["layers"][0][1][1] = grid[1][1].to_dict()
+        with pytest.raises(DataError, match="^spline network: the edges of "
+                                            "input 1 differ"):
+            distill.SplineNetwork.from_json(json.dumps(doc))
 
 
 def _hqkan_spline_doc():
@@ -590,8 +596,17 @@ class TestSplineJson:
                 distill.SplineNetwork.from_json(text[:cut])
 
 
+def edge_domains(net, domains):
+    """The per-edge dict {(layer, out, in): (lo, hi)} that the oracles
+    take, from one (n_in, 2) array per layer."""
+    return {(li, j, i): tuple(b[i].tolist())
+            for li, (layer, b) in enumerate(zip(net.layers, domains))
+            for j in range(layer.n_out) for i in range(layer.n_in)}
+
+
 def assert_distilled_like_oracle(net, domains, probe, **kw):
-    ref, ref_report = distill_oracle.distill_network(net, domains, **kw)
+    ref, ref_report = distill_oracle.distill_network(
+        net, edge_domains(net, domains), **kw)
     snet, report = distill.distill_network(net, domains, **kw)
     assert list(report) == list(ref_report)
     for key, errs in report.items():
@@ -616,20 +631,15 @@ def assert_distilled_like_oracle(net, domains, probe, **kw):
 
 
 def hand_built_domains(net, rng):
-    """Every (layer, out, in) its own range, except that the edges of
-    each layer's output 0 share one range and, where there are three
-    outputs or more, output 1 repeats the ranges of output 2 shifted by
-    one input."""
-    domains = {}
-    for li, layer in enumerate(net.layers):
-        for j in range(layer.n_out):
-            for i in range(layer.n_in):
-                lo = float(rng.uniform(-2.0, 0.0))
-                domains[(li, j, i)] = (lo, lo + float(rng.uniform(0.5, 3.0)))
+    """For each layer input in order, lo = uniform(-2, 0) and then
+    hi = lo + uniform(0.5, 3), drawn from rng."""
+    domains = []
+    for layer in net.layers:
+        b = np.empty((layer.n_in, 2))
         for i in range(layer.n_in):
-            domains[(li, 0, i)] = domains[(li, 0, 0)]
-            if layer.n_out > 2:
-                domains[(li, 1, i)] = domains[(li, 2, (i + 1) % layer.n_in)]
+            lo = rng.uniform(-2.0, 0.0)
+            b[i] = lo, lo + rng.uniform(0.5, 3.0)
+        domains.append(b)
     return domains
 
 
@@ -692,25 +702,29 @@ class TestBatchedDistillation:
         with pytest.raises(FitError, match="^need at least 23 samples"):
             distill.distill_network(net, domains, samples=1)
         for lo_hi in [(0.5, 0.5), (1.0, -1.0), (np.nan, 1.0)]:
-            bad = dict(domains)
-            bad[(1, 1, 2)] = lo_hi              # the last layer's last edge
+            bad = [b.copy() for b in domains]
+            bad[1][2] = lo_hi                   # the last layer's last input
             with pytest.raises(ValueError, match="^lo must be below hi$"):
                 distill.distill_network(net, bad)
             # the sample count is checked first
             with pytest.raises(FitError, match="^need at least 13"):
                 distill.distill_network(net, bad, **too_few)
-        bad = {k: (0.0, 1.0, 2.0) if k[0] == 1 else v
-               for k, v in domains.items()}
-        with pytest.raises(ValueError, match=r"^each domain must be a \(lo"):
-            distill.distill_network(net, bad)
+        for bad in [domains[:1], domains + domains[:1]]:
+            with pytest.raises(ValueError, match=r"^domains must hold one "
+                                                 r"array per layer \(2\)"):
+                distill.distill_network(net, bad)
+        for b in [domains[1][:2], np.zeros((3, 3)), domains[1].T]:
+            with pytest.raises(ValueError, match=r"^layer 1 domains must "
+                                                 r"have shape \(3, 2\)"):
+                distill.distill_network(net, [domains[0], b])
         assert calls == []
         distill.distill_network(net, domains, samples=40)
-        assert calls == [(40, 6), (40, 6)]
+        assert calls == [(40, 2), (40, 3)]
 
     def test_non_finite_edge_is_named(self):
         rng = np.random.default_rng(261)
         net = QkanNetwork.init([2, 2], 4, rng, angle_scale=3.0)
-        domains = {(0, j, i): (-2.0, 2.0) for j in range(2) for i in range(2)}
+        domains = [np.array([[-2.0, 2.0], [-2.0, 2.0]])]
         layer = net.layers[0]
         # samples 1e307 <Z> + (max - 1e307) are finite, but the fit
         # overshoots them past the largest float
@@ -746,6 +760,7 @@ class TestBatchedDistillation:
 
         monkeypatch.setattr(daruan, "circuit_forward", counted)
         got = distill.calibrate_domains(net, calib)
-        assert got == want and list(got) == list(want)
-        assert all(type(v) is float for pair in got.values() for v in pair)
+        assert [(b.shape, b.dtype) for b in got] == [
+            ((layer.n_in, 2), np.float64) for layer in net.layers]
+        assert edge_domains(net, got) == want
         assert len(calls) == len(net.layers) - 1

@@ -64,18 +64,6 @@ class TestEdgeLayout:
         assert np.shares_memory(layer.angles, p.angles)
         assert self.edge_bytes(layer.get_edge(0, 0)) == self.edge_bytes(p)
 
-    def test_as_row_views_edges_in_row_major_order(self):
-        layer = QkanLayer.init(3, 2, 2, np.random.default_rng(47),
-                               angle_scale=1.0)
-        layer.out_bias[...] = np.arange(6.0).reshape(2, 3)
-        row = layer.as_row()
-        assert (row.n_out, row.n_in, row.r) == (1, 6, 2)
-        assert np.shares_memory(row.enc_w, layer.enc_w)
-        for j in range(2):
-            for i in range(3):
-                assert (self.edge_bytes(row.get_edge(0, 3 * j + i))
-                        == self.edge_bytes(layer.get_edge(j, i)))
-
 
 class TestLayer:
     def test_forward_matches_scalar_loop(self):
