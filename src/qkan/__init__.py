@@ -16,7 +16,7 @@ from .distill import (SplineModel, SplineNetwork, calibrate_domains,
 from .errors import (ConfigError, DataError, FitError, NumericalError,
                      QkanError)
 from .network import (LinearLayer, QkanLayer, QkanNetwork, latent_dim,
-                      make_hqkan, param_count)
+                      make_hqkan)
 from .spectrum import (SpectrumReport, empirical_spectrum,
                        enumerate_frequencies, verify_spectrum)
 from .train import (AdamState, TrainConfig, TrainResult, adam_step,
@@ -35,7 +35,7 @@ __all__ = [
     "extend", "forward",
     "gen_regression", "gen_sinc", "get_spec", "init_daruan", "latent_dim",
     "lbfgs_minimize", "load_checkpoint", "make_hqkan",
-    "mse_loss", "param_count", "parameter_shift_grad", "raw_expectation",
+    "mse_loss", "parameter_shift_grad", "raw_expectation",
     "read_csv", "read_idx", "rmse", "save_checkpoint", "silu", "sinc20",
     "train", "verify_spectrum", "write_csv",
 ]

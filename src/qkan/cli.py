@@ -176,21 +176,25 @@ def _init_rng(seed: int) -> np.random.Generator:
 # --- subcommands ------------------------------------------------------------
 
 
-_GEN_DATA_FIELDS = {
-    "equation": (_string, None, True),
+# the generator's fields, which gen-data and train share
+_GENERATOR_FIELDS = {
     "n-train": (_positive_int, 1000, False),
     "n-test": (_positive_int, 1000, False),
     "noise-frac": (_nonnegative_float, 0.1, False),
     "data-seed": (_nonnegative_int, 0, False),
     "range": (_range_pair, [0.0, 1.0], False),
+}
+
+_GEN_DATA_FIELDS = {
+    "equation": (_string, None, True),
+    **_GENERATOR_FIELDS,
     "out": (_string, None, False),
 }
 
 
 def cmd_gen_data(args) -> int:
     cfg = _merged(args, _GEN_DATA_FIELDS)
-    train_ds, test_ds = _make_dataset(dict(cfg, **{"train-csv": None,
-                                                   "test-csv": None}))
+    train_ds, test_ds = _make_dataset(cfg)
     out = _ensure_out_dir(cfg["out"] or _default_out("data"))
     datamod.write_csv(train_ds, os.path.join(out, "train.csv"))
     datamod.write_csv(test_ds, os.path.join(out, "test.csv"))
@@ -212,11 +216,7 @@ _TRAIN_FIELDS = {
     "lr": (_positive_float, 1e-3, False),
     "history": (_nonnegative_int, 10, False),
     "seeds": (_seeds, DEFAULT_SEEDS, False),
-    "n-train": (_positive_int, 1000, False),
-    "n-test": (_positive_int, 1000, False),
-    "noise-frac": (_nonnegative_float, 0.1, False),
-    "data-seed": (_nonnegative_int, 0, False),
-    "range": (_range_pair, [0.0, 1.0], False),
+    **_GENERATOR_FIELDS,
     "angle-scale": (_nonnegative_float, 0.1, False),
     "out": (_string, None, False),
 }

@@ -41,7 +41,7 @@ SPLINE_KEYS = ("format", "format_version", "encoder", "decoder", "layers")
 
 #: calibrate_domains widens each observed input range by this fraction of it
 CALIBRATION_WIDEN = 0.1
-#: sample points per input domain that distill_network fits by default
+#: sample points per input domain that distill_network fits to
 SAMPLES = 256
 
 
@@ -496,16 +496,16 @@ def _calibrated(net: QkanNetwork, inputs):
 
 
 def distill_network(net: QkanNetwork, domains: list, grid_size: int = 20,
-                    degree: int = 3, samples: int = SAMPLES):
+                    degree: int = 3):
     """Distill every edge; returns (SplineNetwork, per-edge fit report).
 
     `domains` holds one (n_in, 2) array of (lo, hi) per QKAN layer, as
     calibrate_domains gives it: every edge fed by one input is fitted
     on that input's domain. Before any circuit runs, grid_size and
     degree must be >= 1, the domains must have those shapes and satisfy
-    lo < hi (ValueError), and `samples` must reach grid_size + degree,
+    lo < hi (ValueError), and SAMPLES must reach grid_size + degree,
     an edge's coefficient count (FitError). Then each layer is sampled
-    at `samples` uniform points of every input's domain, in the row
+    at SAMPLES uniform points of every input's domain, in the row
     blocks of block_rows (so the circuit's working memory is bounded by
     network.BLOCK_BYTES), and each input gets one least-squares solve,
     with the samples of its n_out edges as right-hand sides. The report
@@ -516,8 +516,8 @@ def distill_network(net: QkanNetwork, domains: list, grid_size: int = 20,
     if grid_size < 1 or degree < 1:
         raise ValueError("grid_size and degree must be >= 1")
     n_coef = grid_size + degree
-    if samples < n_coef:
-        raise FitError(f"need at least {n_coef} samples, got {samples}")
+    if SAMPLES < n_coef:
+        raise FitError(f"need at least {n_coef} samples, got {SAMPLES}")
     if len(domains) != len(net.layers):
         raise ValueError(f"domains must hold one array per layer "
                          f"({len(net.layers)}), got {len(domains)}")
@@ -534,9 +534,9 @@ def distill_network(net: QkanNetwork, domains: list, grid_size: int = 20,
         def named(j: int, i: int, what: str) -> str:
             return f"edge (layer {li}, out {j}, in {i}): {what}"
 
-        xs = np.linspace(b[:, 0], b[:, 1], samples)         # (S, n_in)
-        ys = np.empty((layer.n_out, layer.n_in, samples))
-        for rows in row_blocks(samples, block_rows([layer])):
+        xs = np.linspace(b[:, 0], b[:, 1], SAMPLES)         # (S, n_in)
+        ys = np.empty((layer.n_out, layer.n_in, SAMPLES))
+        for rows in row_blocks(SAMPLES, block_rows([layer])):
             z, _ = daruan.circuit_forward(layer.enc_w, layer.enc_b,
                                           layer.angles, xs[rows])
             z *= layer.w_quant[..., None]

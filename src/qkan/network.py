@@ -265,12 +265,15 @@ class QkanLayer(_Stage):
                  out: list[np.ndarray]) -> np.ndarray:
         """Gradients of sum_b upstream[b] . forward(x[b]).
 
-        `tape_entry` is the (x, circuit tape) that forward recorded.
+        `tape_entry` is the (x, circuit tape) that forward recorded, and
+        upstream must have x's rows (ValueError, before the adjoint).
         The parameter gradients are written into `out`, arrays shaped
         like arrays(), from the batch sums daruan.circuit_adjoint
         returns; the input derivative (B, n_in) is returned.
         """
         x, circuit_tape = tape_entry
+        if len(upstream) != len(x):
+            raise ValueError("upstream batch size must match the input")
         g_enc_w, g_enc_b, g_angles, g_w_base, g_w_quant, g_out_bias = out
         upq = self.w_quant[..., None] * upstream.T[:, None]   # (n_out, n_in, B)
         g_theta, g_beta, g_alpha0, g_w, d_x = daruan.circuit_adjoint(
@@ -383,37 +386,33 @@ class QkanNetwork:
 
     @classmethod
     def init(cls, shape: list[int], r: int, rng: np.random.Generator,
-             angle_scale: float = 0.1, geometric: bool = True) -> "QkanNetwork":
+             angle_scale: float = 0.1) -> "QkanNetwork":
         if len(shape) < 2:
             raise ValueError("shape needs at least input and output widths")
-        layers = [QkanLayer.init(shape[i], shape[i + 1], r, rng,
-                                 angle_scale, geometric)
+        layers = [QkanLayer.init(shape[i], shape[i + 1], r, rng, angle_scale)
                   for i in range(len(shape) - 1)]
         return cls(layers=layers)
 
     def forward(self, x, tape: list | None = None) -> np.ndarray:
         """Network outputs. When `tape` is a list, every stage appends
-        what its backward needs, so that backward(x, upstream, tape)
-        needs no second forward pass."""
+        what its backward needs, so that backward(upstream, tape) needs
+        no second forward pass."""
         x, squeeze = _as_batch(x, self.in_dim, "network input")
         for stage in self.stages():
             x = stage.forward(x, tape)
         return x[0] if squeeze else x
 
-    def backward(self, x, upstream, tape: list) -> NetworkGrads:
+    def backward(self, upstream, tape: list) -> NetworkGrads:
         """Gradients of sum_b upstream[b] . forward(x[b]) for every
         trainable scalar, plus the input derivative.
 
         `tape` is the list that forward(x, tape) filled, one entry per
-        stage; a tape of any other length raises ValueError. backward
-        runs no forward pass. It empties the tape, releasing each
-        stage's entry once used. Each stage writes its gradients into
-        views of one flat buffer.
+        stage; a tape of another length, or an upstream whose rows are
+        not x's, raises ValueError. backward runs no forward pass. It
+        empties the tape, releasing each stage's entry once used. Each
+        stage writes its gradients into views of one flat buffer.
         """
-        x, _ = _as_batch(x, self.in_dim, "network input")
         upstream, _ = _as_batch(upstream, self.out_dim, "upstream")
-        if upstream.shape[0] != x.shape[0]:
-            raise ValueError("upstream batch size must match the input")
         if len(tape) != len(self.stages()):
             raise ValueError(f"tape holds {len(tape)} entries, expected one "
                              f"per stage ({len(self.stages())}); fill it "
@@ -474,25 +473,18 @@ def latent_dim(d: int) -> int:
     return max(2, int(d).bit_length())
 
 
-def make_hqkan(in_dim: int, out_dim: int, r: int, hidden_shape=(),
-               rng: np.random.Generator | None = None,
-               angle_scale: float = 0.1, geometric: bool = True) -> QkanNetwork:
+def make_hqkan(in_dim: int, out_dim: int, r: int, hidden_shape=(), *,
+               rng: np.random.Generator,
+               angle_scale: float = 0.1) -> QkanNetwork:
     """Linear compressor -> QKAN core -> linear expander.
 
     The core runs over [latent(in_dim), *hidden_shape, latent(out_dim)].
     """
     if in_dim < 1 or out_dim < 1:
         raise ValueError("in_dim and out_dim must be positive")
-    if rng is None:
-        rng = np.random.default_rng(0)
     lat_in, lat_out = latent_dim(in_dim), latent_dim(out_dim)
     core_shape = [lat_in, *hidden_shape, lat_out]
-    net = QkanNetwork.init(core_shape, r, rng, angle_scale, geometric)
+    net = QkanNetwork.init(core_shape, r, rng, angle_scale)
     net.encoder = LinearLayer.init(in_dim, lat_in, rng)
     net.decoder = LinearLayer.init(lat_out, out_dim, rng)
     return net
-
-
-def param_count(net: QkanNetwork) -> int:
-    """Exact trainable-scalar count: 5r+6 per edge plus linear layers."""
-    return net.param_count()

@@ -19,11 +19,15 @@ import numpy as np
 from .checkpoint import write_json
 from .daruan import (DaruanParams, _cos_sin, circuit_expectation,
                      theta_offsets)
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .network import QkanLayer
 
 #: merging tolerance for numerically equal signed sums
 DEDUP_TOL = 1e-9
+
+#: most candidate frequencies (3 |F|) one rz may build; 3^12 admits an
+#: r=12 edge with weights 3^k, which `qkan spectrum` reports within 1 GiB
+MAX_FREQUENCIES = 3 ** 12
 
 #: where the series is checked against the circuit, in frequency blocks
 AUDIT_POINTS = np.linspace(-2.0 * np.pi, 2.0 * np.pi, 257)
@@ -36,7 +40,7 @@ class SpectrumReport:
 
     weights: np.ndarray          # encoding weights the set was built from
     frequencies: np.ndarray      # sorted, closed under negation, contains 0
-    coefficients: dict           # frequency -> complex coefficient
+    coefficients: np.ndarray     # complex, one per frequency
     residual_l2: float           # RMS series-minus-circuit at AUDIT_POINTS
 
     @property
@@ -53,9 +57,8 @@ class SpectrumReport:
             "frequencies": list(self.frequencies),
             "nonzero_count": self.nonzero_count,
             "max_frequency": self.max_frequency,
-            "coefficients": [
-                [w, [c.real, c.imag]] for w, c in sorted(self.coefficients.items())
-            ],
+            "coefficients": [[w, [c.real, c.imag]] for w, c in zip(
+                self.frequencies.tolist(), self.coefficients.tolist())],
             "residual_l2": self.residual_l2,
         })
 
@@ -64,10 +67,15 @@ def _propagate(p: DaruanParams):
     """Frequencies and coefficients of <Z>(x), in O(r |F| log |F|) time and
     O(|F|) memory; rz(alpha_0) acts as an rz(theta) with w = 0. After each
     rz a sum within DEDUP_TOL of the sorted sum below it joins that run,
-    which keeps its first sum and adds up its coefficients."""
+    which keeps its first sum and adds up its coefficients. An rz whose
+    3 |F| sums exceed MAX_FREQUENCIES raises ConfigError first."""
     offsets = np.append(p.angles[0, 0], theta_offsets(p.enc_b, p.angles))
     freqs, v = np.zeros(1), np.array([[1.0], [0.0], [0.0]], dtype=complex)
     for w, off, beta in zip(np.append(0.0, p.enc_w), offsets, p.angles[:, 1]):
+        if 3 * freqs.size > MAX_FREQUENCIES:
+            raise ConfigError(f"spectrum audit: {3 * freqs.size} candidate "
+                              f"frequencies exceed the budget of "
+                              f"{MAX_FREQUENCIES}")
         up = 0.5 * np.exp(1j * off) * (v[0] + 1j * v[1])     # to F + w
         down = 0.5 * np.exp(-1j * off) * (v[0] - 1j * v[1])  # to F - w
         zero = np.zeros(freqs.size)
@@ -146,7 +154,7 @@ def empirical_spectrum(p: DaruanParams) -> SpectrumReport:
     report = SpectrumReport(
         weights=p.enc_w.copy(),
         frequencies=freqs,
-        coefficients={float(w): complex(c) for w, c in zip(freqs, coeffs)},
+        coefficients=coeffs,
         residual_l2=float(np.sqrt(np.mean(re * re + im * im))),
     )
     if not np.isfinite(report.residual_l2):

@@ -76,15 +76,15 @@ def adam_step(state: AdamState, params: np.ndarray,
     return params - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def _wolfe_search(fg, x, d, f0, g0, events: list | None = None):
+def _wolfe_search(fg, x, d, f0, g0, events: list):
     """Strong-Wolfe line search along d (Nocedal-style bracket + zoom).
 
     Returns (alpha, f_new, g_new). A trial with a non-finite loss or
     slope counts as a step that is too long. After
     MAX_LINE_SEARCH_TRIALS evaluations without a Wolfe point, the
-    search records an event and returns the trial with the lowest
-    finite loss below f0, without evaluating fg again, or the zero step
-    (0, f0, g0) when no trial lowered the loss.
+    search appends an event to `events` and returns the trial with the
+    lowest finite loss below f0, without evaluating fg again, or the
+    zero step (0, f0, g0) when no trial lowered the loss.
 
     When dg0 <= 0, a trial whose loss is above f0 fails sufficient
     decrease before its gradient is read. So each trial is then
@@ -145,11 +145,10 @@ def _wolfe_search(fg, x, d, f0, g0, events: list | None = None):
         if evals >= MAX_LINE_SEARCH_TRIALS:
             break
 
-    if events is not None:
-        events.append(f"line-search failure after {evals} trials; "
-                      + (f"accepted the best trial step {best[0]:.3e}"
-                         if best[0] else
-                         "no trial lowered the loss, taking a zero step"))
+    events.append(f"line-search failure after {evals} trials; "
+                  + (f"accepted the best trial step {best[0]:.3e}"
+                     if best[0] else
+                     "no trial lowered the loss, taking a zero step"))
     return best
 
 
@@ -279,7 +278,7 @@ def _loss_closure(net: QkanNetwork, dataset: Dataset):
         loss = float(np.sum(resid ** 2))
         if past(loss, bound):
             return loss, None   # the pass stops at this block
-        grad = net.grad_vector(net.backward(x[rows], scale * resid, tape))
+        grad = net.grad_vector(net.backward(scale * resid, tape))
         return loss, grad
 
     def fg(params: np.ndarray, bound: float = math.inf):

@@ -89,7 +89,8 @@ class TestRowBlocks:
         rng = np.random.default_rng(1)
         assert network.block_rows(
             QkanNetwork.init([2, 2, 1], 3, rng).layers) >= 1000
-        assert network.block_rows(make_hqkan(64, 1, r=3).layers) >= 2000
+        assert network.block_rows(
+            make_hqkan(64, 1, r=3, rng=rng).layers) >= 2000
         assert network.block_rows(
             QkanNetwork.init([16, 16], 3, rng).layers) == 128
 
@@ -494,10 +495,11 @@ class TestBoundedMemory:
         monkeypatch.setattr(distill, "_fit_columns", thinned)
         excess = {}
         for samples in (256, 4096):
+            monkeypatch.setattr(distill, "SAMPLES", samples)
             tracemalloc.start()
             try:
                 start = tracemalloc.get_traced_memory()[0]
-                distill.distill_network(net, domains, samples=samples)
+                distill.distill_network(net, domains)
                 peak = tracemalloc.get_traced_memory()[1] - start
             finally:
                 tracemalloc.stop()

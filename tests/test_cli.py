@@ -5,6 +5,8 @@ import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -188,6 +190,28 @@ class TestSpectrum:
         assert run("spectrum", "--r", "3", "--weights", "1,2,4.00000001",
                    "--seed", seed) == 0
         assert capsys.readouterr().out.rstrip().endswith("OK")
+
+    def test_over_budget_edge_exits_2_within_1_gib(self, tmp_path):
+        """Geometric weights at r=24 give 2^25 - 1 frequencies. In a
+        child limited to 1 GiB of address space, the audit stops at the
+        frequency budget with exit 2 and one error line, and writes
+        nothing."""
+        pytest.importorskip("resource")
+        limit = 1 << 30
+        script = ("import resource, sys\n"
+                  f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+                  "from qkan.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "spectrum", "--r", "24",
+             "--weights", "geometric", "--out", str(tmp_path / "s.json")],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error: spectrum audit: ")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == "" and os.listdir(tmp_path) == []
 
 
 class TestExtend:
@@ -416,6 +440,14 @@ def _nan_layers(tmp, monkeypatch):
                         np.full((len(x), self.n_out), np.nan))
 
 
+def _frequency_budget(budget):
+    """A setup that lets the spectrum audit build at most `budget`
+    candidate frequencies per rz."""
+    def setup(tmp, monkeypatch):
+        monkeypatch.setattr(spectrum, "MAX_FREQUENCIES", budget)
+    return setup
+
+
 def _nan_audit(tmp, monkeypatch):
     """Setup: the circuit the spectrum audit checks against returns NaN."""
     monkeypatch.setattr(spectrum, "circuit_expectation", lambda *args:
@@ -433,6 +465,16 @@ _FLAG_CASES = [
     ("spectrum-weights-inf", ["spectrum", "--r", "1", "--weights", "inf"], 2),
     ("spectrum-weights-nan", ["spectrum", "--r", "2", "--weights", "nan,1"],
      2),
+    # geometric r=3 builds 3 * 7 = 21 candidate frequencies at its last
+    # rz; the workspace's r=2 edge builds 3 * 3 = 9
+    ("spectrum-over-frequency-budget",
+     ["spectrum", "--r", "3", "--out", "{tmp}/spectrum.json"], 2,
+     _frequency_budget(20),
+     "spectrum audit: 21 candidate frequencies exceed the budget of 20"),
+    ("spectrum-checkpoint-edge-over-frequency-budget",
+     ["spectrum", *_CKPT, "--out", "{tmp}/spectrum.json"], 2,
+     _frequency_budget(8),
+     "spectrum audit: 9 candidate frequencies exceed the budget of 8"),
     ("distill-grid-size-0",
      ["distill", *_CKPT, "--data", "{csv}/x2y1.csv", "--grid-size", "0"], 2),
     ("distill-degree-0",

@@ -82,11 +82,12 @@ class TestFit:
                 .fit_rms_err for g in (5, 10, 20, 40)]
         assert errs[0] > errs[1] > errs[2] > errs[3]
 
-    def test_too_few_samples_rejected(self):
+    def test_too_few_samples_rejected(self, monkeypatch):
         p = init_daruan(2, np.random.default_rng(200))
+        monkeypatch.setattr(distill, "SAMPLES", 12)
         with pytest.raises(FitError, match="^need at least 13 samples, "
                                            "got 12$"):
-            distill_one_edge(p, 0.0, 1.0, grid_size=10, samples=12)
+            distill_one_edge(p, 0.0, 1.0, grid_size=10)
 
     def test_clustered_samples_rank_deficient(self):
         # all samples in one knot interval cannot determine 13 coefficients
@@ -606,7 +607,7 @@ def edge_domains(net, domains):
 
 def assert_distilled_like_oracle(net, domains, probe, **kw):
     ref, ref_report = distill_oracle.distill_network(
-        net, edge_domains(net, domains), **kw)
+        net, edge_domains(net, domains), samples=distill.SAMPLES, **kw)
     snet, report = distill.distill_network(net, domains, **kw)
     assert list(report) == list(ref_report)
     for key, errs in report.items():
@@ -667,13 +668,13 @@ class TestBatchedDistillation:
         assert (snet.encoder is not None) == (case == "hqkan")
 
     @pytest.mark.parametrize("r", [1, 10])
-    def test_repetition_counts(self, r):
+    def test_repetition_counts(self, r, monkeypatch):
         rng = np.random.default_rng(240 + r)
         net = QkanNetwork.init([2, 3, 2], r, rng, angle_scale=1.0)
         calib = rng.uniform(-1.0, 1.0, size=(120, 2))
         domains = distill.calibrate_domains(net, calib)
-        assert_distilled_like_oracle(net, domains, 3.0 * calib, grid_size=12,
-                                     samples=97)
+        monkeypatch.setattr(distill, "SAMPLES", 97)
+        assert_distilled_like_oracle(net, domains, 3.0 * calib, grid_size=12)
 
     def test_input_errors_raise_before_any_circuit(self, monkeypatch):
         """A grid size or degree below 1, a short sample count, then a
@@ -690,35 +691,42 @@ class TestBatchedDistillation:
             return forward(*args)
 
         monkeypatch.setattr(daruan, "circuit_forward", counted)
-        for bad_size in [dict(grid_size=0), dict(degree=0),
-                         dict(grid_size=-1, samples=1)]:
+        default = distill.SAMPLES
+
+        def distill_with(samples, domains, **kw):
+            monkeypatch.setattr(distill, "SAMPLES", samples)
+            return distill.distill_network(net, domains, **kw)
+
+        for samples, bad_size in [(default, dict(grid_size=0)),
+                                  (default, dict(degree=0)),
+                                  (1, dict(grid_size=-1))]:
             with pytest.raises(ValueError, match="^grid_size and degree "
                                                  "must be >= 1$"):
-                distill.distill_network(net, domains, **bad_size)
-        too_few = dict(grid_size=10, degree=3, samples=12)
+                distill_with(samples, domains, **bad_size)
+        too_few = dict(grid_size=10, degree=3)
         with pytest.raises(FitError, match="^need at least 13 samples, "
                                            "got 12$"):
-            distill.distill_network(net, domains, **too_few)
+            distill_with(12, domains, **too_few)
         with pytest.raises(FitError, match="^need at least 23 samples"):
-            distill.distill_network(net, domains, samples=1)
+            distill_with(1, domains)
         for lo_hi in [(0.5, 0.5), (1.0, -1.0), (np.nan, 1.0)]:
             bad = [b.copy() for b in domains]
             bad[1][2] = lo_hi                   # the last layer's last input
             with pytest.raises(ValueError, match="^lo must be below hi$"):
-                distill.distill_network(net, bad)
+                distill_with(default, bad)
             # the sample count is checked first
             with pytest.raises(FitError, match="^need at least 13"):
-                distill.distill_network(net, bad, **too_few)
+                distill_with(12, bad, **too_few)
         for bad in [domains[:1], domains + domains[:1]]:
             with pytest.raises(ValueError, match=r"^domains must hold one "
                                                  r"array per layer \(2\)"):
-                distill.distill_network(net, bad)
+                distill_with(default, bad)
         for b in [domains[1][:2], np.zeros((3, 3)), domains[1].T]:
             with pytest.raises(ValueError, match=r"^layer 1 domains must "
                                                  r"have shape \(3, 2\)"):
-                distill.distill_network(net, [domains[0], b])
+                distill_with(default, [domains[0], b])
         assert calls == []
-        distill.distill_network(net, domains, samples=40)
+        distill_with(40, domains)
         assert calls == [(40, 2), (40, 3)]
 
     def test_non_finite_edge_is_named(self):

@@ -13,7 +13,7 @@ import pytest
 from qkan import daruan
 from qkan.daruan import DaruanGrad, DaruanParams
 from qkan.network import (LinearLayer, QkanLayer, QkanNetwork, latent_dim,
-                          make_hqkan, param_count)
+                          make_hqkan)
 
 
 def scalar_layer_forward(layer: QkanLayer, x: np.ndarray) -> np.ndarray:
@@ -31,7 +31,7 @@ def taped_backward(net: QkanNetwork, x, upstream):
     """backward after the forward pass that records its tape."""
     tape: list = []
     net.forward(x, tape)
-    return net.backward(x, upstream, tape)
+    return net.backward(upstream, tape)
 
 
 class TestEdgeLayout:
@@ -232,7 +232,7 @@ class TestHqkan:
     def test_param_count_beats_flat_layer(self):
         hq = make_hqkan(64, 10, r=3, rng=np.random.default_rng(82))
         flat = QkanNetwork.init([64, 10], 3, np.random.default_rng(82))
-        assert param_count(hq) < param_count(flat)
+        assert hq.param_count() < flat.param_count()
 
     def test_forward_shape(self):
         net = make_hqkan(12, 3, r=2, rng=np.random.default_rng(83))
@@ -277,6 +277,22 @@ class TestValidation:
     ])
     def test_backward_needs_the_forward_tape(self, tape, error):
         net = make_hqkan(3, 1, r=1, rng=np.random.default_rng(0))
-        x = np.zeros((2, 3))
         with pytest.raises(error):
-            net.backward(x, np.ones((2, 1)), *tape)
+            net.backward(np.ones((2, 1)), *tape)
+
+    @pytest.mark.parametrize("hqkan", [False, True], ids=["plain", "hqkan"])
+    def test_upstream_rows_must_match_the_tape(self, hqkan, monkeypatch):
+        """A 1-row upstream against a 3-row tape raises before any
+        adjoint runs; the last stage of the HQKAN is its linear decoder."""
+        rng = np.random.default_rng(5)
+        net = (make_hqkan(3, 1, r=2, rng=rng) if hqkan
+               else QkanNetwork.init([2, 3, 1], 2, rng))
+        tape: list = []
+        net.forward(rng.normal(size=(3, net.in_dim)), tape)
+        calls = []
+        adjoint = daruan.circuit_adjoint
+        monkeypatch.setattr(daruan, "circuit_adjoint",
+                            lambda *args: calls.append(1) or adjoint(*args))
+        with pytest.raises(ValueError):
+            net.backward(np.ones((1, 1)), tape)
+        assert calls == []

@@ -26,7 +26,7 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
         net = QkanNetwork.init([2, 1], 1, rng)
         x, tape = rng.normal(size=(3, 2)), []
         net.forward(x, tape)
-        net.grad_vector(net.backward(x, np.ones((3, 1)), tape))
+        net.grad_vector(net.backward(np.ones((3, 1)), tape))
         layer = net.layers[0]
         daruan.circuit_gradients(layer.enc_w, layer.enc_b, layer.angles,
                                  rng.normal(size=(3, 2)))

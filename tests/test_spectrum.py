@@ -9,7 +9,7 @@ import pytest
 import spectrum_oracle
 from qkan import spectrum
 from qkan.daruan import DaruanParams, init_daruan
-from qkan.errors import NumericalError
+from qkan.errors import ConfigError, NumericalError
 
 
 def enumerate_sign_patterns(weights):
@@ -80,6 +80,19 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             spectrum.enumerate_frequencies([1.0, np.inf])
 
+    def test_frequency_budget_boundary(self, monkeypatch):
+        # geometric r=3: the last rz builds 3 * 7 = 21 candidate sums
+        p = init_daruan(3, np.random.default_rng(0))
+        monkeypatch.setattr(spectrum, "MAX_FREQUENCIES", 21)
+        assert spectrum.empirical_spectrum(p).frequencies.size == 15
+        monkeypatch.setattr(spectrum, "MAX_FREQUENCIES", 20)
+        for audit in (spectrum.empirical_spectrum,
+                      lambda p: spectrum.enumerate_frequencies(p.enc_w)):
+            with pytest.raises(ConfigError, match="^spectrum audit: 21 "
+                               "candidate frequencies exceed the budget "
+                               "of 20$"):
+                audit(p)
+
 
 class TestEmpiricalSpectrum:
     def test_sine_configuration_coefficients(self):
@@ -90,9 +103,8 @@ class TestEmpiricalSpectrum:
                                           [0.0, np.pi / 2.0, 0.0]]))
         report = spectrum.empirical_spectrum(p)
         np.testing.assert_array_equal(report.frequencies, [-1, 0, 1])
-        np.testing.assert_allclose(report.coefficients[1.0], -0.5j, atol=1e-12)
-        np.testing.assert_allclose(report.coefficients[-1.0], 0.5j, atol=1e-12)
-        np.testing.assert_allclose(report.coefficients[0.0], 0.0, atol=1e-12)
+        np.testing.assert_allclose(report.coefficients, [0.5j, 0.0, -0.5j],
+                                   atol=1e-12)
         assert report.residual_l2 < 1e-12
 
     def test_random_unit_weight_circuits_fit(self):
@@ -200,9 +212,9 @@ class TestClosedForm:
         assert report.frequencies.tobytes() == \
             spectrum.enumerate_frequencies(p.enc_w).tobytes()
         ref = spectrum_oracle.empirical_spectrum(p)
-        got = np.array([report.coefficients[w] for w in report.frequencies])
         want = np.array([ref.coefficients[w] for w in ref.frequencies])
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(report.coefficients, want, rtol=0.0,
+                                   atol=1e-10)
         assert report.residual_l2 < 1e-12
 
     def test_trained_like_r10_edge_audits_in_small_memory(self):

@@ -239,7 +239,7 @@ class TestLossClosure:
         pred = net.forward(ds.inputs, tape)
         up = 2.0 / ds.targets.size * (pred - ds.targets)
         np.testing.assert_array_equal(
-            grad, net.grad_vector(net.backward(ds.inputs, up, tape)))
+            grad, net.grad_vector(net.backward(up, tape)))
         assert loss == np.mean((pred - ds.targets) ** 2)
 
 
@@ -418,7 +418,7 @@ class TestBoundedSearch:
             bounds.append(bound)
             return 1.0 + float(x @ x), 2.0 * x
 
-        tr._wolfe_search(fg, np.zeros(1), np.ones(1), 1.0, np.ones(1))
+        tr._wolfe_search(fg, np.zeros(1), np.ones(1), 1.0, np.ones(1), [])
         assert bounds and all(b == math.inf for b in bounds)
 
 
