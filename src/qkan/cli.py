@@ -363,6 +363,12 @@ def cmd_distill(args) -> int:
                           f"{args.degree} needs {n_coef} coefficients per "
                           f"edge, more than the {distillmod.SAMPLES} "
                           f"samples it is fitted to")
+    rank = distillmod.design_rank(args.grid_size, args.degree)
+    if rank < n_coef:
+        raise ConfigError(f"--grid-size {args.grid_size} with --degree "
+                          f"{args.degree} gives a rank-deficient spline "
+                          f"design matrix at the {distillmod.SAMPLES} "
+                          f"samples (rank {rank} < {n_coef})")
     net, _ = load_checkpoint(args.checkpoint)
     dataset = _read_data_for(net, args.data)
     calibrated = distillmod._calibrated(net, dataset.inputs)

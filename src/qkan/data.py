@@ -163,6 +163,14 @@ def _header(n_x: int, n_y: int) -> list[str]:
     return [f"x{i + 1}" for i in range(n_x)] + [f"y{i + 1}" for i in range(n_y)]
 
 
+def _n_inputs(header: list[str]) -> int:
+    """n of a header x1..xn,y1..ym with n, m >= 1; 0 for any other."""
+    n_x = sum(1 for h in header if h.startswith("x"))
+    if n_x == len(header) or header != _header(n_x, len(header) - n_x):
+        return 0
+    return n_x
+
+
 def _first_bad_record(path, rows, width: int) -> None:
     """Raise the DataError of the first of `rows` (the records after the
     header) that is not `width` finite numbers; return if none is. Within
@@ -180,13 +188,43 @@ def _first_bad_record(path, rows, width: int) -> None:
             raise DataError(f"{path}:{lineno}: non-finite value in {row}")
 
 
-def read_csv(path) -> Dataset:
-    """A CSV of header exactly x1..xn,y1..ym (n, m >= 1) and records of
-    n + m finite numbers. All cells are converted and checked at once;
-    only a file that fails is scanned record by record, for its first
-    offending record. A line
-    the csv module refuses (a field over its size limit) is a DataError
-    naming path:line, after any bad record before it."""
+def _written_layout(text: str):
+    """(values, n) of a CSV text in write_csv's layout, with n inputs,
+    converted by one np.loadtxt call; None for any other text, and for
+    one that numpy refuses or that holds a non-finite value. The layout:
+    CRLF-ended records only, no quote, no NUL, no U+001C..U+001F, no
+    empty line, no line longer than the csv module's field size limit,
+    and the header x1..xn,y1..ym exactly."""
+    lines = text.split("\r\n")
+    # numpy strips the information separators U+001C..U+001F around a
+    # number as whitespace; float refuses them
+    if (lines.pop() != "" or len(lines) < 2
+            or not text.count("\r") == text.count("\n") == len(lines)
+            or any(c in text for c in '"\0\x1c\x1d\x1e\x1f') or "" in lines
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    header = lines[0].split(",")
+    n_x = _n_inputs(header)
+    if not n_x:
+        return None
+    try:
+        values = np.loadtxt(lines[1:], delimiter=",", comments=None,
+                            quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    if (values.shape != (len(lines) - 1, len(header))
+            or not np.all(np.isfinite(values))):
+        return None
+    return values, n_x
+
+
+def _read_records(path):
+    """(values, n) of the CSV at `path`, with n inputs, read with the csv
+    module; a malformed file raises the DataError of its first offending
+    record. All cells are converted and checked at once; only a file
+    that fails is scanned record by record. A line the csv module
+    refuses (a field over its size limit) is a DataError naming
+    path:line, after any bad record before it."""
     with reading(path, DataError, "CSV") as fh:
         reader = csv.reader(fh)
         try:
@@ -195,12 +233,11 @@ def read_csv(path) -> Dataset:
             raise DataError(f"{path}: empty CSV file") from None
         except csv.Error as exc:
             raise DataError(f"{path}:{reader.line_num}: {exc}") from None
-        n_x = sum(1 for h in header if h.startswith("x"))
-        n_y = len(header) - n_x
-        if n_x == 0 or n_y == 0 or header != _header(n_x, n_y):
+        n_x = _n_inputs(header)
+        if not n_x:
             raise DataError(f"{path}: header must be x1..xn,y1..ym, "
                             f"got {header}")
-        width = n_x + n_y
+        width = len(header)
         rows = []
         try:
             for row in reader:
@@ -220,7 +257,31 @@ def read_csv(path) -> Dataset:
     if (arr is None or set(map(len, rows)) != {width}
             or not np.all(np.isfinite(arr))):
         _first_bad_record(path, rows, width)   # raises: some record is bad
-    arr = arr.reshape(len(rows), width)
+    return arr.reshape(len(rows), width), n_x
+
+
+def read_csv(path) -> Dataset:
+    """A CSV of header exactly x1..xn,y1..ym (n, m >= 1) and records of
+    n + m finite numbers.
+
+    A file in write_csv's layout (CRLF-ended records only, no quote, no
+    NUL, no U+001C..U+001F, no empty line, no line longer than the csv
+    module's field size limit, and that header) is converted by numpy's
+    C parser in one np.loadtxt call. Every other file, and every file
+    numpy refuses, is read with the csv module, which alone names a bad
+    record. Both give the same values and the same errors: numpy reads
+    the tokens it accepts as float does, and refuses the rest (1_000,
+    Unicode digits), which the csv-module read then converts or
+    reports."""
+    with reading(path, DataError, "CSV") as fh:
+        try:
+            text = fh.read()
+        except (OSError, UnicodeDecodeError):
+            text = ""   # the csv-module read reports it, after a bad record
+    parsed = _written_layout(text)
+    if parsed is None:
+        parsed = _read_records(path)
+    arr, n_x = parsed
     return Dataset(arr[:, :n_x], arr[:, n_x:])
 
 

@@ -87,6 +87,16 @@ def bspline_basis(knots: np.ndarray, degree: int, x) -> np.ndarray:
     return b[0] if scalar else b
 
 
+def design_rank(grid_size: int, degree: int) -> int:
+    """Rank, with lstsq's tolerance, of the design matrix that a fit of
+    `grid_size` intervals and `degree` solves at SAMPLES uniform points.
+    Knots and samples are affine in the domain, so up to rounding the
+    design is the same on every domain; it is built on [0, 1]."""
+    knots = make_knots(0.0, 1.0, grid_size, degree)
+    design = bspline_basis(knots, degree, np.linspace(0.0, 1.0, SAMPLES))
+    return int(np.linalg.matrix_rank(design))
+
+
 @dataclass
 class SplineModel:
     """Distilled replacement for one activation edge."""
@@ -99,14 +109,6 @@ class SplineModel:
     out_bias: float = 0.0   # informational; already absorbed in coefficients
     fit_max_err: float = 0.0
     fit_rms_err: float = 0.0
-
-    def eval(self, x):
-        """w_base * silu(x) + spline(clamp(x)); only the spline part is
-        clamped since silu is defined everywhere. Runs the layer kernel
-        on a 1x1 layer."""
-        x = np.asarray(x, dtype=np.float64)
-        y, _ = _PiecewiseLayer([[self]]).evaluate(x.reshape(-1, 1))
-        return y.reshape(x.shape)[()]
 
     def to_dict(self) -> dict:
         """Every field, in declaration order; arrays and the domain as

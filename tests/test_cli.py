@@ -486,6 +486,13 @@ _FLAG_CASES = [
       "{csv}/x2y1.csv", "--grid-size", "254"], 2, None,
      "--grid-size 254 with --degree 3 needs 257 coefficients per edge, "
      "more than the 256 samples"),
+    # as many coefficients as samples, but the design is numerically
+    # singular: refused before the checkpoint is read too
+    ("distill-grid-size-rank-deficient",
+     ["distill", "--checkpoint", "{tmp}/missing.json", "--data",
+      "{csv}/x2y1.csv", "--grid-size", "253"], 2, None,
+     "--grid-size 253 with --degree 3 gives a rank-deficient spline design "
+     "matrix at the 256 samples (rank 254 < 256)"),
     ("distill-degree-over-samples",
      ["distill", *_CKPT, "--data", "{csv}/x2y1.csv", "--grid-size", "200",
       "--degree", "57"], 2),

@@ -113,6 +113,16 @@ VALID_CSV = {
     "cr-only": "x1,y1\r1,2\r3,4\r",
     "no-final-newline": "x1,y1\n1,2\n3,4",
     "wide": "x1,x2,x3,y1,y2\n1,2,3,4,5\n6,7,8,9,10\n",
+    # CRLF records like write_csv's: the first three take numpy's path,
+    # the others fall back to the csv module
+    "crlf-written": "x1,x2,y1\r\n0.5,-1e-300,3\r\n"
+                    "1.7976931348623157e308,-0.0,5e-324\r\n",
+    "crlf-padded": "x1,y1\r\n 1.5 ,\t2\r\n-1\x0b,+.25\r\n",
+    "crlf-unicode-spaces": "x1,y1\r\n\u30001.5\xa0,\u20282\x85\r\n",
+    "crlf-lone-cr": "x1,y1\r\n1,2\r3,4\r\n",
+    "crlf-underscores": "x1,y1\r\n1_000,2_0.5\r\n",
+    "crlf-unicode-digits": "x1,y1\r\n\u0661\u0662,\u0663.5\r\n",
+    "crlf-quoted": 'x1,y1\r\n"0.5",1\r\n',
 }
 
 # malformed CSV texts; each must give the oracle's DataError message
@@ -137,6 +147,21 @@ MALFORMED_CSV = {
     "token-and-nan": "x1,x2,y1\nnan,abc,1\n",
     "long-and-token": "x1,y1\nabc,1,2\n",
     "token-before-oversize-field": "x1,y1\n1,abc\n1," + "1" * 200_000 + "\n",
+    # CRLF records that numpy's path must hand to the csv module
+    "crlf-blank-line": "x1,y1\r\n1,2\r\n\r\n3,4\r\n",
+    "crlf-whitespace-line": "x1,y1\r\n1,2\r\n \t\r\n3,4\r\n",
+    "crlf-every-row-long": "x1,y1\r\n1,2,3\r\n4,5,6\r\n",
+    "crlf-lone-cr-short-row": "x1,y1\r\n1,2\r3\r\n",
+    "crlf-lone-cr-at-end": "x1,y1\r\n1,2\r\r\n",
+    "crlf-nul": "x1,y1\r\n1,2\x00\r\n",
+    # numpy would read these as 4 and 5; float refuses them
+    "crlf-information-separator": "x1,y1\r\n1,2\r\n\x1c4,5\r\n",
+    "crlf-information-separator-after": "x1,y1\r\n4\x1f,5\r\n",
+    "crlf-nan": "x1,y1\r\n1,2\r\n1,nan\r\n",
+    "crlf-unicode-digits-then-token": "x1,y1\r\n\u0661,2\r\n1,abc\r\n",
+    "crlf-underscores-misplaced": "x1,y1\r\n1_000,2\r\n1__0,2\r\n",
+    "crlf-quoted-comma": 'x1,y1\r\n"1,5",2\r\n',
+    "crlf-header-only": "x1,y1\r\n",
 }
 
 
@@ -182,6 +207,15 @@ class TestCsvMatchesOracle:
         assert _read(csv_oracle.read_csv, path)[0] is csv.Error
         assert_oversize_field_at(path, 3)
 
+    def test_oversize_zero_field_in_crlf_records_is_a_data_error(self,
+                                                                tmp_path):
+        # float reads the field as 0.0, and so would numpy; the csv
+        # module refuses it, so read_csv does too
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"x1,y1\r\n1,2\r\n1," + b"0" * 200_000 + b"\r\n")
+        assert _read(csv_oracle.read_csv, path)[0] is csv.Error
+        assert_oversize_field_at(path, 3)
+
     def test_oversize_header_field_is_a_data_error(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x1,y" + "1" * 200_000 + "\n1,2\n")
@@ -211,6 +245,22 @@ class TestCsvMatchesOracle:
 
 
 class TestCsv:
+    @pytest.mark.parametrize("n_rows, n_x, n_y", [(1, 1, 1), (40, 3, 2)])
+    def test_written_file_is_read_without_the_csv_module(
+            self, tmp_path, monkeypatch, n_rows, n_x, n_y):
+        rng = np.random.default_rng(n_rows)
+        ds = dm.Dataset(rng.normal(size=(n_rows, n_x)),
+                        rng.normal(size=(n_rows, n_y)))
+        path = tmp_path / "ds.csv"
+        dm.write_csv(ds, path)
+
+        def no_reader(*args, **kwargs):
+            raise AssertionError("csv.reader called")
+        monkeypatch.setattr(csv, "reader", no_reader)
+        back = dm.read_csv(path)
+        assert back.inputs.tobytes() == ds.inputs.tobytes()
+        assert back.targets.tobytes() == ds.targets.tobytes()
+
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(11)
         ds = dm.Dataset(rng.normal(size=(20, 3)), rng.normal(size=(20, 2)))

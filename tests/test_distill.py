@@ -66,6 +66,14 @@ def distill_one_edge(p, lo, hi, **kw):
     return snet.edges[0][0][0]
 
 
+def kernel_eval(model, x):
+    """w_base * silu(x) + spline(clamp(x)) of one SplineModel, shaped like
+    x: the layer kernel run on a 1x1 layer."""
+    x = np.asarray(x, dtype=np.float64)
+    y, _ = distill._PiecewiseLayer([[model]]).evaluate(x.reshape(-1, 1))
+    return y.reshape(x.shape)[()]
+
+
 class TestFit:
     def test_recovers_polynomial_exactly(self):
         # a cubic lies in the span of degree-3 splines on any grid
@@ -73,7 +81,7 @@ class TestFit:
         ys = 2.0 - xs + 0.5 * xs ** 2 - 0.25 * xs ** 3
         model, = distill._fit_columns(xs, ys[:, None], 6, 3, (-1.0, 1.0))
         assert model.fit_max_err < 1e-10
-        np.testing.assert_allclose(model.eval(xs), ys, atol=1e-10)
+        np.testing.assert_allclose(kernel_eval(model, xs), ys, atol=1e-10)
 
     def test_error_decreases_with_grid(self):
         xs = np.linspace(0.0, 2.0 * np.pi, 400)
@@ -100,12 +108,34 @@ class TestFit:
                                            r"rank-deficient"):
             distill_one_edge(p, 1.0, 1.0 + 4 * np.spacing(1.0), grid_size=10)
 
+    @pytest.mark.parametrize("grid_size, degree, rank", [
+        (20, 3, 23), (252, 3, 255), (253, 3, 254), (246, 4, 250),
+        (247, 4, 249), (254, 1, 255)])
+    def test_design_rank_tells_which_fits_fail(self, grid_size, degree,
+                                               rank):
+        # the design built on [0, 1] has the rank of one on a calibrated
+        # domain; (253, 3) has as many coefficients as samples but is
+        # numerically singular
+        assert distill.design_rank(grid_size, degree) == rank
+        n_coef = grid_size + degree
+        lo, hi = -0.3, 1.7
+        xs = np.linspace(lo, hi, distill.SAMPLES)
+        if rank < n_coef:
+            with pytest.raises(FitError,
+                               match=rf"\(rank {rank} < {n_coef}\)$"):
+                distill._fit_columns(xs, np.sin(xs)[:, None], grid_size,
+                                     degree, (lo, hi))
+        else:
+            distill._fit_columns(xs, np.sin(xs)[:, None], grid_size, degree,
+                                 (lo, hi))
+
     def test_model_round_trip(self):
         xs = np.linspace(0.0, 1.0, 60)
         model, = distill._fit_columns(xs, np.cos(4 * xs)[:, None], 8, 3,
                                       (0.0, 1.0))
         clone = distill.SplineModel.from_dict(model.to_dict())
-        np.testing.assert_allclose(clone.eval(xs), model.eval(xs), atol=0.0)
+        np.testing.assert_allclose(kernel_eval(clone, xs),
+                                   kernel_eval(model, xs), atol=0.0)
 
 
 class TestEdgeDistillation:
@@ -117,14 +147,16 @@ class TestEdgeDistillation:
         model = distill_one_edge(p, -1.0, 1.0, grid_size=25)
         xs = np.linspace(-1.0, 1.0, 201)
         ref = np.array([daruan.forward(p, float(x)) for x in xs])
-        np.testing.assert_allclose(model.eval(xs), ref, atol=1e-3)
+        np.testing.assert_allclose(kernel_eval(model, xs), ref, atol=1e-3)
 
     def test_out_of_domain_clamps(self):
         p = init_daruan(2, np.random.default_rng(202))
         model = distill_one_edge(p, 0.0, 1.0)
         # silu path keeps moving, the spline part freezes at the boundary
-        inside = model.eval(1.0) - model.w_base * float(daruan.silu(1.0))
-        outside = model.eval(5.0) - model.w_base * float(daruan.silu(5.0))
+        inside = (kernel_eval(model, 1.0)
+                  - model.w_base * float(daruan.silu(1.0)))
+        outside = (kernel_eval(model, 5.0)
+                   - model.w_base * float(daruan.silu(5.0)))
         np.testing.assert_allclose(outside, inside, atol=1e-12)
 
 
@@ -294,7 +326,7 @@ class TestStackedKernel:
         assert_matches_oracle(snet, probe)
         assert snet.clamp_count(knots) == 0
         edge = snet.edges[0][1][0]
-        np.testing.assert_allclose(edge.eval(knots[:, 0]),
+        np.testing.assert_allclose(kernel_eval(edge, knots[:, 0]),
                                    spline_oracle.edge_eval(edge, knots[:, 0]),
                                    rtol=1e-12, atol=1e-14)
 
@@ -381,9 +413,9 @@ class TestStackedKernel:
         xs = np.linspace(0.0, 1.0, 40)
         model = distill_oracle.fit_spline(xs, np.exp(xs), grid_size=5)
         model.w_base = 0.7
-        assert np.ndim(model.eval(0.5)) == 0
+        assert np.ndim(kernel_eval(model, 0.5)) == 0
         grid = xs.reshape(5, 8) * 1.4 - 0.2
-        np.testing.assert_allclose(model.eval(grid),
+        np.testing.assert_allclose(kernel_eval(model, grid),
                                    spline_oracle.edge_eval(model, grid),
                                    rtol=1e-12, atol=1e-14)
 
@@ -427,8 +459,8 @@ class TestStackedKernel:
         assert out.shape == (0, net.out_dim)
         assert count == 0 and type(count) is int
         edge = snet.edges[-1][0][0]
-        assert edge.eval(np.empty(0)).shape == (0,)
-        assert edge.eval(np.empty((0, 3))).shape == (0, 3)
+        assert kernel_eval(edge, np.empty(0)).shape == (0,)
+        assert kernel_eval(edge, np.empty((0, 3))).shape == (0, 3)
 
 
 def input_edge_grid(change=None):
