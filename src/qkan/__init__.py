@@ -7,8 +7,7 @@ verification, depth extension, B-spline distillation and full-batch
 training, plus benchmark dataset generators and a CLI.
 """
 
-from .daruan import (DaruanGrad, DaruanParams, backward, extend, forward,
-                     init_daruan, parameter_shift_grad, raw_expectation, silu)
+from .daruan import DaruanParams, init_daruan, raw_expectation, silu
 from .data import (Dataset, FEYNMAN_SPECS, gen_regression, gen_sinc, get_spec,
                    read_csv, read_idx, sinc20, write_csv)
 from .distill import (SplineModel, SplineNetwork, calibrate_domains,
@@ -26,16 +25,14 @@ from .checkpoint import load_checkpoint, save_checkpoint
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState", "ConfigError", "DaruanGrad", "DaruanParams", "DataError",
-    "Dataset", "FEYNMAN_SPECS", "FitError",
-    "LinearLayer", "NumericalError", "QkanError", "QkanLayer", "QkanNetwork",
-    "SpectrumReport", "SplineModel", "SplineNetwork", "TrainConfig",
-    "TrainResult", "adam_step", "backward", "calibrate_domains",
-    "distill_network", "empirical_spectrum", "enumerate_frequencies",
-    "extend", "forward",
-    "gen_regression", "gen_sinc", "get_spec", "init_daruan", "latent_dim",
-    "lbfgs_minimize", "load_checkpoint", "make_hqkan",
-    "mse_loss", "parameter_shift_grad", "raw_expectation",
-    "read_csv", "read_idx", "rmse", "save_checkpoint", "silu", "sinc20",
-    "train", "verify_spectrum", "write_csv",
+    "AdamState", "ConfigError", "DaruanParams", "DataError", "Dataset",
+    "FEYNMAN_SPECS", "FitError", "LinearLayer", "NumericalError",
+    "QkanError", "QkanLayer", "QkanNetwork", "SpectrumReport", "SplineModel",
+    "SplineNetwork", "TrainConfig", "TrainResult", "adam_step",
+    "calibrate_domains", "distill_network", "empirical_spectrum",
+    "enumerate_frequencies", "gen_regression", "gen_sinc", "get_spec",
+    "init_daruan", "latent_dim", "lbfgs_minimize", "load_checkpoint",
+    "make_hqkan", "mse_loss", "raw_expectation", "read_csv", "read_idx",
+    "rmse", "save_checkpoint", "silu", "sinc20", "train", "verify_spectrum",
+    "write_csv",
 ]

@@ -118,9 +118,12 @@ _shape = _checked(_list_of(_integer),
                   lambda shape: len(shape) >= 2 and min(shape) >= 1,
                   "a list of two or more integers >= 1")
 _range_pair = _checked(_list_of(_number),
-                       lambda p: len(p) == 2
-                       and -math.inf < p[0] < p[1] < math.inf,
-                       "two finite numbers lo < hi")
+                       lambda p: len(p) == 2 and -math.inf < p[0] < p[1]
+                       and p[1] - p[0] < math.inf,
+                       "two finite numbers lo < hi with a finite hi - lo")
+# angles are drawn uniformly from [-s, s], whose width 2 s must be finite
+_angle_scale = _checked(_number, lambda s: 0.0 <= s and 2.0 * s < math.inf,
+                        "a number >= 0 whose double is finite")
 _weights = _checked(
     lambda v: v if v in ("geometric", "unit") else _list_of(_number)(v),
     lambda w: isinstance(w, str) or all(map(math.isfinite, w)),
@@ -217,7 +220,7 @@ _TRAIN_FIELDS = {
     "history": (_nonnegative_int, 10, False),
     "seeds": (_seeds, DEFAULT_SEEDS, False),
     **_GENERATOR_FIELDS,
-    "angle-scale": (_nonnegative_float, 0.1, False),
+    "angle-scale": (_angle_scale, 0.1, False),
     "out": (_string, None, False),
 }
 

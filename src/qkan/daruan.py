@@ -42,9 +42,9 @@ Batched routines operate on stacked edge parameters with shape
 Bloch vectors, tape and adjoint weights are (N, M, B) arrays, and each
 per-edge value is a (N, M, 1) table entry that broadcasts along the
 contiguous batch axis. circuit_expectation and circuit_gradients return
-(B, N, M, ...) results. A single edge is a 1x1 QkanLayer
-(QkanLayer.of_edge), so the scalar API below runs the layer's forward,
-backward, extension and initialisation.
+(B, N, M, ...) results. A single edge is a 1x1 QkanLayer: of_edge
+wraps a DaruanParams and get_edge(0, 0) takes it back out, so one edge
+runs through the layer's forward, backward and extension.
 """
 
 from __future__ import annotations
@@ -100,26 +100,6 @@ class DaruanParams:
                         ("out_bias", self.out_bias)):
             if not np.isfinite(v):
                 raise ValueError(f"{name} must be finite")
-
-    @property
-    def r(self) -> int:
-        return self.enc_w.size
-
-    def copy(self) -> "DaruanParams":
-        return _edge_layer(self).get_edge(0, 0)
-
-
-@dataclass
-class DaruanGrad:
-    """Gradient mirror of DaruanParams plus the input derivative."""
-
-    enc_w: np.ndarray
-    enc_b: np.ndarray
-    angles: np.ndarray
-    w_base: float
-    w_quant: float
-    out_bias: float
-    d_input: float
 
 
 def init_daruan(r: int, rng: np.random.Generator, angle_scale: float = 0.1,
@@ -313,82 +293,11 @@ def circuit_gradients(enc_w, enc_b, angles, x):
     return f.reshape(shape), g_enc, g_ang.reshape(shape + (r + 1, 3))
 
 
-# --- scalar edge API --------------------------------------------------------
-
-
-def _edge_layer(p: DaruanParams):
-    """The 1x1 QkanLayer of views of p."""
-    from .network import QkanLayer   # here, since network imports this module
-    return QkanLayer.of_edge(p)
-
-
-def _edge_input(x) -> np.ndarray:
-    if not np.isfinite(x):
-        raise ValueError("x must be finite")
-    return np.array([[x]], dtype=np.float64)
-
-
 def raw_expectation(p: DaruanParams, x: float) -> float:
     """Pauli-Z expectation of the circuit on the Hadamard-initialized
     state; always in [-1, 1]."""
-    layer = _edge_layer(p)
-    return float(circuit_expectation(layer.enc_w, layer.enc_b, layer.angles,
-                                     _edge_input(x))[0, 0, 0])
-
-
-def forward(p: DaruanParams, x: float) -> float:
-    """w_base * silu(x) + w_quant * raw_expectation + out_bias."""
-    return float(_edge_layer(p).forward(_edge_input(x))[0, 0])
-
-
-def backward(p: DaruanParams, x: float, upstream: float = 1.0) -> DaruanGrad:
-    """Exact derivatives of upstream * forward(p, x) for every field of
-    p and for x."""
-    layer, tape = _edge_layer(p), []
-    layer.forward(_edge_input(x), tape)
-    grads = [np.empty(a.shape) for a in layer.arrays()]
-    d_input = layer.backward(tape[0], np.array([[upstream]], dtype=np.float64),
-                             grads)
-    return DaruanGrad(*(g[0, 0] if g.ndim > 2 else float(g[0, 0])
-                        for g in grads), d_input=float(d_input[0, 0]))
-
-
-def parameter_shift_grad(p: DaruanParams, x: float, which) -> float:
-    """Parameter-shift oracle for rotation-generated parameters.
-
-    `which` addresses one parameter: ("angle", l, k) with l in 0..r and
-    k in {0, 1, 2}, ("enc_b", l), or ("enc_w", l). Returns
-    [f(+pi/2 shift) - f(-pi/2 shift)] / 2 applied to the addressed
-    rotation argument; for enc_w the result carries the chain factor x.
-    w_base, w_quant and out_bias are not rotation-generated and are
-    rejected.
-    """
-    kind = which[0]
-    if kind not in ("angle", "enc_b", "enc_w"):
-        raise ValueError(f"parameter {which!r} is not rotation-generated")
-
-    def shifted(delta: float) -> float:
-        q = p.copy()
-        if kind == "angle":
-            _, l, k = which
-            q.angles[l, k] += delta
-        else:
-            l = which[1]
-            q.enc_b[l] += delta   # shifts the rotation argument u_l
-        return forward(q, x)
-
-    g = 0.5 * (shifted(np.pi / 2) - shifted(-np.pi / 2))
-    if kind == "enc_w":
-        g *= x
-    return g
-
-
-def extend(p: DaruanParams, new_r: int) -> DaruanParams:
-    """Append identity-initialized encoding blocks and unitaries.
-
-    New angles, enc_b and enc_w are all zero, so the appended gates act
-    trivially and forward(extend(p), x) == forward(p, x) exactly.
-    """
-    layer = _edge_layer(p)
-    layer.extend(new_r)
-    return layer.get_edge(0, 0)
+    if not np.isfinite(x):
+        raise ValueError("x must be finite")
+    return float(circuit_expectation(
+        p.enc_w[None, None], p.enc_b[None, None], p.angles[None, None],
+        np.array([[x]], dtype=np.float64))[0, 0, 0])

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import atomic_write_text, reading
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -106,6 +106,14 @@ def get_spec(equation_id: str) -> FeynmanSpec:
                         f"known: {sorted(FEYNMAN_SPECS)}") from None
 
 
+def _check_generated(targets, settings: str):
+    """ConfigError unless the generated targets are all finite; the
+    `settings` that scale them are named in the message."""
+    if not all(np.all(np.isfinite(y)) for y in targets):
+        raise ConfigError(f"generated targets are not finite: {settings} "
+                          f"too large")
+
+
 def gen_regression(spec: FeynmanSpec, n_train: int = 1000, n_test: int = 1000,
                    noise_frac: float = 0.1, seed: int = 0,
                    input_range: tuple = (0.0, 1.0)):
@@ -122,6 +130,7 @@ def gen_regression(spec: FeynmanSpec, n_train: int = 1000, n_test: int = 1000,
     noise_std = noise_frac * mu_f
     y_train = y_train + rng.normal(0.0, noise_std, size=y_train.shape)
     y_test = y_test + rng.normal(0.0, noise_std, size=y_test.shape)
+    _check_generated((y_train, y_test), "noise-frac or range")
     meta = {"equation": spec.id, "seed": seed, "noise_frac": noise_frac,
             "noise_std": noise_std, "mu_f": mu_f, "range": [lo, hi]}
     return (Dataset(x_train, y_train[:, None], dict(meta, split="train")),
@@ -136,6 +145,7 @@ def gen_sinc(n_train: int = 1000, n_test: int = 1000, noise_std: float = 0.1,
     x_train = rng.uniform(0.0, 1.0, size=(n_train, 1))
     x_test = rng.uniform(0.0, 1.0, size=(n_test, 1))
     y_train = sinc20(x_train) + rng.normal(0.0, noise_std, size=(n_train, 1))
+    _check_generated((y_train,), "noise-frac")
     y_test = sinc20(x_test)
     meta = {"equation": "sinc20", "seed": seed, "noise_std": noise_std,
             "range": [0.0, 1.0]}

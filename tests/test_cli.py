@@ -401,7 +401,17 @@ _OPTION_CASES = [
     *[(f"range-{name}", command, {"range": flag}, {"range": config})
       for command in ("gen-data", "train")
       for name, flag, config in (("bool", "0,true", [0, True]),
-                                 ("three", "0,1,2", [0, 1, 2]))],
+                                 ("three", "0,1,2", [0, 1, 2]),
+                                 ("span-overflow", "-1e308,1e308",
+                                  [-1e308, 1e308]))],
+    # finite values whose generated data overflow
+    *[(f"noise-frac-overflow-{equation}", command,
+       {"equation": equation, "noise-frac": "1.7e308"},
+       {"equation": equation, "noise-frac": 1.7e308})
+      for command in ("gen-data", "train")
+      for equation in ("I.12.11", "sinc20")],
+    ("angle-scale-overflow", "train", {"angle-scale": "1e308"},
+     {"angle-scale": 1e308}),
     ("seeds-float", "train", {"seeds": "0.5"}, {"seeds": [0.5]}),
     ("shape-float", "train", {"shape": "2,2.0,1"}, {"shape": [2, 2.0, 1]}),
     ("r-bool", "train", {"r": "true"}, {"r": True}),
@@ -587,8 +597,9 @@ def _hostile_cases():
                       if k not in given}
             if form == "flag":
                 fields.update(given)
-            argv = [command] + [a for field, value in fields.items()
-                                for a in (f"--{field}", value)]
+            # --field=value, so that a value such as -1,1 is not an option
+            argv = [command] + [f"--{field}={value}"
+                                for field, value in fields.items()]
             yield pytest.param(argv, given if form == "config" else None, 2,
                                None, None, id=f"{command}-{form}-{name}")
     for name, argv, code, *rest in _FLAG_CASES:

@@ -6,12 +6,15 @@ vectorized implementation is a real cross-check rather than a identity.
 """
 
 import warnings
+from copy import deepcopy
 
 import numpy as np
 import pytest
 
 import batch_first_kernel
 import statevector_oracle as complex_kernel
+from edge_oracle import (edge_backward, edge_extend, edge_forward,
+                         parameter_shift_grad)
 from qkan import daruan
 from qkan.daruan import DaruanParams, init_daruan, silu
 from qkan.network import QkanLayer
@@ -28,12 +31,13 @@ def oracle_ry(a):
 
 def oracle_expectation(p: DaruanParams, x: float) -> float:
     """Literal matrix-chain evaluation of <Z| for one edge."""
+    r = p.enc_w.size
     psi = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    for l in range(p.r):
+    for l in range(r):
         al, be, ga = p.angles[l]
         psi = oracle_rz(ga) @ (oracle_ry(be) @ (oracle_rz(al) @ psi))
         psi = oracle_rz(p.enc_w[l] * x + p.enc_b[l]) @ psi
-    al, be, ga = p.angles[p.r]
+    al, be, ga = p.angles[r]
     psi = oracle_rz(ga) @ (oracle_ry(be) @ (oracle_rz(al) @ psi))
     return float(abs(psi[0]) ** 2 - abs(psi[1]) ** 2)
 
@@ -106,12 +110,12 @@ class TestForward:
         x = 0.5
         expected = (p.w_base * x / (1.0 + np.exp(-x))
                     + p.w_quant * daruan.raw_expectation(p, x) + p.out_bias)
-        np.testing.assert_allclose(daruan.forward(p, x), expected, atol=1e-14)
+        np.testing.assert_allclose(edge_forward(p, x), expected, atol=1e-14)
 
     def test_nonfinite_input_rejected(self):
         p = fixed_params()
         with pytest.raises(ValueError):
-            daruan.forward(p, np.nan)
+            daruan.raw_expectation(p, np.nan)
 
 
 class TestSilu:
@@ -155,15 +159,16 @@ class TestParamsValidation:
 
 class TestGradients:
     def all_params(self, p):
-        for l in range(p.r):
+        r = p.enc_w.size
+        for l in range(r):
             yield ("enc_w", l)
             yield ("enc_b", l)
-        for l in range(p.r + 1):
+        for l in range(r + 1):
             for k in range(3):
                 yield ("angle", l, k)
 
     def perturbed(self, p, which, eps):
-        q = p.copy()
+        q = deepcopy(p)
         if which[0] == "enc_w":
             q.enc_w[which[1]] += eps
         elif which[0] == "enc_b":
@@ -183,10 +188,10 @@ class TestGradients:
         p = fixed_params()
         eps = 1e-6
         for x in (0.0, 0.83, -1.4):
-            g = daruan.backward(p, x)
+            g, _ = edge_backward(p, x)
             for which in self.all_params(p):
-                fd = (daruan.forward(self.perturbed(p, which, eps), x)
-                      - daruan.forward(self.perturbed(p, which, -eps), x)) \
+                fd = (edge_forward(self.perturbed(p, which, eps), x)
+                      - edge_forward(self.perturbed(p, which, -eps), x)) \
                     / (2.0 * eps)
                 np.testing.assert_allclose(self.grad_field(g, which), fd,
                                            atol=1e-8)
@@ -195,22 +200,22 @@ class TestGradients:
         p = fixed_params()
         p.w_base, p.w_quant, p.out_bias = 0.0, 1.0, 0.0
         for x in (0.3, -0.9):
-            g = daruan.backward(p, x)
+            g, _ = edge_backward(p, x)
             for which in self.all_params(p):
-                ps = daruan.parameter_shift_grad(p, x, which)
+                ps = parameter_shift_grad(p, x, which)
                 np.testing.assert_allclose(self.grad_field(g, which), ps,
                                            atol=1e-12)
 
     def test_sine_configuration_derivative(self):
         p = sine_params()
         for x in (0.0, 0.6, 2.1):
-            g = daruan.backward(p, x)
-            np.testing.assert_allclose(g.d_input, np.cos(x), atol=1e-12)
+            _, d_input = edge_backward(p, x)
+            np.testing.assert_allclose(d_input, np.cos(x), atol=1e-12)
 
     def test_classical_path_gradients(self):
         p = fixed_params()
         x = 0.4
-        g = daruan.backward(p, x, upstream=2.0)
+        g, _ = edge_backward(p, x, upstream=2.0)
         silu = x / (1.0 + np.exp(-x))
         np.testing.assert_allclose(g.w_base, 2.0 * silu, atol=1e-14)
         np.testing.assert_allclose(g.w_quant,
@@ -222,16 +227,16 @@ class TestGradients:
         p = fixed_params()
         eps = 1e-6
         for x in (0.2, -0.7):
-            g = daruan.backward(p, x)
-            fd = (daruan.forward(p, x + eps)
-                  - daruan.forward(p, x - eps)) / (2.0 * eps)
-            np.testing.assert_allclose(g.d_input, fd, atol=1e-8)
+            _, d_input = edge_backward(p, x)
+            fd = (edge_forward(p, x + eps)
+                  - edge_forward(p, x - eps)) / (2.0 * eps)
+            np.testing.assert_allclose(d_input, fd, atol=1e-8)
 
     def test_parameter_shift_rejects_classical_params(self):
         p = fixed_params()
         for which in (("w_base",), ("w_quant",), ("out_bias",)):
             with pytest.raises(ValueError):
-                daruan.parameter_shift_grad(p, 0.5, which)
+                parameter_shift_grad(p, 0.5, which)
 
 
 class TestBatchedConsistency:
@@ -266,7 +271,7 @@ class TestBatchedConsistency:
                 for mi in range(m):
                     p = DaruanParams(enc_w[ni, mi], enc_b[ni, mi],
                                      angles[ni, mi], w_base=0.0)
-                    g = daruan.backward(p, x[bi, mi])
+                    g, _ = edge_backward(p, x[bi, mi])
                     np.testing.assert_allclose(g_enc[bi, ni, mi], g.enc_b,
                                                atol=1e-12)
                     np.testing.assert_allclose(g_ang[bi, ni, mi], g.angles,
@@ -466,15 +471,15 @@ class TestExtension:
         rng = np.random.default_rng(31)
         p = init_daruan(2, rng, angle_scale=1.0)
         p.enc_b = rng.normal(size=2)
-        q = daruan.extend(p, 5)
-        assert q.r == 5
+        q = edge_extend(p, 5)
+        assert q.enc_w.size == 5
         for x in np.linspace(-4.0, 4.0, 17):
-            np.testing.assert_allclose(daruan.forward(q, x),
-                                       daruan.forward(p, x), atol=0.0)
+            np.testing.assert_allclose(edge_forward(q, x),
+                                       edge_forward(p, x), atol=0.0)
 
     def test_appended_blocks_are_zero(self):
         p = init_daruan(2, np.random.default_rng(32))
-        q = daruan.extend(p, 4)
+        q = edge_extend(p, 4)
         np.testing.assert_array_equal(q.enc_w[2:], 0.0)
         np.testing.assert_array_equal(q.enc_b[2:], 0.0)
         np.testing.assert_array_equal(q.angles[3:], 0.0)
@@ -483,6 +488,6 @@ class TestExtension:
     def test_must_grow(self):
         p = init_daruan(3, np.random.default_rng(33))
         with pytest.raises(ValueError):
-            daruan.extend(p, 3)
+            edge_extend(p, 3)
         with pytest.raises(ValueError):
-            daruan.extend(p, 2)
+            edge_extend(p, 2)

@@ -20,6 +20,7 @@ from qkan.network import QkanLayer, QkanNetwork, make_hqkan
 
 import distill_oracle
 import horner_spline_kernel
+from edge_oracle import edge_forward
 import spline_oracle
 
 scipy_interp = pytest.importorskip("scipy.interpolate")
@@ -146,7 +147,7 @@ class TestEdgeDistillation:
         p.w_base, p.w_quant, p.out_bias = 0.4, 1.2, -0.1
         model = distill_one_edge(p, -1.0, 1.0, grid_size=25)
         xs = np.linspace(-1.0, 1.0, 201)
-        ref = np.array([daruan.forward(p, float(x)) for x in xs])
+        ref = np.array([edge_forward(p, float(x)) for x in xs])
         np.testing.assert_allclose(kernel_eval(model, xs), ref, atol=1e-3)
 
     def test_out_of_domain_clamps(self):

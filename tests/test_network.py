@@ -1,7 +1,7 @@
 """Tests for QKAN layers, networks and the HQKAN wrapper.
 
-Layer outputs are checked against a per-edge scalar loop built on the
-single-edge API, and all stacked gradients against central finite
+Layer outputs are checked against a per-edge loop that runs each edge
+as its own 1x1 layer, and all stacked gradients against central finite
 differences through the flat parameter vector.
 """
 
@@ -10,20 +10,21 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from edge_oracle import edge_forward
 from qkan import daruan
-from qkan.daruan import DaruanGrad, DaruanParams
+from qkan.daruan import DaruanParams
 from qkan.network import (LinearLayer, QkanLayer, QkanNetwork, latent_dim,
                           make_hqkan)
 
 
 def scalar_layer_forward(layer: QkanLayer, x: np.ndarray) -> np.ndarray:
-    """Edge-by-edge evaluation through the scalar API."""
+    """Edge-by-edge evaluation, each edge a 1x1 layer."""
     b = x.shape[0]
     y = np.zeros((b, layer.n_out))
     for bi in range(b):
         for j in range(layer.n_out):
             for i in range(layer.n_in):
-                y[bi, j] += daruan.forward(layer.get_edge(j, i), x[bi, i])
+                y[bi, j] += edge_forward(layer.get_edge(j, i), x[bi, i])
     return y
 
 
@@ -35,9 +36,10 @@ def taped_backward(net: QkanNetwork, x, upstream):
 
 
 class TestEdgeLayout:
-    """get_edge fills DaruanParams by position and the scalar API reads
-    DaruanGrad by position, so their fields must follow QkanLayer.PARAMS;
-    a reordering would silently swap w_base, w_quant and out_bias."""
+    """get_edge fills DaruanParams by position, so its fields must follow
+    QkanLayer.PARAMS; a reordering would silently swap w_base, w_quant
+    and out_bias. One edge runs as the 1x1 layer of_edge builds, the
+    inverse of get_edge(0, 0)."""
 
     @staticmethod
     def distinct_edge(seed: int) -> DaruanParams:
@@ -54,8 +56,6 @@ class TestEdgeLayout:
 
     def test_fields_follow_params(self):
         assert [f.name for f in fields(DaruanParams)] == list(QkanLayer.PARAMS)
-        assert [f.name for f in fields(DaruanGrad)] == [*QkanLayer.PARAMS,
-                                                        "d_input"]
 
     def test_of_edge_is_the_inverse_of_get_edge(self):
         p = self.distinct_edge(46)
