@@ -17,6 +17,7 @@ prints its one error line and nothing else.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -130,10 +131,24 @@ _weights = _checked(
     "'geometric', 'unit' or a comma list of finite numbers")
 
 
-def _ensure_out_dir(path) -> str:
-    with writing(path):
-        os.makedirs(path, exist_ok=True)
-    return path
+@contextlib.contextmanager
+def _out_dir(path):
+    """Makes the output directory `path` for the body (ConfigError when
+    it cannot). If the body fails, each directory made here that is
+    still empty is removed, innermost first; one that existed is kept."""
+    made, head = [], os.path.abspath(path)
+    while not os.path.lexists(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    try:
+        with writing(path):
+            os.makedirs(path, exist_ok=True)
+        yield path
+    except BaseException:
+        for directory in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(directory)
+        raise
 
 
 def _make_dataset(cfg: dict):
@@ -198,10 +213,10 @@ _GEN_DATA_FIELDS = {
 def cmd_gen_data(args) -> int:
     cfg = _merged(args, _GEN_DATA_FIELDS)
     train_ds, test_ds = _make_dataset(cfg)
-    out = _ensure_out_dir(cfg["out"] or _default_out("data"))
-    datamod.write_csv(train_ds, os.path.join(out, "train.csv"))
-    datamod.write_csv(test_ds, os.path.join(out, "test.csv"))
-    write_json(os.path.join(out, "meta.json"), train_ds.meta)
+    with _out_dir(cfg["out"] or _default_out("data")) as out:
+        datamod.write_csv(train_ds, os.path.join(out, "train.csv"))
+        datamod.write_csv(test_ds, os.path.join(out, "test.csv"))
+        write_json(os.path.join(out, "meta.json"), train_ds.meta)
     print(f"wrote {out}/train.csv, test.csv, meta.json "
           f"({len(train_ds)}/{len(test_ds)} rows)")
     return 0
@@ -234,37 +249,39 @@ def run_training(cfg: dict):
         if mismatch:
             raise ConfigError(f"shape {shape} does not fit the {name} data: "
                               f"{mismatch}")
-    out = _ensure_out_dir(cfg["out"] or _default_out("train"))
-    chash = config_hash({k: v for k, v in cfg.items() if k != "out"})
-    summary = {"config_hash": chash, "seeds": {}}
-    best = None
-    for seed in cfg["seeds"]:
-        net = QkanNetwork.init(cfg["shape"], cfg["r"], _init_rng(seed),
-                               angle_scale=cfg["angle-scale"])
-        result = train(net, train_ds, test_ds,
-                       TrainConfig(optimizer=cfg["optimizer"],
-                                   epochs=cfg["epochs"], lr=cfg["lr"],
-                                   history=cfg["history"]))
-        atomic_write_text(os.path.join(out, f"metrics_seed{seed}.csv"),
-                          trace_to_csv(result.trace))
-        net.set_param_vector(result.best_params)
-        provenance = {"seed": seed, "config_hash": chash,
-                      "epoch": result.best_epoch,
-                      "best_test_rmse": _json_number(result.best_test_rmse)}
-        save_checkpoint(net, os.path.join(out, f"checkpoint_seed{seed}.json"),
-                        provenance=provenance)
-        summary["seeds"][str(seed)] = {
-            "best_epoch": result.best_epoch,
-            "best_test_rmse": _json_number(result.best_test_rmse),
-            "events": result.events}
-        if best is None or result.best_test_rmse < best[1]:
-            best = (seed, result.best_test_rmse, net.copy(), provenance)
-    summary["best_seed"] = best[0]
-    summary["best_test_rmse"] = _json_number(best[1])
-    save_checkpoint(best[2], os.path.join(out, "best.json"),
-                    provenance=best[3])
-    write_json(os.path.join(out, "summary.json"), summary)
-    return summary, best[2]
+    with _out_dir(cfg["out"] or _default_out("train")) as out:
+        chash = config_hash({k: v for k, v in cfg.items() if k != "out"})
+        summary = {"config_hash": chash, "seeds": {}}
+        best = None
+        for seed in cfg["seeds"]:
+            net = QkanNetwork.init(cfg["shape"], cfg["r"], _init_rng(seed),
+                                   angle_scale=cfg["angle-scale"])
+            result = train(net, train_ds, test_ds,
+                           TrainConfig(optimizer=cfg["optimizer"],
+                                       epochs=cfg["epochs"], lr=cfg["lr"],
+                                       history=cfg["history"]))
+            atomic_write_text(os.path.join(out, f"metrics_seed{seed}.csv"),
+                              trace_to_csv(result.trace))
+            net.set_param_vector(result.best_params)
+            best_rmse = _json_number(result.best_test_rmse)
+            provenance = {"seed": seed, "config_hash": chash,
+                          "epoch": result.best_epoch,
+                          "best_test_rmse": best_rmse}
+            save_checkpoint(net, os.path.join(out,
+                                              f"checkpoint_seed{seed}.json"),
+                            provenance=provenance)
+            summary["seeds"][str(seed)] = {
+                "best_epoch": result.best_epoch,
+                "best_test_rmse": best_rmse,
+                "events": result.events}
+            if best is None or result.best_test_rmse < best[1]:
+                best = (seed, result.best_test_rmse, net.copy(), provenance)
+        summary["best_seed"] = best[0]
+        summary["best_test_rmse"] = _json_number(best[1])
+        save_checkpoint(best[2], os.path.join(out, "best.json"),
+                        provenance=best[3])
+        write_json(os.path.join(out, "summary.json"), summary)
+        return summary, best[2]
 
 
 def _json_number(value: float):
@@ -391,9 +408,9 @@ def cmd_distill(args) -> int:
     # both serialized first, so that a non-finite number writes neither
     texts = {"spline.json": spline_net.to_json(),
              "distill_report.json": write_json(None, report)}
-    out = _ensure_out_dir(args.out or _default_out("distill"))
-    for name, text in texts.items():
-        atomic_write_text(os.path.join(out, name), text + "\n")
+    with _out_dir(args.out or _default_out("distill")) as out:
+        for name, text in texts.items():
+            atomic_write_text(os.path.join(out, name), text + "\n")
     print(f"distilled network RMSE vs source: "
           f"{report['source_vs_distilled_rmse']:.6g}; wrote {out}/spline.json")
     return 0
@@ -408,8 +425,8 @@ MNIST_FILES = {
 MNIST_R = 3
 
 
-def run_mnist_demo(data_dir: str, n_samples: int = 2000, epochs: int = 50,
-                   lr: float = 1e-3, seed: int = 0):
+def run_mnist_demo(data_dir: str, n_samples: int, epochs: int, lr: float,
+                   seed: int):
     """Two-class (digits 0/1) HQKAN demo. Returns the accuracy report,
     or None when the IDX files are absent."""
     paths = {k: os.path.join(data_dir, v) for k, v in MNIST_FILES.items()}

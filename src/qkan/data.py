@@ -53,7 +53,6 @@ class FeynmanSpec:
     id: str
     arity: int
     formula: callable
-    shape: tuple    # default network shape for this equation
 
 
 def sinc20(x):
@@ -66,34 +65,25 @@ def sinc20(x):
 
 FEYNMAN_SPECS = {
     s.id: s for s in [
-        FeynmanSpec("I.12.11", 2, lambda v: 1.0 + v[:, 0] * np.sin(v[:, 1]),
-                    (2, 2, 1)),
+        FeynmanSpec("I.12.11", 2, lambda v: 1.0 + v[:, 0] * np.sin(v[:, 1])),
         FeynmanSpec("I.29.16", 3,
-                    lambda v: np.sqrt(1.0 + v[:, 0] ** 2
-                                      - 2.0 * v[:, 0] * np.cos(v[:, 1] - v[:, 2])),
-                    (3, 2, 3, 1)),
-        FeynmanSpec("I.40.1", 2, lambda v: v[:, 0] * np.exp(-v[:, 1]),
-                    (2, 2, 1, 1, 1, 2, 1)),
+                    lambda v: np.sqrt(1.0 + v[:, 0] ** 2 - 2.0 * v[:, 0]
+                                      * np.cos(v[:, 1] - v[:, 2]))),
+        FeynmanSpec("I.40.1", 2, lambda v: v[:, 0] * np.exp(-v[:, 1])),
         FeynmanSpec("I.50.26", 2,
-                    lambda v: np.cos(v[:, 0]) + v[:, 1] * np.cos(v[:, 0]) ** 2,
-                    (2, 2, 3, 1)),
-        FeynmanSpec("II.2.42", 2, lambda v: (v[:, 0] - 1.0) * v[:, 1],
-                    (2, 2, 1)),
+                    lambda v: np.cos(v[:, 0])
+                    + v[:, 1] * np.cos(v[:, 0]) ** 2),
+        FeynmanSpec("II.2.42", 2, lambda v: (v[:, 0] - 1.0) * v[:, 1]),
         FeynmanSpec("II.6.15a", 3,
                     lambda v: v[:, 2] / (4.0 * np.pi)
-                    * np.sqrt(v[:, 0] ** 2 + v[:, 1] ** 2),
-                    (3, 2, 1, 1)),
+                    * np.sqrt(v[:, 0] ** 2 + v[:, 1] ** 2)),
         FeynmanSpec("II.35.18", 2,
-                    lambda v: v[:, 0] / (np.exp(v[:, 1]) + np.exp(-v[:, 1])),
-                    (2, 1, 1)),
-        FeynmanSpec("II.36.38", 3, lambda v: v[:, 0] + v[:, 2] * v[:, 1],
-                    (3, 2, 1)),
+                    lambda v: v[:, 0] / (np.exp(v[:, 1]) + np.exp(-v[:, 1]))),
+        FeynmanSpec("II.36.38", 3, lambda v: v[:, 0] + v[:, 2] * v[:, 1]),
         FeynmanSpec("III.10.19", 2,
-                    lambda v: np.sqrt(1.0 + v[:, 0] ** 2 + v[:, 1] ** 2),
-                    (2, 1, 1)),
+                    lambda v: np.sqrt(1.0 + v[:, 0] ** 2 + v[:, 1] ** 2)),
         FeynmanSpec("III.17.37", 3,
-                    lambda v: v[:, 1] * (1.0 + v[:, 0] * np.cos(v[:, 2])),
-                    (3, 3, 1)),
+                    lambda v: v[:, 1] * (1.0 + v[:, 0] * np.cos(v[:, 2]))),
     ]
 }
 

@@ -18,7 +18,9 @@ coefficients of every piece). Every edge's knots must be the uniform
 ones of `make_knots`, so an input's piece is one multiply away. For
 each row block, the piece and the offset t in it are computed once per
 (row, input); one gather of (input, piece) coefficient blocks and one
-contraction with (1, t, .., t^D, silu(x)) give every output.
+contraction with (1, t, .., t^D, silu(x)) give every output. A layer
+returns outputs only; SplineNetwork.evaluate also counts the clamped
+inputs. Passes take (batch, dim) arrays; one sample is x[None].
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .checkpoint import (check_object, check_version, finite_array,
                          parse_json, write_json)
 from .daruan import silu
 from .errors import DataError, FitError, NumericalError
-from .network import (LinearLayer, QkanNetwork, _as_batch, block_rows,
-                      row_blocks)
+from .network import (LinearLayer, QkanNetwork, _as_batch, _check_widths,
+                      block_rows, row_blocks)
 
 SPLINE_FORMAT = "qkan-spline-network"
 SPLINE_FORMAT_VERSION = 1
@@ -271,29 +273,18 @@ class _PiecewiseLayer:
         self._base = np.arange(n_in) * width
         self._last = self._base + span[:n_in, 2].astype(np.intp) - 1
 
-    def evaluate(self, x):
-        """x (B, n_in) -> (outputs (B, n_out), number of inputs outside
-        their edge's domain). A batch larger than block_rows([self])
-        runs one row block at a time."""
-        blocks = row_blocks(len(x), block_rows([self]))
-        if len(blocks) == 1:
-            return self._evaluate(x)
-        y, clamped = np.empty((len(x), self.n_out)), 0
-        for rows in blocks:
-            y[rows], count = self._evaluate(x[rows])
-            clamped += count
-        return y, clamped
+    def forward(self, x):
+        """x (B, n_in) -> outputs (B, n_out). A batch larger than
+        block_rows([self]) runs one row block at a time."""
+        return np.concatenate([self._forward(x[rows]) for rows in
+                               row_blocks(len(x), block_rows([self]))])
 
-    def _evaluate(self, x):
-        """evaluate of a (B, n_in) batch in one piece."""
+    def _forward(self, x):
+        """forward of a (B, n_in) batch in one piece."""
         n_rows = len(x)
         # fmax/fmin send NaN into the domain too, so the piece index is a
         # finite number; silu(x) still makes that output NaN
         xc = np.fmin(np.fmax(x, self.lo), self.hi)
-        # the clamp moved the inputs outside their domain, and every NaN;
-        # each moved input counts once per output
-        clamped = self.n_out * int(np.count_nonzero(xc != x)
-                                   - np.count_nonzero(np.isnan(x)))
         u = xc - self._first
         u *= self._scale
         pos = u.astype(np.intp)
@@ -315,7 +306,7 @@ class _PiecewiseLayer:
         y = np.matmul(powers.reshape(n_rows, 1, k),
                       self._table.take(pos, axis=0).reshape(n_rows, k,
                                                             self.n_out))
-        return y[:, 0], clamped
+        return y[:, 0]
 
 
 def _check_knots(knots, degree: int, n_coef: int, domain) -> np.ndarray:
@@ -361,40 +352,38 @@ class SplineNetwork:
     encoder: LinearLayer | None = None
     decoder: LinearLayer | None = None
     _layers: list = field(init=False, repr=False, compare=False)
+    _stages: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.edges:
             raise ValueError("a spline network needs at least one layer")
         self._layers = [_PiecewiseLayer(grid) for grid in self.edges]
-        width = self.encoder.n_out if self.encoder else self._layers[0].n_in
-        for layer in self._layers:
-            if layer.n_in != width:
-                raise ValueError(f"spline layer takes {layer.n_in} inputs, "
-                                 f"the previous stage gives {width}")
-            width = layer.n_out
-        if self.decoder is not None and self.decoder.n_in != width:
-            raise ValueError(f"decoder takes {self.decoder.n_in} inputs, "
-                             f"the last spline layer gives {width}")
+        stages = [self.encoder, *self._layers, self.decoder]
+        self._stages = [stage for stage in stages if stage is not None]
+        _check_widths(self._stages)
 
     @property
     def in_dim(self) -> int:
-        return self.encoder.n_in if self.encoder else self._layers[0].n_in
+        return self._stages[0].n_in
 
     def evaluate(self, x):
-        """(outputs, number of edge evaluations clamped into their domain)."""
-        x, squeeze = _as_batch(x, self.in_dim, "spline network input")
-        if self.encoder is not None:
-            x = self.encoder.forward(x)
+        """(forward(x), number of edge evaluations clamped into their
+        domain): each spline layer input outside its domain, +-inf
+        included and NaN not, counts once per output of that layer."""
+        x = _as_batch(x, self.in_dim, "spline network input")
         clamped = 0
-        for layer in self._layers:
-            x, count = layer.evaluate(x)
-            clamped += count
-        if self.decoder is not None:
-            x = self.decoder.forward(x)
-        return (x[0] if squeeze else x), clamped
+        for stage in self._stages:
+            if isinstance(stage, _PiecewiseLayer):
+                outside = (x < stage.lo) | (x > stage.hi)
+                clamped += stage.n_out * int(np.count_nonzero(outside))
+            x = stage.forward(x)
+        return x, clamped
 
     def forward(self, x) -> np.ndarray:
-        return self.evaluate(x)[0]
+        x = _as_batch(x, self.in_dim, "spline network input")
+        for stage in self._stages:
+            x = stage.forward(x)
+        return x
 
     def clamp_count(self, x) -> int:
         """Number of edge evaluations that fall outside their domain."""
@@ -471,8 +460,7 @@ def _calibrated(net: QkanNetwork, inputs):
     output on the inputs, so a caller that needs both runs each layer
     once; the last layer runs only when the output is asked for. An
     output that is not finite raises NumericalError."""
-    x, _ = _as_batch(np.asarray(inputs, dtype=np.float64), net.in_dim,
-                     "calibration inputs")
+    x = _as_batch(inputs, net.in_dim, "calibration inputs")
     if net.encoder is not None:
         x = net.encoder.forward(x)
     domains = []

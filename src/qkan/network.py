@@ -133,18 +133,24 @@ def map_blocks(fn, blocks: list):
         wait(pending)
 
 
-def _as_batch(x, dim: int, what: str) -> tuple[np.ndarray, bool]:
+def _as_batch(x, dim: int, what: str) -> np.ndarray:
+    """x as a float64 (batch, dim) array; any other shape is a ValueError."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-        squeeze = True
-    elif x.ndim == 2:
-        squeeze = False
-    else:
-        raise ValueError(f"{what} must be a vector or (batch, dim) matrix")
+    if x.ndim != 2:
+        raise ValueError(f"{what} must be a (batch, {dim}) array, got shape "
+                         f"{x.shape}; one sample is x[None]")
     if x.shape[1] != dim:
         raise ValueError(f"{what} has dimension {x.shape[1]}, expected {dim}")
-    return x, squeeze
+    return x
+
+
+def _check_widths(stages: list) -> None:
+    """ValueError unless each of a network's stages, in evaluation
+    order, takes as many values as the one before it gives."""
+    for k, (a, b) in enumerate(zip(stages, stages[1:])):
+        if a.n_out != b.n_in:
+            raise ValueError(f"stage {k} outputs {a.n_out} values but "
+                             f"stage {k + 1} takes {b.n_in}")
 
 
 class _Stage:
@@ -236,16 +242,15 @@ class QkanLayer(_Stage):
         two at a time (map_blocks); each output row is bitwise the one
         the one-piece pass gives.
         """
-        x, squeeze = _as_batch(x, self.n_in, "layer input")
+        x = _as_batch(x, self.n_in, "layer input")
         blocks = batch_blocks(len(x), [self])
-        if tape is None and len(blocks) > 1:
-            y = np.empty((len(x), self.n_out))
-            for rows, y_rows in zip(blocks, map_blocks(
-                    lambda rows: self._forward(x[rows], None), blocks)):
-                y[rows] = y_rows
-        else:
-            y = self._forward(x, tape)
-        return y[0] if squeeze else y
+        if tape is not None or len(blocks) == 1:
+            return self._forward(x, tape)
+        y = np.empty((len(x), self.n_out))
+        for rows, y_rows in zip(blocks, map_blocks(
+                lambda rows: self._forward(x[rows], None), blocks)):
+            y[rows] = y_rows
+        return y
 
     def _forward(self, x: np.ndarray, tape: list | None) -> np.ndarray:
         """forward of a (B, n_in) batch in one piece."""
@@ -360,11 +365,7 @@ class QkanNetwork:
     decoder: LinearLayer | None = None
 
     def __post_init__(self):
-        stages = self.stages()
-        for k, (a, b) in enumerate(zip(stages, stages[1:])):
-            if a.n_out != b.n_in:
-                raise ValueError(f"stage {k} outputs {a.n_out} values but "
-                                 f"stage {k + 1} takes {b.n_in}")
+        _check_widths(self.stages())
 
     def stages(self) -> list:
         """Encoder, QKAN layers and decoder in evaluation order. The flat
@@ -397,10 +398,10 @@ class QkanNetwork:
         """Network outputs. When `tape` is a list, every stage appends
         what its backward needs, so that backward(upstream, tape) needs
         no second forward pass."""
-        x, squeeze = _as_batch(x, self.in_dim, "network input")
+        x = _as_batch(x, self.in_dim, "network input")
         for stage in self.stages():
             x = stage.forward(x, tape)
-        return x[0] if squeeze else x
+        return x
 
     def backward(self, upstream, tape: list) -> NetworkGrads:
         """Gradients of sum_b upstream[b] . forward(x[b]) for every
@@ -412,7 +413,7 @@ class QkanNetwork:
         empties the tape, releasing each stage's entry once used. Each
         stage writes its gradients into views of one flat buffer.
         """
-        upstream, _ = _as_batch(upstream, self.out_dim, "upstream")
+        upstream = _as_batch(upstream, self.out_dim, "upstream")
         if len(tape) != len(self.stages()):
             raise ValueError(f"tape holds {len(tape)} entries, expected one "
                              f"per stage ({len(self.stages())}); fill it "

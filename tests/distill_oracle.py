@@ -60,8 +60,8 @@ def distill_edge(p, lo, hi, grid_size=20, degree=3, samples=256):
 
 
 def calibrate_domains(net, inputs, widen=0.1):
-    x, _ = _as_batch(np.asarray(inputs, dtype=np.float64), net.in_dim,
-                     "calibration inputs")
+    x = _as_batch(np.asarray(inputs, dtype=np.float64), net.in_dim,
+                  "calibration inputs")
     if net.encoder is not None:
         x = net.encoder.forward(x)
     domains = {}

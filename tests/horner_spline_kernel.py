@@ -113,7 +113,7 @@ class _PiecewiseLayer:
 def evaluate(spline_net, x):
     """(outputs, clamp count) of `spline_net` on x, every layer through
     the Horner kernel."""
-    x, squeeze = _as_batch(x, spline_net.in_dim, "spline network input")
+    x = _as_batch(x, spline_net.in_dim, "spline network input")
     if spline_net.encoder is not None:
         x = spline_net.encoder.forward(x)
     clamped = 0
@@ -122,4 +122,4 @@ def evaluate(spline_net, x):
         clamped += count
     if spline_net.decoder is not None:
         x = spline_net.decoder.forward(x)
-    return (x[0] if squeeze else x), clamped
+    return x, clamped

@@ -24,7 +24,7 @@ def edge_eval(edge, x):
 
 def evaluate(spline_net, x):
     """(outputs, number of edge evaluations outside their domain)."""
-    x, squeeze = _as_batch(x, spline_net.in_dim, "spline network input")
+    x = _as_batch(x, spline_net.in_dim, "spline network input")
     if spline_net.encoder is not None:
         x = spline_net.encoder.forward(x)
     count = 0
@@ -39,7 +39,7 @@ def evaluate(spline_net, x):
         x = y
     if spline_net.decoder is not None:
         x = spline_net.decoder.forward(x)
-    return (x[0] if squeeze else x), count
+    return x, count
 
 
 def forward(spline_net, x):

@@ -223,7 +223,8 @@ class TestAcceptance:
 
     def test_12_mnist_demo(self, report):
         data_dir = os.environ.get("QKAN_MNIST_DIR", "data/mnist")
-        result = run_mnist_demo(data_dir, n_samples=2000, epochs=60)
+        result = run_mnist_demo(data_dir, n_samples=2000, epochs=60, lr=1e-3,
+                                seed=0)
         if result is None:
             report("binary MNIST demo (skipped: IDX files not present)", True,
                    f"no IDX files under {data_dir}")

@@ -542,6 +542,12 @@ _FLAG_CASES = [
     ("distill-spline-json-blocked",
      ["distill", *_CKPT, "--data", "{csv}/x2y1.csv", "--out", "{tmp}/out"], 2,
      _blocked("spline.json")),
+    # a seed whose loss is not finite: the --out it made is removed
+    ("train-nan-loss",
+     ["train", "--equation", "I.12.11", "--shape", "2,1",
+      "--range=-1e200,1e200", "--epochs", "1", "--seeds", "0",
+      "--n-train", "20", "--n-test", "10", "--out", "{tmp}/out"], 4, None,
+     "NaN/inf loss at epoch 0"),
     # a NaN in an output is a numerical failure, not a non-strict file
     ("eval-nan-rmse",
      ["eval", *_CKPT, "--data", "{csv}/x2y1.csv", "--out", "{tmp}/e.json"], 4,
@@ -694,6 +700,21 @@ def test_hostile_input_exits_with_its_code(hostile_inputs, tmp_path, capsys,
         assert not [name for _, _, names in os.walk(tmp_path)
                     for name in names if name.startswith(".tmp-")]
     assert hostile_inputs["file"].read_text() == "a file, not a directory\n"
+
+
+def test_failed_train_removes_only_the_directories_it_made(tmp_path, capsys):
+    """A seed that fails before writing removes the empty --out
+    directories train made, innermost first, and keeps one that
+    existed."""
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    argv = ["train", "--equation", "I.12.11", "--shape", "2,1",
+            "--range=-1e200,1e200", "--epochs", "1", "--seeds", "0",
+            "--n-train", "20", "--n-test", "10"]
+    assert main(argv + ["--out", str(kept / "new" / "run")]) == 4
+    assert main(argv + ["--out", str(kept)]) == 4
+    assert os.listdir(tmp_path) == ["kept"] and os.listdir(kept) == []
+    assert capsys.readouterr().err.count("numerical failure:") == 2
 
 
 # --- every input format, damaged ---------------------------------------------

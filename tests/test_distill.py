@@ -71,7 +71,7 @@ def kernel_eval(model, x):
     """w_base * silu(x) + spline(clamp(x)) of one SplineModel, shaped like
     x: the layer kernel run on a 1x1 layer."""
     x = np.asarray(x, dtype=np.float64)
-    y, _ = distill._PiecewiseLayer([[model]]).evaluate(x.reshape(-1, 1))
+    y = distill._PiecewiseLayer([[model]]).forward(x.reshape(-1, 1))
     return y.reshape(x.shape)[()]
 
 
@@ -309,7 +309,7 @@ class TestStackedKernel:
         probe = np.vstack([calib, 3.0 * calib, calib[:1] + 50.0])
         assert_matches_oracle(snet, probe)
         assert snet.clamp_count(probe) > 0
-        assert_matches_oracle(snet, probe[0])          # single sample
+        assert_matches_oracle(snet, probe[0][None])    # single sample
 
     @pytest.mark.parametrize("degree", [1, 2, 3])
     def test_inputs_on_knots_and_domain_ends(self, degree):
@@ -447,6 +447,22 @@ class TestStackedKernel:
         model.coefficients[2] = np.nan
         with pytest.raises(NumericalError):
             distill.SplineNetwork(edges=[[[model]]]).to_json()
+
+    @pytest.mark.parametrize("value, outside", [
+        (np.nan, False), (np.inf, True), (-np.inf, True), (0.0, False),
+        (1.0, False), (-0.0, False)],
+        ids=["nan", "+inf", "-inf", "at-lo", "at-hi", "-0.0-at-lo-0.0"])
+    def test_clamp_count_of_one_value(self, value, outside):
+        """A value in three of four cells of a 2 x 2 layer on [0, 1]
+        counts once per output where it lies outside the domain, as in
+        the per-edge loop; NaN is not counted."""
+        snet = distill.SplineNetwork(edges=[input_edge_grid()])
+        x = np.array([[0.5, value], [value, value]])
+        with np.errstate(invalid="ignore"):    # silu(-inf) is NaN
+            count = snet.evaluate(x)[1]
+            assert count == spline_oracle.evaluate(snet, x)[1]
+            assert count == horner_spline_kernel.evaluate(snet, x)[1]
+        assert count == (2 * 3 if outside else 0)
 
     @pytest.mark.parametrize("hqkan", [False, True])
     def test_empty_batch(self, hqkan):

@@ -13,6 +13,7 @@ import pytest
 from edge_oracle import edge_forward
 from qkan import daruan
 from qkan.daruan import DaruanParams
+from qkan.distill import calibrate_domains, distill_network
 from qkan.network import (LinearLayer, QkanLayer, QkanNetwork, latent_dim,
                           make_hqkan)
 
@@ -73,10 +74,25 @@ class TestLayer:
         np.testing.assert_allclose(layer.forward(x),
                                    scalar_layer_forward(layer, x), atol=1e-12)
 
-    def test_single_sample_shape(self):
-        layer = QkanLayer.init(3, 2, 2, np.random.default_rng(42))
-        y = layer.forward(np.zeros(3))
-        assert y.shape == (2,)
+    def test_one_dimensional_input_rejected(self):
+        """Every pass takes (batch, dim) arrays: a vector raises
+        ValueError from the layer, the network and the spline network,
+        and one sample is x[None]."""
+        rng = np.random.default_rng(42)
+        net = QkanNetwork.init([3, 2], 2, rng)
+        snet, _ = distill_network(
+            net, calibrate_domains(net, rng.normal(size=(8, 3))))
+        tape: list = []
+        net.forward(np.zeros((1, 3)), tape)
+        passes = [(net.layers[0].forward, 3), (net.forward, 3),
+                  (lambda u: net.backward(u, tape), 2), (snet.evaluate, 3),
+                  (snet.forward, 3), (snet.clamp_count, 3)]
+        for run, width in passes:
+            with pytest.raises(ValueError, match=r"x\[None\]"):
+                run(np.zeros(width))
+        assert len(tape) == 1, "a refused upstream left the tape as it was"
+        assert net.layers[0].forward(np.zeros(3)[None]).shape == (1, 2)
+        assert snet.forward(np.zeros(3)[None]).shape == (1, 2)
 
     def test_param_count(self):
         layer = QkanLayer.init(4, 3, 5, np.random.default_rng(44))
