@@ -171,7 +171,7 @@ def config_hash(config: dict) -> str:
         json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def network_to_dict(net: QkanNetwork, provenance: dict | None = None) -> dict:
+def network_to_dict(net: QkanNetwork, provenance: dict | None) -> dict:
     doc = {
         "format_version": FORMAT_VERSION,
         "shape": net.shape,

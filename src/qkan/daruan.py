@@ -31,11 +31,12 @@ float64 tan is vectorized in numpy where cos and sin may not be.
 Gradients are exact. One forward pass records t for every theta_l plus
 the final Bloch vector; the adjoint sweep rebuilds cos and sin, undoes
 each rotation instead of storing the intermediate states, and sums over
-the batch as it walks back. Its derivatives with respect to theta_l,
-beta_l and alpha_0 scatter back to the parameters: gamma_l, alpha_{l+1}
-and b_l each get d/dtheta_l, w_l gets sum_b x_b d/dtheta_l, input x_m
-gets sum_{n,l} w_l d/dtheta_l and gamma_r gets exactly 0. Every parameter
-enters one rotation with unit coefficient, so parameter shift is exact.
+the batch as it walks back. It writes each gradient in its parameter's
+layout, that of circuit_forward's inputs: gamma_l, alpha_{l+1} and b_l
+each get d/dtheta_l, w_l gets sum_b x_b d/dtheta_l, beta_l and alpha_0
+their own, and gamma_r exactly 0; it returns input x_m's, sum_{n,l} w_l
+d/dtheta_l. Every parameter enters one rotation with unit coefficient,
+so parameter shift is exact.
 
 Batched routines operate on stacked edge parameters with shape
 (N, M, ...) and inputs (B, M). The kernel keeps the batch last: its
@@ -204,14 +205,15 @@ def circuit_forward(enc_w, enc_b, angles, x):
     return vz, CircuitTape(tan_half, (vx, vy, vz))
 
 
-def circuit_adjoint(enc_w, angles, tape: CircuitTape, x, weights):
-    """Adjoint sweep over a forward tape, with no second forward pass.
+def circuit_adjoint(enc_w, angles, tape: CircuitTape, x, weights, out):
+    """Adjoint sweep over a forward tape, with no second forward pass:
+    the vector-Jacobian product of circuit_forward.
 
-    enc_w (N, M, r) and x (B, M) are the forward pass's; weights is an
-    array (N, M, B) or a scalar such as 1.0. Returns the derivatives of
-    sum_b weights * <Z>, already summed over the batch: g_theta (r, N, M)
-    for the merged angles, g_beta (r+1, N, M), g_alpha0 (N, M), g_w
-    (r, N, M) = sum_b x_b d/dtheta_l and d_x (B, M) = sum_{n,l} w_l d/dtheta_l.
+    enc_w (N, M, r), angles and x (B, M) are the forward pass's; weights
+    is an array (N, M, B) or a scalar such as 1.0. The derivatives of
+    sum_b weights * <Z>, summed over the batch, are written into
+    out = (g_enc_w, g_enc_b, g_angles), arrays shaped like enc_w, enc_b
+    and angles; the input derivative d_x (B, M) is returned.
 
     For a rotation by t about axis n, d<Z>/dt = n . (v x lam), where v
     is the state and lam the back-propagated readout (weights * e_z),
@@ -223,22 +225,26 @@ def circuit_adjoint(enc_w, angles, tape: CircuitTape, x, weights):
     """
     tan_half, (vx, vy, _) = tape
     r = tan_half.shape[0]
+    g_enc_w, g_enc_b, g_angles = out
     cb, sb = _cos_sin_tables(angles[..., 1])
     cx, cy, cz = weights * vy, -weights * vx, np.zeros(vx.shape)
     work = (np.empty(vx.shape), np.empty(vx.shape))
     cs = (np.empty(vx.shape), np.empty(vx.shape))
-    g_theta, g_w = np.empty((2, r) + vx.shape[:-1])
-    g_beta = np.empty((r + 1,) + vx.shape[:-1])
     d_x = np.zeros(x.shape[::-1])         # (M, B), transposed on return
     for l in range(r, -1, -1):
-        np.add.reduce(cy, axis=-1, out=g_beta[l])
+        np.add.reduce(cy, axis=-1, out=g_angles[..., l, 1])
         _rotate(cx, cz, cb[l], sb[l], work)                 # undo ry(beta_l)
         if l > 0:
-            np.add.reduce(cz, axis=-1, out=g_theta[l - 1])
-            np.einsum("nmb,bm->nm", cz, x, out=g_w[l - 1])
+            np.add.reduce(cz, axis=-1, out=g_enc_b[..., l - 1])
+            np.einsum("nmb,bm->nm", cz, x, out=g_enc_w[..., l - 1])
             d_x += np.einsum("nmb,nm->mb", cz, enc_w[..., l - 1])
             _rotate(cy, cx, *_cos_sin(tan_half[l - 1], cs), work)  # undo rz
-    return g_theta, g_beta, np.add.reduce(cz, axis=-1), g_w, d_x.T.copy()
+    np.add.reduce(cz, axis=-1, out=g_angles[..., 0, 0])
+    # b_l, gamma_l and alpha_{l+1} enter theta_l with unit coefficient
+    g_angles[..., 1:, 0] = g_enc_b
+    g_angles[..., :-1, 2] = g_enc_b
+    g_angles[..., -1, 2] = 0.0
+    return d_x.T.copy()
 
 
 def circuit_expectation(enc_w, enc_b, angles, x):
@@ -248,49 +254,26 @@ def circuit_expectation(enc_w, enc_b, angles, x):
     return f.transpose(2, 0, 1)
 
 
-def _to_last(a):
-    """a with its first axis moved last, as a view."""
-    return a.transpose(*range(1, a.ndim), 0)
-
-
-def angle_grads(g_theta, g_beta, g_alpha0, out):
-    """Scatter merged-angle derivatives onto the Euler angles.
-
-    g_theta (r, ...), g_beta (r+1, ...) and g_alpha0 (...) are the
-    derivatives circuit_adjoint returns, for any common leading shape
-    (...); they are written into out (..., r+1, 3), which is returned.
-    theta_l = w_l x + b_l + gamma_l + alpha_{l+1}, so gamma_l and
-    alpha_{l+1} both get d/dtheta_l; gamma_r gets exactly 0.
-    """
-    g_t = _to_last(g_theta)
-    out[..., 0, 0] = g_alpha0
-    out[..., 1:, 0] = g_t
-    out[..., :, 1] = _to_last(g_beta)
-    out[..., :-1, 2] = g_t
-    out[..., -1, 2] = 0.0
-    return out
-
-
 def circuit_gradients(enc_w, enc_b, angles, x):
     """Exact per-sample derivatives of <Z> for every circuit parameter.
 
     Returns (f, g_enc, g_ang) with f (B, N, M), g_enc (B, N, M, r) the
     derivative with respect to each encoding gate's total rotation
-    angle u_l = w_l x + b_l, and g_ang (B, N, M, r+1, 3) the Euler-angle
-    derivatives from angle_grads. Each (sample, edge) pair runs as one
-    edge of a one-row batch, so circuit_adjoint sums single terms.
+    angle u_l = w_l x + b_l, which is b_l's, and g_ang (B, N, M, r+1, 3)
+    the Euler-angle derivatives. Each (sample, edge) pair runs as one
+    edge of a one-row batch, so circuit_adjoint's sums are single terms,
+    written into arrays that reshape to these.
     """
-    (b, m), (n, _, r) = x.shape, enc_w.shape
+    (b, m), n = x.shape, enc_w.shape[0]
     shape, k = (b, n, m), b * n * m
     rows = [np.broadcast_to(a, (b,) + a.shape).reshape((1, k) + a.shape[2:])
             for a in (enc_w, enc_b, angles)]
     x_row = np.broadcast_to(x[:, None], shape).reshape(1, k)
     f, tape = circuit_forward(*rows, x_row)
-    g_theta, g_beta, g_alpha0, _, _ = circuit_adjoint(
-        rows[0], rows[2], tape, x_row, 1.0)
-    g_ang = angle_grads(g_theta, g_beta, g_alpha0, np.empty((1, k, r + 1, 3)))
-    g_enc = g_theta.reshape((r,) + shape).transpose(1, 2, 3, 0)
-    return f.reshape(shape), g_enc, g_ang.reshape(shape + (r + 1, 3))
+    out = [np.empty(a.shape) for a in rows]
+    circuit_adjoint(rows[0], rows[2], tape, x_row, 1.0, out)
+    _, g_enc, g_ang = (a.reshape(shape + a.shape[2:]) for a in out)
+    return f.reshape(shape), g_enc, g_ang
 
 
 def raw_expectation(p: DaruanParams, x: float) -> float:

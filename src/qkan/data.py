@@ -34,8 +34,13 @@ class Dataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.inputs = np.atleast_2d(np.asarray(self.inputs, dtype=np.float64))
-        self.targets = np.atleast_2d(np.asarray(self.targets, dtype=np.float64))
+        for name in ("inputs", "targets"):
+            a = np.asarray(getattr(self, name), dtype=np.float64)
+            if a.ndim != 2:
+                raise ValueError(f"{name} must be a (rows, dim) array, got "
+                                 f"shape {a.shape}; one value per row is "
+                                 f"y[:, None]")
+            setattr(self, name, a)
         if self.targets.shape[0] != self.inputs.shape[0]:
             raise ValueError("inputs and targets must have matching rows")
         if not (np.all(np.isfinite(self.inputs))
@@ -127,8 +132,7 @@ def gen_regression(spec: FeynmanSpec, n_train: int = 1000, n_test: int = 1000,
             Dataset(x_test, y_test[:, None], dict(meta, split="test")))
 
 
-def gen_sinc(n_train: int = 1000, n_test: int = 1000, noise_std: float = 0.1,
-             seed: int = 0):
+def gen_sinc(n_train: int, n_test: int, noise_std: float, seed: int):
     """sin(20x)/(20x) on [0, 1] with additive Gaussian label noise on
     the training split; test targets are the clean function."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x51AC]))

@@ -60,16 +60,14 @@ def make_knots(lo: float, hi: float, grid_size: int, degree: int) -> np.ndarray:
 def bspline_basis(knots: np.ndarray, degree: int, x) -> np.ndarray:
     """Cox-de Boor evaluation of all basis functions at x.
 
-    x may be a scalar or array; the result has a trailing axis of
+    x is an array; the result has x's shape plus a trailing axis of
     length G + degree. x must lie inside [knots[0], knots[-1]].
     """
     knots = np.asarray(knots, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)[..., None]
     lo, hi = knots[0], knots[-1]
     if np.any(x < lo) or np.any(x > hi):
         raise ValueError(f"x outside the spline domain [{lo}, {hi}]")
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)[..., None]
 
     # Degree 0: half-open interval indicators, last interval closed.
     left, right = knots[:-1], knots[1:]
@@ -86,7 +84,7 @@ def bspline_basis(knots: np.ndarray, degree: int, x) -> np.ndarray:
         term2 = np.where(denom2 > 0, (knots[k + 1:] - x)
                          / np.where(denom2 > 0, denom2, 1.0), 0.0)
         b = term1 * b[..., :-1] + term2 * b[..., 1:]
-    return b[0] if scalar else b
+    return b
 
 
 def design_rank(grid_size: int, degree: int) -> int:

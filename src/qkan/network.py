@@ -210,7 +210,7 @@ class QkanLayer(_Stage):
 
     @classmethod
     def init(cls, n_in: int, n_out: int, r: int, rng: np.random.Generator,
-             angle_scale: float = 0.1, geometric: bool = True) -> "QkanLayer":
+             angle_scale: float, geometric: bool = True) -> "QkanLayer":
         if n_in < 1 or n_out < 1 or r < 1:
             raise ValueError("n_in, n_out and r must be >= 1")
         layer = cls.zeros(n_in, n_out, r)
@@ -273,20 +273,16 @@ class QkanLayer(_Stage):
         `tape_entry` is the (x, circuit tape) that forward recorded, and
         upstream must have x's rows (ValueError, before the adjoint).
         The parameter gradients are written into `out`, arrays shaped
-        like arrays(), from the batch sums daruan.circuit_adjoint
-        returns; the input derivative (B, n_in) is returned.
+        like arrays(): daruan.circuit_adjoint writes the circuit's three
+        in place; the input derivative (B, n_in) is returned.
         """
         x, circuit_tape = tape_entry
         if len(upstream) != len(x):
             raise ValueError("upstream batch size must match the input")
-        g_enc_w, g_enc_b, g_angles, g_w_base, g_w_quant, g_out_bias = out
+        g_w_base, g_w_quant, g_out_bias = out[3:]
         upq = self.w_quant[..., None] * upstream.T[:, None]   # (n_out, n_in, B)
-        g_theta, g_beta, g_alpha0, g_w, d_x = daruan.circuit_adjoint(
-            self.enc_w, self.angles, circuit_tape, x, upq)
-        daruan.angle_grads(g_theta, g_beta, g_alpha0, g_angles)
-        # b_l enters theta_l with unit coefficient, as gamma_l does
-        g_enc_b[...] = g_angles[:, :, :-1, 2]
-        g_enc_w[...] = g_w.transpose(1, 2, 0)
+        d_x = daruan.circuit_adjoint(self.enc_w, self.angles, circuit_tape,
+                                     x, upq, out[:3])
         np.matmul(upstream.T, silu(x), out=g_w_base)
         np.einsum("nmb,bn->nm", circuit_tape.final[2], upstream,
                   out=g_w_quant)

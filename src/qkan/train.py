@@ -59,7 +59,7 @@ class AdamState:
     lr: float = 1e-3
 
     @classmethod
-    def init(cls, n_params: int, lr: float = 1e-3) -> "AdamState":
+    def init(cls, n_params: int, lr: float) -> "AdamState":
         return cls(m=np.zeros(n_params), v=np.zeros(n_params), lr=lr)
 
 
@@ -152,9 +152,10 @@ def _wolfe_search(fg, x, d, f0, g0, events: list):
     return best
 
 
-def lbfgs_minimize(fg, x0: np.ndarray, max_iter: int, history: int = 10,
-                   callback=None):
-    """Two-loop-recursion L-BFGS. fg(x, bound=inf) -> (loss, grad).
+def lbfgs_minimize(fg, x0: np.ndarray, max_iter: int, history: int, callback):
+    """Two-loop-recursion L-BFGS. fg(x, bound=inf) -> (loss, grad),
+    keeping the last `history` curvature pairs; callback(it, x, loss) is
+    called after each iteration.
 
     The line search passes its start loss as `bound`: fg may then return
     (inf, None) for a point whose loss is above the bound instead of
@@ -210,8 +211,7 @@ def lbfgs_minimize(fg, x0: np.ndarray, max_iter: int, history: int = 10,
         x = x + s
         f, g = f_new, g_new
         losses.append(f)
-        if callback is not None:
-            callback(it, x, f)
+        callback(it, x, f)
         if not restart and \
                 float(np.linalg.norm(s)) <= 1e-15 * max(1.0, float(np.linalg.norm(x))):
             break

@@ -5,7 +5,9 @@ each per-edge table broadcast over an inner loop only N * M long. The
 kernel now keeps the batch last; these two functions are the batch-first
 version, unchanged, and the tests check the batch-last kernel against
 them: forward values and tape bitwise, the adjoint's batch sums up to
-summation order.
+summation order. This adjoint returns merged-angle derivatives, which
+param_sums scatters onto the parameters, as `qkan.daruan` once did
+outside its kernel.
 """
 
 from __future__ import annotations
@@ -84,3 +86,18 @@ def circuit_adjoint(enc_w, angles, tape: CircuitTape, x, weights):
             d_x += np.einsum("bnm,nm->bm", cz, enc_w[..., l - 1])
             _rotate(cy, cx, *_cos_sin(tan_half[l - 1], cs), work)  # undo rz
     return g_theta, g_beta, np.einsum("bnm->nm", cz), g_w, d_x
+
+
+def param_sums(g_theta, g_beta, g_alpha0, g_w, d_x):
+    """circuit_adjoint's merged-angle outputs in the parameters' layout:
+    (g_enc_w (N, M, r), g_enc_b (N, M, r), g_angles (N, M, r+1, 3), d_x).
+    theta_l = w_l x + b_l + gamma_l + alpha_{l+1}, so b_l, gamma_l and
+    alpha_{l+1} each get d/dtheta_l; gamma_r gets exactly 0."""
+    g_t = np.moveaxis(g_theta, 0, -1)
+    g_angles = np.empty(g_alpha0.shape + (len(g_beta), 3))
+    g_angles[..., 0, 0] = g_alpha0
+    g_angles[..., 1:, 0] = g_t
+    g_angles[..., :, 1] = np.moveaxis(g_beta, 0, -1)
+    g_angles[..., :-1, 2] = g_t
+    g_angles[..., -1, 2] = 0.0
+    return np.moveaxis(g_w, 0, -1), g_t, g_angles, d_x

@@ -38,7 +38,8 @@ def report(capfd):
 def train_best(shape, r, equation, seeds, epochs, sinc=False):
     """Best-of-seeds test RMSE for one benchmark problem."""
     if sinc:
-        train_ds, test_ds = qkan.gen_sinc(seed=0)
+        train_ds, test_ds = qkan.gen_sinc(1000, 1000, noise_std=0.1,
+                                           seed=0)
     else:
         train_ds, test_ds = qkan.gen_regression(qkan.get_spec(equation),
                                                 seed=0)

@@ -44,7 +44,7 @@ class TestRoundTrip:
         """network_to_dict output loads without a JSON pass in between."""
         net = make_hqkan(6, 3, r=2, hidden_shape=(3,),
                          rng=np.random.default_rng(307))
-        loaded = ck.network_from_dict(ck.network_to_dict(net))
+        loaded = ck.network_from_dict(ck.network_to_dict(net, None))
         np.testing.assert_array_equal(loaded.param_vector(),
                                       net.param_vector())
 
@@ -69,7 +69,7 @@ class TestLayout:
         assert start == net.param_count() == (5 * 3 + 3) + 15 * 16 + (2 * 2 + 2)
         expected = np.arange(float(start))
         np.testing.assert_array_equal(net.param_vector(), expected)
-        doc = json.loads(json.dumps(ck.network_to_dict(net)))
+        doc = json.loads(json.dumps(ck.network_to_dict(net, None)))
         assert doc["params"] == expected.tolist()
         loaded = ck.network_from_dict(doc)
         loaded_arrays = [loaded.encoder.weight, loaded.encoder.bias]

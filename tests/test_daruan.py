@@ -336,28 +336,33 @@ class TestFusedKernelOracle:
 
     @staticmethod
     def batch_sums(enc_w, x, weights, g_enc, g_ang):
-        """The five circuit_adjoint outputs as weighted batch sums of
-        per-sample derivatives g_enc (B, N, M, r), g_ang (B, N, M, r+1, 3)."""
+        """What circuit_adjoint gives, (g_enc_w, g_enc_b, g_angles, d_x),
+        as weighted batch sums of per-sample derivatives g_enc
+        (B, N, M, r) and g_ang (B, N, M, r+1, 3)."""
         wg = weights[..., None] * g_enc
-        return (np.moveaxis(wg.sum(axis=0), -1, 0),
-                np.moveaxis((weights[..., None] * g_ang[..., 1]).sum(axis=0),
-                            -1, 0),
-                (weights * g_ang[..., 0, 0]).sum(axis=0),
-                np.moveaxis(np.einsum("bnml,bm->nml", wg, x), -1, 0),
+        return (np.einsum("bnml,bm->nml", wg, x), wg.sum(axis=0),
+                (weights[..., None, None] * g_ang).sum(axis=0),
                 np.einsum("bnml,nml->bm", wg, enc_w))
+
+    @staticmethod
+    def adjoint(enc_w, enc_b, angles, tape, x, weights):
+        """circuit_adjoint's outputs in batch_sums order."""
+        out = [np.empty(a.shape) for a in (enc_w, enc_b, angles)]
+        d_x = daruan.circuit_adjoint(enc_w, angles, tape, x, weights, out)
+        return (*out, d_x)
 
     @pytest.mark.parametrize("r", range(1, 11))
     def test_reduced_adjoint_matches_oracle_sums(self, r):
         args = self.random_circuits(r, 80 + r)
-        enc_w, _, angles, x = args
+        enc_w, _, _, x = args
         _, tape = daruan.circuit_forward(*args)
         weights = np.random.default_rng(90 + r).normal(
             size=tape.final[2].shape)
         _, g_enc, g_ang = complex_kernel.circuit_gradients(*args)
         want = self.batch_sums(enc_w, x, weights.transpose(2, 0, 1),
                                g_enc, g_ang)
-        got = daruan.circuit_adjoint(enc_w, angles, tape, x, weights)
-        for name, g, w in zip(("g_theta", "g_beta", "g_alpha0", "g_w", "d_x"),
+        got = self.adjoint(*args[:3], tape, x, weights)
+        for name, g, w in zip(("g_enc_w", "g_enc_b", "g_angles", "d_x"),
                               got, want):
             assert g.shape == w.shape, name
             assert np.max(np.abs(g - w)) <= 1e-12, name
@@ -366,15 +371,34 @@ class TestFusedKernelOracle:
         # weights * <Z> summed over the batch: each output is the
         # weighted batch sum of the unweighted per-sample derivatives
         args = self.random_circuits(4, 60)
-        enc_w, _, angles, x = args
+        enc_w, _, _, x = args
         _, tape = daruan.circuit_forward(*args)
         weights = np.random.default_rng(61).normal(size=tape.final[2].shape)
         _, g_enc, g_ang = daruan.circuit_gradients(*args)
         plain = self.batch_sums(enc_w, x, weights.transpose(2, 0, 1),
                                 g_enc, g_ang)
-        weighted = daruan.circuit_adjoint(enc_w, angles, tape, x, weights)
+        weighted = self.adjoint(*args[:3], tape, x, weights)
         for g, gw in zip(plain, weighted):
             np.testing.assert_allclose(gw, g, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("r", [1, 4])
+    def test_adjoint_writes_every_slot_and_ties_merged_angles(self, r):
+        """Into NaN-filled arrays, the adjoint leaves every entry finite;
+        gamma_r's gradient is exactly 0, and b_l, gamma_l and alpha_{l+1},
+        which enter theta_l alike, get bitwise the same gradient."""
+        args = self.random_circuits(r, 100 + r)
+        enc_w, enc_b, angles, x = args
+        _, tape = daruan.circuit_forward(*args)
+        weights = np.random.default_rng(110 + r).normal(
+            size=tape.final[2].shape)
+        out = [np.full(a.shape, np.nan) for a in (enc_w, enc_b, angles)]
+        d_x = daruan.circuit_adjoint(enc_w, angles, tape, x, weights, out)
+        for g in (*out, d_x):
+            assert np.all(np.isfinite(g))
+        _, g_enc_b, g_angles = out
+        assert np.all(g_angles[..., r, 2] == 0.0)
+        np.testing.assert_array_equal(g_angles[..., :-1, 2], g_enc_b)
+        np.testing.assert_array_equal(g_angles[..., 1:, 0], g_enc_b)
 
 
 class TestBatchFirstOracle:
@@ -416,12 +440,13 @@ class TestBatchFirstOracle:
         args = (layer.enc_w, layer.enc_b, layer.angles, x)
         weights = rng.normal(size=(b, n, m))
         _, want_tape = batch_first_kernel.circuit_forward(*args)
-        want = batch_first_kernel.circuit_adjoint(
-            layer.enc_w, layer.angles, want_tape, x, weights)
+        want = batch_first_kernel.param_sums(
+            *batch_first_kernel.circuit_adjoint(
+                layer.enc_w, layer.angles, want_tape, x, weights))
         _, tape = daruan.circuit_forward(*args)
-        got = daruan.circuit_adjoint(layer.enc_w, layer.angles, tape, x,
-                                     weights.transpose(1, 2, 0))
-        for name, g, w in zip(("g_theta", "g_beta", "g_alpha0", "g_w", "d_x"),
+        got = TestFusedKernelOracle.adjoint(*args[:3], tape, x,
+                                            weights.transpose(1, 2, 0))
+        for name, g, w in zip(("g_enc_w", "g_enc_b", "g_angles", "d_x"),
                               got, want):
             assert g.shape == w.shape, name
             assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w)), name

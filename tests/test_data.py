@@ -2,6 +2,7 @@
 
 import csv
 import os
+import re
 import struct
 
 import numpy as np
@@ -92,7 +93,8 @@ class TestRegressionGenerator:
             assert ds.inputs.min() >= -1.0 and ds.inputs.max() <= 1.0
 
     def test_sinc_test_split_clean(self):
-        train, test = dm.gen_sinc(n_train=200, n_test=100, seed=5)
+        train, test = dm.gen_sinc(n_train=200, n_test=100, noise_std=0.1,
+                                   seed=5)
         np.testing.assert_allclose(test.targets, dm.sinc20(test.inputs),
                                    atol=1e-15)
         resid = train.targets - dm.sinc20(train.inputs)
@@ -398,6 +400,23 @@ class TestDataset:
     def test_row_mismatch(self):
         with pytest.raises(ValueError):
             dm.Dataset(np.zeros((3, 2)), np.zeros((4, 1)))
+
+    @pytest.mark.parametrize("x, y, bad", [
+        pytest.param(np.zeros((5, 1)), np.zeros(5), "targets",
+                     id="1-D-targets"),
+        pytest.param(np.zeros(2), np.zeros(1), "inputs", id="1-D-pair"),
+        pytest.param(np.zeros((2, 1)), np.float64(0.0), "targets",
+                     id="0-D-targets"),
+        pytest.param(np.zeros((2, 1, 1)), np.zeros((2, 1)), "inputs",
+                     id="3-D-inputs"),
+    ])
+    def test_not_rows_rejected(self, x, y, bad):
+        """Arrays that are not (rows, dim) are refused, not promoted to
+        one row, with the shape named and the 1-D fix given."""
+        shape = (x if bad == "inputs" else y).shape
+        with pytest.raises(ValueError, match=rf"^{bad} .*shape "
+                           rf"{re.escape(str(shape))}; .*y\[:, None\]"):
+            dm.Dataset(x, y)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):

@@ -95,7 +95,7 @@ class TestLayer:
         assert snet.forward(np.zeros(3)[None]).shape == (1, 2)
 
     def test_param_count(self):
-        layer = QkanLayer.init(4, 3, 5, np.random.default_rng(44))
+        layer = QkanLayer.init(4, 3, 5, np.random.default_rng(44), 0.1)
         # 5r + 6 scalars per edge
         assert layer.param_count() == 4 * 3 * (5 * 5 + 6)
 
@@ -277,8 +277,8 @@ class TestLinearLayer:
 
 class TestValidation:
     def test_inconsistent_layers_rejected(self):
-        l1 = QkanLayer.init(2, 3, 1, np.random.default_rng(0))
-        l2 = QkanLayer.init(2, 1, 1, np.random.default_rng(0))
+        l1 = QkanLayer.init(2, 3, 1, np.random.default_rng(0), 0.1)
+        l2 = QkanLayer.init(2, 1, 1, np.random.default_rng(0), 0.1)
         with pytest.raises(ValueError):
             QkanNetwork(layers=[l1, l2])
 

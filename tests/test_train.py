@@ -15,6 +15,13 @@ from qkan.network import QkanNetwork, make_hqkan
 tr = importlib.import_module("qkan.train")
 
 
+def lbfgs(fg, x0, max_iter):
+    """lbfgs_minimize with the history train's config defaults to and a
+    callback that does nothing."""
+    return tr.lbfgs_minimize(fg, x0, max_iter, history=10,
+                             callback=lambda it, x, f: None)
+
+
 class TestLosses:
     def test_mse(self):
         pred = np.array([[1.0], [2.0]])
@@ -45,7 +52,7 @@ class TestAdam:
         np.testing.assert_allclose(x, 0.0, atol=1e-4)
 
     def test_state_shapes_checked(self):
-        state = tr.AdamState.init(2)
+        state = tr.AdamState.init(2, lr=1e-3)
         with pytest.raises(ValueError):
             tr.adam_step(state, np.zeros(3), np.zeros(3))
 
@@ -57,8 +64,7 @@ class TestLbfgs:
         def fg(x, bound=math.inf):
             return 0.5 * float(x @ a @ x), a @ x
 
-        x, losses, events = tr.lbfgs_minimize(fg, np.array([1.0, 1.0, 1.0]),
-                                              max_iter=50)
+        x, losses, events = lbfgs(fg, np.array([1.0, 1.0, 1.0]), max_iter=50)
         assert losses[-1] < 1e-16
         np.testing.assert_allclose(x, 0.0, atol=1e-8)
         assert events == []
@@ -71,8 +77,7 @@ class TestLbfgs:
                           200.0 * (y - x ** 2)])
             return f, g
 
-        x, losses, _ = tr.lbfgs_minimize(fg, np.array([-1.2, 1.0]),
-                                         max_iter=200)
+        x, losses, _ = lbfgs(fg, np.array([-1.2, 1.0]), max_iter=200)
         np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-5)
 
     def test_one_iteration_per_epoch(self):
@@ -81,7 +86,7 @@ class TestLbfgs:
         def fg(x, bound=math.inf):
             return float(x @ x), 2.0 * x
 
-        tr.lbfgs_minimize(fg, np.array([1.0]), max_iter=7,
+        tr.lbfgs_minimize(fg, np.array([1.0]), max_iter=7, history=10,
                           callback=lambda it, x, f: calls.append(it))
         assert calls == list(range(len(calls)))
         assert len(calls) <= 7
@@ -293,8 +298,7 @@ class TestLineSearchSafeguards:
 
     @pytest.mark.parametrize("fg", ["nan_away_from_start", "rising"])
     def test_lbfgs_never_accepts_a_worse_step(self, fg):
-        x, losses, events = tr.lbfgs_minimize(getattr(self, fg), self.X0,
-                                              max_iter=5)
+        x, losses, events = lbfgs(getattr(self, fg), self.X0, max_iter=5)
         np.testing.assert_array_equal(x, self.X0)
         assert losses == [1.0]
         assert events[0].startswith("line-search failure")
@@ -310,8 +314,7 @@ class TestLineSearchSafeguards:
                 return np.nan, np.full(2, np.nan)
             return 0.5 * float(x @ a @ x), a @ x
 
-        x, losses, events = tr.lbfgs_minimize(fg, np.array([1.0, 1.0]),
-                                              max_iter=10)
+        x, losses, events = lbfgs(fg, np.array([1.0, 1.0]), max_iter=10)
         assert np.all(np.isfinite(x))
         assert all(b <= a_ for a_, b in zip(losses, losses[1:]))
         assert any("restarting from steepest descent" in e for e in events)
@@ -404,8 +407,8 @@ class TestBoundedSearch:
             return f, g
 
         x0 = np.array([1.0, 1.0])
-        got = tr.lbfgs_minimize(dropping, x0, max_iter=30)
-        want = tr.lbfgs_minimize(full, x0, max_iter=30)
+        got = lbfgs(dropping, x0, max_iter=30)
+        want = lbfgs(full, x0, max_iter=30)
         assert dropped
         np.testing.assert_array_equal(got[0], want[0])
         assert got[1:] == want[1:]
